@@ -6,6 +6,14 @@ copies of each original vertex.  A radical-square-zero algebra is finite
 exactly when every single subquiver is a disjoint union of Dynkin graphs;
 the decision is run either by brute enumeration (``naive``) or by searching
 directly for an embedded Euclidean shape (``witness-search``).
+
+Both modes return the smallest, then lexicographically first, bad single
+subquiver.  Naive mode sweeps every choice of each size.  Witness-search
+probes Euclidean shapes in ascending size, so it stops at the minimal bad
+size k, and then normalizes over connected k-vertex single subquivers only.
+That is exact: a bad choice of minimal size is a single non-Dynkin
+component, since with a second component its bad component alone would be
+a smaller bad choice.
 """
 
 from __future__ import annotations
@@ -16,6 +24,7 @@ from dataclasses import dataclass
 from . import verdict as vd
 from .presentation import (
     Arrow,
+    InvariantViolationError,
     NoOrientedCycleError,
     NotRadicalSquareZeroError,
     Quiver,
@@ -49,10 +58,6 @@ class GraphType:
         if self.tag == "other":
             return "other"
         return f"{self.tag}{self.n}"
-
-
-EUCLIDEAN_VERTEX_COUNT = {"A~": lambda n: n + 1, "D~": lambda n: n + 1,
-                          "E~": lambda n: n + 1}
 
 
 def euclidean_size(gtype):
@@ -267,12 +272,10 @@ def is_rad_square_zero(pres):
         return all(len(p) <= 1 for _, paths in table.pairs for p in paths)
     monomial_squares = {rel.terms[0][1] for rel in pres.relations
                         if rel.is_monomial() and len(rel.terms[0][1]) == 2}
-    by_name = pres.quiver.arrows_by_name()
     for a in pres.quiver.arrows:
         for b in pres.quiver.arrows:
             if a.target == b.source and (a.name, b.name) not in monomial_squares:
                 return False
-    del by_name
     return True
 
 
@@ -385,20 +388,52 @@ def _leg_profile(data, sides, deg, center):
     return sorted(lengths)
 
 
-def _bad_sets_of_size(data, k):
-    """All bad single subquivers on exactly k original vertices, as
-    (sorted vertex names, sides dict)."""
+def _all_choices(data, k):
+    """Every single-subquiver choice on exactly k original vertices, as a
+    {vertex index: side} dict: the C(n,k)·2^k sweep of naive mode."""
     for combo in itertools.combinations(range(data.n), k):
         for mask in range(1 << k):
-            sides = {combo[t]: (mask >> t) & 1 for t in range(k)}
-            if _assignment_bad(data, sides):
-                yield sides
+            yield {combo[t]: (mask >> t) & 1 for t in range(k)}
 
 
-def _lexmin_witness(data, quiver, k):
+def _connected_choices(data, k):
+    """Every choice on exactly k original vertices whose induced bipartite
+    graph is connected, each yielded once.
+
+    ESU (Wernicke 2006) over the separated nodes: node x < n is (x, 0) and
+    node x >= n is (x - n, 1).  A subgraph grows from its smallest node v
+    only by nodes above v that neighbor the newest node exclusively, so each
+    connected set has one growth order.  Both sides of one vertex are never
+    taken together; every subset of a valid choice is valid, so pruning at
+    insertion loses nothing.
+    """
+    n = data.n
+    nbrs = [[j + n for j in data.out_adj[i]] for i in range(n)] + \
+        [list(data.in_adj[i]) for i in range(n)]
+    for v in range(2 * n):
+        stack = [((v,), [u for u in nbrs[v] if u > v], {v, *nbrs[v]})]
+        while stack:
+            sub, ext, closed = stack.pop()
+            if len(sub) == k:
+                yield {x % n: x // n for x in sub}
+                continue
+            taken = {x % n for x in sub}
+            while ext:
+                w = ext.pop()
+                if w % n in taken:
+                    continue
+                grown = ext + [u for u in nbrs[w] if u > v and u not in closed]
+                stack.append((sub + (w,), grown, closed.union(nbrs[w])))
+
+
+def _lexmin_witness(data, quiver, k, choices):
+    """Lexicographically minimal bad choice among ``choices(data, k)``, as a
+    single subquiver, or None when none is bad."""
     best = None
     best_key = None
-    for sides in _bad_sets_of_size(data, k):
+    for sides in choices(data, k):
+        if not _assignment_bad(data, sides):
+            continue
         named = tuple(sorted((data.vertices[i], s)
                              for i, s in sides.items()))
         if best_key is None or named < best_key:
@@ -428,7 +463,7 @@ def _naive_decide(quiver, naive_limit):
     if not bad:
         return None
     for k in range(2, n + 1):
-        witness = _lexmin_witness(data, quiver, k)
+        witness = _lexmin_witness(data, quiver, k, _all_choices)
         if witness is not None:
             return witness
     raise AssertionError("bad full assignment but no bad subset")
@@ -468,7 +503,6 @@ def _dtilde_pattern(m):
     coloring[1] = 1
     coloring[b1] = 0
     edges += [(0, b1), (1, b1)]
-    path_len = m - 4  # arcs between the two branch vertices: m - 4 + ...
     prev = b1
     nxt = 3
     for _ in range(m - 5):
@@ -482,7 +516,6 @@ def _dtilde_pattern(m):
     for leaf in (nxt + 1, nxt + 2):
         coloring[leaf] = (coloring[b2] + 1) % 2
         edges.append((b2, leaf))
-    del path_len
     return edges, coloring
 
 
@@ -543,7 +576,7 @@ def _embed_pattern(data, edges, coloring):
     return None
 
 
-def _patterns_of_size(size, n):
+def _patterns_of_size(size):
     """Euclidean patterns on exactly ``size`` vertices, candidate order."""
     out = []
     if size == 2:
@@ -563,18 +596,13 @@ def _patterns_of_size(size, n):
     return out
 
 
-def _witness_search_decide(quiver):
-    """Probe for embedded Euclidean shapes in ascending size; on a hit,
-    normalize to the lexicographically minimal witness of that size."""
-    data = _SepData(quiver)
-    n = data.n
-    for size in range(2, n + 1):
-        for pattern in _patterns_of_size(size, n):
+def _probe_bad_size(data):
+    """Smallest size at which a Euclidean pattern embeds, or None."""
+    for size in range(2, data.n + 1):
+        for pattern in _patterns_of_size(size):
             if pattern == "multi-pair":
-                hit = any(m >= 2 and i != j
-                          for (i, j), m in data.mult.items())
-                if hit:
-                    return _lexmin_witness(data, quiver, size)
+                if any(m >= 2 and i != j for (i, j), m in data.mult.items()):
+                    return size
                 continue
             kind, arg = pattern
             if kind == "cycle":
@@ -590,8 +618,24 @@ def _witness_search_decide(quiver):
                             {p: 1 - c for p, c in coloring.items()}]
             for variant in variants:
                 if _embed_pattern(data, edges, variant) is not None:
-                    return _lexmin_witness(data, quiver, size)
+                    return size
     return None
+
+
+def _witness_search_decide(quiver):
+    """Probe for embedded Euclidean shapes in ascending size; on a hit,
+    normalize to the lexicographically minimal witness of that size among
+    connected choices, which is exact (see the module docstring)."""
+    data = _SepData(quiver)
+    size = _probe_bad_size(data)
+    if size is None:
+        return None
+    witness = _lexmin_witness(data, quiver, size, _connected_choices)
+    if witness is None:
+        raise InvariantViolationError(
+            f"a Euclidean pattern embeds on {size} vertices but no connected "
+            f"bad single subquiver of that size was found")
+    return witness
 
 
 def minimal_bad_single_subquiver(quiver, mode="witness-search",
@@ -652,38 +696,26 @@ def find_oriented_cycle(quiver):
     for a in quiver.arrows:
         if a.source != a.target:
             out[a.source].append(a.target)
-    color = {v: 0 for v in quiver.vertices}
-    stack_pos = {}
-
-    def visit(v, stack):
-        color[v] = 1
-        stack_pos[v] = len(stack)
-        stack.append(v)
-        for w in out[v]:
-            if color[w] == 1:
-                return stack[stack_pos[w]:]
-            if color[w] == 0:
-                cyc = visit(w, stack)
-                if cyc is not None:
-                    return cyc
-        color[v] = 2
-        stack.pop()
-        del stack_pos[v]
-        return None
-
-    for v in quiver.vertices:
-        if color[v] == 0:
-            cyc = visit(v, [])
-            if cyc is not None:
-                return cyc
+    color = {v: 0 for v in quiver.vertices}  # 0 new, 1 on path, 2 done
+    for root in quiver.vertices:
+        if color[root] != 0:
+            continue
+        color[root] = 1
+        path, path_pos, todo = [root], {root: 0}, [iter(out[root])]
+        while todo:
+            for w in todo[-1]:
+                if color[w] == 1:
+                    return path[path_pos[w]:]
+                if color[w] == 0:
+                    color[w] = 1
+                    path_pos[w] = len(path)
+                    path.append(w)
+                    todo.append(iter(out[w]))
+                    break
+            else:
+                color[path.pop()] = 2
+                todo.pop()
     return None
-
-
-def _first_arrow(quiver, u, v):
-    for a in quiver.arrows:
-        if a.source == u and a.target == v:
-            return a
-    raise AssertionError(f"no arrow {u} -> {v}")
 
 
 def cycle_witness(pres):
@@ -706,10 +738,3 @@ def cycle_witness(pres):
         sides[tensor_vertex(cyc[k % n], cyc[(-k) % n])] = 0
         sides[tensor_vertex(cyc[(k + 1) % n], cyc[(-k) % n])] = 1
     return induced_single_subquiver(ambient, sides)
-
-
-def self_tensor_separated_quiver(pres):
-    """Ambient separated quiver that cycle witnesses live in."""
-    ambient = tensor_product(rad_square_quotient(pres),
-                             rad_square_quotient(pres)).quiver
-    return separated_quiver(ambient)

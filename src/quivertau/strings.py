@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .catalog import BadParameterError
 from .presentation import (
     QuivertauError,
     ideal_membership_spaces,
@@ -111,6 +112,9 @@ def band_search(pres, length_bound=None):
     (checked on the doubled word), and not proper powers; representatives
     are normalized over rotation and inversion.
     """
+    if length_bound is not None and length_bound < 1:
+        raise BadParameterError(
+            f"band length bound must be >= 1, got {length_bound}")
     report = special_biserial_check(pres)
     if not report.ok:
         raise NotStringAlgebraError("; ".join(report.violations))

@@ -142,6 +142,21 @@ class TestOtherCommands:
         code, out, _ = run(capsys, "strings", "catalog:N(5)")
         assert code == 0 and "band: none" in out
 
+    def test_strings_bad_band_bound_exit_2(self, capsys):
+        code, out, err = run(capsys, "strings", N4, "--band-bound", "-5")
+        assert code == 2 and out == "" and "band length bound" in err
+
+    def test_adachi_invariant_violation_exit_4(self, capsys, monkeypatch,
+                                               tmp_path):
+        from quivertau import sepgraph
+        monkeypatch.setattr(sepgraph, "_connected_choices",
+                            lambda data, k: iter(()))
+        kronecker = tmp_path / "kronecker.quiver"
+        kronecker.write_text("vertex 1\nvertex 2\n"
+                             "arrow a : 1 -> 2\narrow b : 1 -> 2\n")
+        code, out, err = run(capsys, "adachi", str(kronecker))
+        assert code == 4 and out == "" and "invariant" in err
+
     def test_table(self, capsys):
         code, out, _ = run(capsys, "table", "--format", "json")
         assert code == 0

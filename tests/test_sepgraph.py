@@ -1,12 +1,16 @@
 """Recognition, separated quivers, the finiteness criterion, cycle witnesses."""
 
+import time
+
 import pytest
 
-from conftest import cycle_presentation, line, seeded
+from conftest import cycle_presentation, line, random_quiver, seeded
 
+from quivertau import sepgraph
 from quivertau.catalog import catalog_get
 from quivertau.presentation import (
     Arrow,
+    InvariantViolationError,
     NoOrientedCycleError,
     NotRadicalSquareZeroError,
     Presentation,
@@ -16,6 +20,7 @@ from quivertau.presentation import (
 )
 from quivertau.sepgraph import (
     GraphType,
+    SingleSubquiver,
     UGraph,
     adachi_decide,
     classify_graph,
@@ -185,6 +190,86 @@ class TestAdachi:
             assert v1.certificate.witness == v2.certificate.witness
 
 
+def _choice_key(sides):
+    return frozenset(sides.items())
+
+
+def _is_connected(data, sides):
+    """Connectivity of the induced bipartite graph, by plain search."""
+    nodes = set(sides.items())
+    start = next(iter(nodes))
+    seen, frontier = {start}, [start]
+    while frontier:
+        i, s = frontier.pop()
+        nbrs = ({(j, 1) for j in data.out_adj[i]} if s == 0
+                else {(j, 0) for j in data.in_adj[i]})
+        for node in (nbrs & nodes) - seen:
+            seen.add(node)
+            frontier.append(node)
+    return seen == nodes
+
+
+class TestConnectedEnumeration:
+    def test_bad_sets_match_brute_sweep_at_minimal_size(self):
+        rng = seeded(53)
+        checked = 0
+        while checked < 40:
+            q = random_quiver(rng, max_vertices=8).quiver
+            data = sepgraph._SepData(q)
+            brute = None
+            for k in range(2, data.n + 1):
+                brute = {_choice_key(s) for s in sepgraph._all_choices(data, k)
+                         if sepgraph._assignment_bad(data, s)}
+                if brute:
+                    break
+            if not brute:
+                continue
+            checked += 1
+            assert sepgraph._probe_bad_size(data) == k
+            connected = {_choice_key(s)
+                         for s in sepgraph._connected_choices(data, k)
+                         if sepgraph._assignment_bad(data, s)}
+            assert connected == brute
+
+    def test_each_connected_choice_once(self):
+        rng = seeded(59)
+        for _ in range(30):
+            q = random_quiver(rng, max_vertices=7).quiver
+            data = sepgraph._SepData(q)
+            for k in range(1, min(data.n, 5) + 1):
+                found = [_choice_key(s)
+                         for s in sepgraph._connected_choices(data, k)]
+                assert len(found) == len(set(found))
+                expected = {_choice_key(s)
+                            for s in sepgraph._all_choices(data, k)
+                            if _is_connected(data, s)}
+                assert set(found) == expected
+
+    def test_large_grid_witness_fast(self):
+        a6 = catalog_get("A(6,+-+-+)")
+        pres = rad_square_quotient(tensor_product(a6, a6))
+        assert len(pres.quiver.vertices) == 36
+        start = time.perf_counter()
+        v = adachi_decide(pres)
+        assert time.perf_counter() - start < 2.0
+        assert v.status == "infinite"
+        payload = v.certificate.witness
+        w = SingleSubquiver(
+            tuple((name, side) for name, side in payload["vertices"]),
+            tuple((tuple(src), tuple(tgt), name)
+                  for src, tgt, name in payload["arrows"]))
+        assert len(w.vertices) == 5
+        assert is_single_subquiver(pres.quiver, w)
+        assert not classify_graph(w.underlying()).all_dynkin()
+
+    def test_empty_enumeration_fails_loud(self, monkeypatch):
+        monkeypatch.setattr(sepgraph, "_connected_choices",
+                            lambda data, k: iter(()))
+        q = Quiver(("1", "2"), (Arrow("a", "1", "2"), Arrow("b", "1", "2")))
+        with pytest.raises(InvariantViolationError):
+            adachi_decide(rad_square_quotient(Presentation(q, ())))
+
+
 class TestCycleWitness:
     def test_three_cycle(self):
         pres = cycle_presentation(3)
@@ -239,6 +324,21 @@ class TestCycleWitness:
                                      rad_square_quotient(pres)).quiver
             assert is_single_subquiver(ambient, w)
             assert not w.report().all_dynkin()
+
+    def test_long_cycle_no_recursion_limit(self):
+        n = 1200
+        vertices = tuple(str(i) for i in range(n))
+        q = Quiver(vertices, tuple(Arrow(f"a{i}", str(i), str((i + 1) % n))
+                                   for i in range(n)))
+        assert find_oriented_cycle(q) == list(vertices)
+
+    def test_cycle_found_after_dead_ends(self):
+        # 1 -> 2 is a dead end; the cycle 3 -> 4 -> 5 -> 3 is reached from 1
+        q = Quiver(("1", "2", "3", "4", "5"),
+                   (Arrow("a", "1", "2"), Arrow("b", "1", "3"),
+                    Arrow("c", "3", "4"), Arrow("d", "4", "5"),
+                    Arrow("e", "5", "3")))
+        assert find_oriented_cycle(q) == ["3", "4", "5"]
 
 
 class TestGraphTypeBasics:

@@ -4,7 +4,7 @@ import pytest
 
 from conftest import line, mono
 
-from quivertau.catalog import catalog_get
+from quivertau.catalog import BadParameterError, catalog_get
 from quivertau.presentation import (
     Arrow,
     Presentation,
@@ -87,6 +87,11 @@ class TestBandSearch:
             "arrow a : 1 -> s\narrow b : 2 -> s\narrow c : 3 -> s\n")
         with pytest.raises(NotStringAlgebraError):
             band_search(star)
+
+    @pytest.mark.parametrize("bound", [0, -5])
+    def test_bad_length_bound_rejected(self, bound):
+        with pytest.raises(BadParameterError):
+            band_search(catalog_get("N(4)"), length_bound=bound)
 
     def test_non_monomial_rejected(self):
         comm = parse_presentation(
