@@ -182,30 +182,24 @@ def catalog_ids():
 # quiver isomorphism with ideal transport
 
 
-def _mult_table(quiver):
-    mult = {}
-    for a in quiver.arrows:
-        mult[(a.source, a.target)] = mult.get((a.source, a.target), 0) + 1
-    return mult
-
-
-def _degree_signature(quiver):
-    mult = _mult_table(quiver)
-    sig = {}
-    for v in quiver.vertices:
-        outs = sorted(m for (s, t), m in mult.items() if s == v)
-        ins = sorted(m for (s, t), m in mult.items() if t == v)
-        sig[v] = (tuple(outs), tuple(ins))
-    return sig
-
-
 def _vertex_maps(q1, q2):
     """All quiver-compatible vertex bijections, in deterministic order."""
     if len(q1.vertices) != len(q2.vertices) or \
             len(q1.arrows) != len(q2.arrows):
         return
-    m1, m2 = _mult_table(q1), _mult_table(q2)
-    sig1, sig2 = _degree_signature(q1), _degree_signature(q2)
+    m1, m2 = q1.index.mult, q2.index.mult
+
+    def signature(quiver):
+        """Per vertex: sorted out- and in-multiplicities."""
+        outs = {v: [] for v in quiver.vertices}
+        ins = {v: [] for v in quiver.vertices}
+        for (s, t), m in quiver.index.mult.items():
+            outs[s].append(m)
+            ins[t].append(m)
+        return {v: (tuple(sorted(outs[v])), tuple(sorted(ins[v])))
+                for v in quiver.vertices}
+
+    sig1, sig2 = signature(q1), signature(q2)
     order = list(q1.vertices)
     used = set()
     vmap = {}
@@ -239,18 +233,14 @@ def _vertex_maps(q1, q2):
 
 def _arrow_maps(q1, q2, vmap):
     """All arrow bijections compatible with a vertex bijection."""
-    cells1 = {}
-    for a in q1.arrows:
-        cells1.setdefault((a.source, a.target), []).append(a.name)
-    cells2 = {}
-    for a in q2.arrows:
-        cells2.setdefault((a.source, a.target), []).append(a.name)
-    cell_list = sorted(cells1)
+
+    def names(quiver, s, t):
+        return [a.name for a in quiver.index.out[s] if a.target == t]
+
     pools = []
-    for cell in cell_list:
-        target_cell = (vmap[cell[0]], vmap[cell[1]])
-        names2 = cells2.get(target_cell, [])
-        names1 = cells1[cell]
+    for s, t in sorted(q1.index.mult):
+        names1 = names(q1, s, t)
+        names2 = names(q2, vmap[s], vmap[t])
         if len(names1) != len(names2):
             return
         pools.append([list(zip(names1, perm))
@@ -402,7 +392,7 @@ def verify_quotient_witness(pres, target, witness):
     for a in sub.quiver.arrows:
         if a.name not in amap:
             return False
-        b = target.quiver.arrows_by_name().get(amap[a.name])
+        b = target.quiver.index.by_name.get(amap[a.name])
         if b is None or vmap[a.source] != b.source or \
                 vmap[a.target] != b.target:
             return False

@@ -63,15 +63,17 @@ def line_class(quiver):
     n = len(quiver.vertices)
     if n == 1:
         return ""
-    adj = {v: [] for v in quiver.vertices}
-    for a in quiver.arrows:
-        adj[a.source].append((a.target, "+"))
-        adj[a.target].append((a.source, "-"))
-    end = next(v for v in quiver.vertices if len(adj[v]) == 1)
+    out, inc = quiver.index.out, quiver.index.inc
+
+    def steps(v):
+        return [(a.target, "+") for a in out[v]] + \
+            [(a.source, "-") for a in inc[v]]
+
+    end = next(v for v in quiver.vertices if len(steps(v)) == 1)
     eps = []
     prev, at = None, end
     while True:
-        nxts = [(w, d) for w, d in adj[at] if w != prev]
+        nxts = [(w, d) for w, d in steps(at) if w != prev]
         if not nxts:
             break
         w, d = nxts[0]
@@ -107,6 +109,15 @@ def _a3a3_frame(ca, cb):
         if key in _A3_FRAME_KEYS:
             return _A3_FRAME_KEYS[key], bridge
     return None, None
+
+
+def _rewrap(inner, trace_prefix, rule=None, statement=None):
+    """Re-emit an inner verdict, optionally under a new rule and statement,
+    with its trace behind ``trace_prefix``."""
+    cert = inner.certificate
+    return vd.verdict(
+        inner.status, rule or cert.rule, statement or cert.statement,
+        witness=cert.witness, trace=(*trace_prefix, *cert.trace))
 
 
 def _quotient_payload(qw, target_id, source):
@@ -159,12 +170,8 @@ def classify_single(pres):
             trace=(*trace, f"hereditary-non-dynkin: graph {gtype.label()}"))
     trace.append("hereditary: no")
     if prof.is_radical_square_zero:
-        inner = adachi_decide(pres)
-        return vd.verdict(
-            inner.status, "rad-square-zero-separated",
-            inner.certificate.statement,
-            witness=inner.certificate.witness,
-            trace=(*trace, *inner.certificate.trace))
+        return _rewrap(adachi_decide(pres), trace,
+                       rule="rad-square-zero-separated")
     trace.append("rad-square-zero: no")
     if prof.is_linear_nakayama:
         return vd.verdict(
@@ -201,14 +208,12 @@ def classify_tensor(pa, pb):
     prof_b = structural_profile(pb)
     for local, other, name in ((prof_a, pb, "A"), (prof_b, pa, "B")):
         if local.is_local:
-            inner = classify_single(other)
-            return vd.verdict(
-                inner.status, "local-factor",
-                "a local factor preserves the finiteness of the other "
-                "factor",
-                witness=inner.certificate.witness,
-                trace=(*trace, f"local-factor: {name} is local",
-                       *inner.certificate.trace))
+            return _rewrap(
+                classify_single(other),
+                (*trace, f"local-factor: {name} is local"),
+                rule="local-factor",
+                statement="a local factor preserves the finiteness of the "
+                          "other factor")
     trace.append("local-factor: no")
 
     # R2: multiple arrows
@@ -411,16 +416,19 @@ _OBSTRUCTION_FRAMES = {
 }
 
 
-def _find_obstruction(pres, obstruction_ids):
-    """First stored obstruction that is a quotient of pres or its opposite."""
+def _obstruction_witness(pres, obstruction_ids):
+    """First stored obstruction that is a quotient of pres or its opposite,
+    as (catalog id, frame payload), or (None, None)."""
     op = opposite(pres)
     for cat_id in obstruction_ids:
         target = catalog_get(cat_id)
-        for candidate, where in ((pres, ""), (op, "op")) :
+        for candidate, where in ((pres, ""), (op, "op")):
             qw = has_quotient(candidate, target)
             if qw is not None:
-                return cat_id, where, qw
-    return None
+                return cat_id, _frame_payload(
+                    _OBSTRUCTION_FRAMES[cat_id], bridge=where,
+                    quotients=((qw, cat_id, where or "non-line"),))
+    return None, None
 
 
 def _both_non_hereditary(pa, prof_a, pb, prof_b, trace):
@@ -513,13 +521,7 @@ def _rsz_vs_non_nakayama(n, other, other_prof, trace):
                 "a radical-square-zero line against the one-sink 4-line "
                 "with a single zero composition is representation-finite",
                 trace=(*trace, "rad-square-zero-line-vs-b1: isomorphic"))
-        witness = None
-        found = _find_obstruction(other, ("L42", "L43square"))
-        if found:
-            cat_id, where, qw = found
-            witness = _frame_payload(
-                _OBSTRUCTION_FRAMES[cat_id], bridge=where,
-                quotients=((qw, cat_id, where or "non-line"),))
+        _, witness = _obstruction_witness(other, ("L42", "L43square"))
         return vd.verdict(
             vd.INFINITE, "rad-square-zero-line-vs-4",
             "among non-line 4-vertex factors only that one algebra (or its "
@@ -529,13 +531,7 @@ def _rsz_vs_non_nakayama(n, other, other_prof, trace):
                    "rad-square-zero-line-vs-4"))
     # m >= 5
     if n >= 4:
-        witness = None
-        found = _find_obstruction(other, _OBSTRUCTIONS_N4)
-        if found:
-            cat_id, where, qw = found
-            witness = _frame_payload(
-                _OBSTRUCTION_FRAMES[cat_id], bridge=where,
-                quotients=((qw, cat_id, where or "non-line"),))
+        _, witness = _obstruction_witness(other, _OBSTRUCTIONS_N4)
         return vd.verdict(
             vd.INFINITE, "rad-square-zero-line4-vs-big",
             "a radical-square-zero line on 4 or more vertices against a "
@@ -550,15 +546,12 @@ def _rsz_vs_non_nakayama(n, other, other_prof, trace):
             "with 5 or more vertices the factor must admit the one-sink "
             "4-line with a zero composition as a quotient to stay finite",
             trace=(*trace, "rad-square-zero-line3-vs-big: no such quotient"))
-    found = _find_obstruction(other, _OBSTRUCTIONS_N3)
-    if found:
-        cat_id, where, qw = found
+    cat_id, witness = _obstruction_witness(other, _OBSTRUCTIONS_N3)
+    if cat_id:
         return vd.verdict(
             vd.INFINITE, "rad-square-zero-line3-obstruction",
             "an obstruction quotient certifies an infinite product",
-            witness=_frame_payload(
-                _OBSTRUCTION_FRAMES[cat_id], bridge=where,
-                quotients=((qw, cat_id, where or "non-line"),)),
+            witness=witness,
             trace=(*trace, "rad-square-zero-line3-vs-big: quotient present",
                    f"rad-square-zero-line3-obstruction: {cat_id}"))
     return vd.verdict(
@@ -613,10 +606,7 @@ def classify_self_tensor(pres):
             "quiver and no cycle rule applies",
             trace=("self-tensor-cycle: no non-loop cycle",
                    "self-tensor-delegate: rejected (cyclic)"))
-    cert = inner.certificate
-    return vd.verdict(
-        inner.status, cert.rule, cert.statement, witness=cert.witness,
-        trace=("self-tensor-cycle: no cycle", *cert.trace))
+    return _rewrap(inner, ("self-tensor-cycle: no cycle",))
 
 
 def classify_triple(pa, pb, pc):
@@ -633,17 +623,11 @@ def classify_triple(pa, pb, pc):
             "2-lines, which is infinite",
             trace=("triple-non-local",))
     if len(nonlocal_factors) == 2:
-        inner = classify_tensor(*nonlocal_factors)
-        cert = inner.certificate
-        return vd.verdict(
-            inner.status, cert.rule, cert.statement, witness=cert.witness,
-            trace=("triple: one local factor dropped", *cert.trace))
+        return _rewrap(classify_tensor(*nonlocal_factors),
+                       ("triple: one local factor dropped",))
     if len(nonlocal_factors) == 1:
-        inner = classify_single(nonlocal_factors[0])
-        cert = inner.certificate
-        return vd.verdict(
-            inner.status, cert.rule, cert.statement, witness=cert.witness,
-            trace=("triple: two local factors dropped", *cert.trace))
+        return _rewrap(classify_single(nonlocal_factors[0]),
+                       ("triple: two local factors dropped",))
     return vd.verdict(
         vd.FINITE, "triple-all-local",
         "a product of local factors stays local, hence finite",

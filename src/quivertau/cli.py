@@ -3,7 +3,8 @@
 Every subcommand reads quiver files (or ``catalog:<id>`` references),
 prints text or ``--format json``, and exits 0 on success, 1 on usage
 errors, 2 on input errors, 3 on an ``--expect`` mismatch, and 4 on an
-internal invariant violation.
+internal error: a violated invariant or any other unexpected exception,
+reported in one stderr line instead of a traceback.
 """
 
 from __future__ import annotations
@@ -305,6 +306,11 @@ def main(argv=None):
     except QuivertauError as exc:
         print(f"qt: input error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:  # a bug: one line, never a traceback
+        detail = " ".join(str(exc).split())
+        print(f"qt: internal error: {type(exc).__name__}: {detail}",
+              file=sys.stderr)
+        return 4
     return code
 
 

@@ -71,16 +71,3 @@ class SparseSpace:
 
     def pivots(self):
         return set(self.rows)
-
-
-def span_rank(vectors, key_order):
-    """Rank of a list of sparse vectors."""
-    space = SparseSpace(key_order)
-    for v in vectors:
-        space.add(v)
-    return space.rank
-
-
-def subspace_contained(vectors, space):
-    """True if every vector reduces to zero against ``space``."""
-    return all(space.contains(v) for v in vectors)

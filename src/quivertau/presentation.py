@@ -10,9 +10,10 @@ function of its inputs.
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .linalg import SparseSpace
 
@@ -84,6 +85,54 @@ class Arrow:
     target: str
 
 
+class QuiverIndex:
+    """Read-only lookups on one quiver, each built on first use.
+
+    ``by_name`` maps arrow names to arrows, ``out`` and ``inc`` map every
+    vertex to its outgoing and incoming arrows in declaration order, and
+    ``mult`` counts the arrows from each source to each target.  Slots keep
+    the many indexes that caches hold small; the index refers to the
+    quiver's tuples, not to the quiver, so it makes no reference cycle.
+    """
+
+    __slots__ = ("_vertices", "_arrows", "_by_name", "_out", "_inc", "_mult")
+
+    def __init__(self, vertices, arrows):
+        self._vertices = vertices
+        self._arrows = arrows
+        self._by_name = self._out = self._inc = self._mult = None
+
+    @property
+    def by_name(self):
+        if self._by_name is None:
+            self._by_name = {a.name: a for a in self._arrows}
+        return self._by_name
+
+    @property
+    def out(self):
+        if self._out is None:
+            self._out = self._group_by(lambda a: a.source)
+        return self._out
+
+    @property
+    def inc(self):
+        if self._inc is None:
+            self._inc = self._group_by(lambda a: a.target)
+        return self._inc
+
+    @property
+    def mult(self):
+        if self._mult is None:
+            self._mult = Counter((a.source, a.target) for a in self._arrows)
+        return self._mult
+
+    def _group_by(self, end):
+        groups = {v: [] for v in self._vertices}
+        for a in self._arrows:
+            groups[end(a)].append(a)
+        return {v: tuple(arrows) for v, arrows in groups.items()}
+
+
 @dataclass(frozen=True)
 class Quiver:
     """Finite directed multigraph. Vertex ids and arrow names are unique."""
@@ -91,25 +140,12 @@ class Quiver:
     vertices: tuple[str, ...]
     arrows: tuple[Arrow, ...]
 
-    def arrow(self, name):
-        for a in self.arrows:
-            if a.name == name:
-                return a
-        raise UnknownArrowError(name)
-
-    def arrows_by_name(self):
-        return {a.name: a for a in self.arrows}
-
-    def out_arrows(self, v):
-        return [a for a in self.arrows if a.source == v]
-
-    def in_arrows(self, v):
-        return [a for a in self.arrows if a.target == v]
+    @cached_property
+    def index(self):
+        return QuiverIndex(self.vertices, self.arrows)
 
     def is_acyclic(self):
-        out = {v: [] for v in self.vertices}
-        for a in self.arrows:
-            out[a.source].append(a.target)
+        out = self.index.out
         state = {v: 0 for v in self.vertices}  # 0 new, 1 open, 2 done
 
         def visit(v):
@@ -118,7 +154,8 @@ class Quiver:
             while stack:
                 u, it = stack[-1]
                 advanced = False
-                for w in it:
+                for a in it:
+                    w = a.target
                     if state[w] == 1:
                         return False
                     if state[w] == 0:
@@ -137,21 +174,17 @@ class Quiver:
         return True
 
     def is_connected(self):
-        if not self.vertices:
-            return True
-        adj = {v: set() for v in self.vertices}
+        root = {v: v for v in self.vertices}  # union-find over the arrows
+
+        def find(v):
+            while root[v] != v:
+                root[v] = root[root[v]]
+                v = root[v]
+            return v
+
         for a in self.arrows:
-            adj[a.source].add(a.target)
-            adj[a.target].add(a.source)
-        seen = {self.vertices[0]}
-        frontier = [self.vertices[0]]
-        while frontier:
-            v = frontier.pop()
-            for w in adj[v]:
-                if w not in seen:
-                    seen.add(w)
-                    frontier.append(w)
-        return len(seen) == len(self.vertices)
+            root[find(a.source)] = find(a.target)
+        return len({find(v) for v in self.vertices}) <= 1
 
     def has_multiple_arrows(self):
         seen = set()
@@ -231,16 +264,23 @@ def path_key(path):
     return (len(path), path)
 
 
+def _arrow(quiver, name):
+    try:
+        return quiver.index.by_name[name]
+    except KeyError:
+        raise UnknownArrowError(name) from None
+
+
 def path_source(quiver, path):
-    return quiver.arrow(path[0]).source
+    return _arrow(quiver, path[0]).source
 
 
 def path_target(quiver, path):
-    return quiver.arrow(path[-1]).target
+    return _arrow(quiver, path[-1]).target
 
 
 def path_is_composable(quiver, path):
-    by_name = quiver.arrows_by_name()
+    by_name = quiver.index.by_name
     for x, y in zip(path, path[1:]):
         if x not in by_name or y not in by_name:
             return False
@@ -395,11 +435,6 @@ def serialize_presentation(pres):
     return "\n".join(lines) + "\n"
 
 
-def canonical_form(pres):
-    """Normal form used for equality up to relation reordering."""
-    return serialize_presentation(pres)
-
-
 def validate_presentation(pres, require_acyclic=False):
     """Structural checks; returns a list of Violation records."""
     out = []
@@ -420,7 +455,7 @@ def validate_presentation(pres, require_acyclic=False):
     if require_acyclic and not q.is_acyclic():
         out.append(Violation("CyclicQuiver", "quiver",
                              "oriented cycle present"))
-    by_name = q.arrows_by_name()
+    by_name = q.index.by_name
     for idx, rel in enumerate(pres.relations):
         where = f"relation {idx}"
         if not rel.terms:
@@ -471,19 +506,17 @@ def all_paths(quiver):
     """
     if not quiver.is_acyclic():
         raise CyclicQuiverError("path enumeration needs an acyclic quiver")
-    out_by_vertex = {v: [] for v in quiver.vertices}
-    for a in quiver.arrows:
-        out_by_vertex[a.source].append(a)
+    out = quiver.index.out
     grouped = {}
-
-    def extend(src, prefix, at):
-        for a in out_by_vertex[at]:
-            path = prefix + (a.name,)
-            grouped.setdefault((src, a.target), []).append(path)
-            extend(src, path, a.target)
-
     for v in quiver.vertices:
-        extend(v, (), v)
+        # depth-first, children in arrow order: pop a path, then push its
+        # one-arrow extensions in reverse
+        stack = [((a.name,), a.target) for a in reversed(out[v])]
+        while stack:
+            path, at = stack.pop()
+            grouped.setdefault((v, at), []).append(path)
+            stack.extend((path + (a.name,), a.target)
+                         for a in reversed(out[at]))
     return {pair: tuple(sorted(ps, key=path_key))
             for pair, ps in grouped.items()}
 
@@ -591,7 +624,7 @@ def quotient(pres, killed_vertices=(), killed_arrows=(), extra_relations=()):
     for v in killed_vertices:
         if v not in vset:
             raise UnknownVertexError(v)
-    by_name = q.arrows_by_name()
+    by_name = q.index.by_name
     for a in killed_arrows:
         if a not in by_name:
             raise UnknownArrowError(a)
@@ -612,8 +645,6 @@ def quotient(pres, killed_vertices=(), killed_arrows=(), extra_relations=()):
         for coeff, path in rel.terms:
             if len(path) < 2 or coeff == 0:
                 raise InvalidExtraRelationError(rel)
-            if not all(n in {a.name for a in arrows} for n in path):
-                raise InvalidExtraRelationError(rel)
             if not path_is_composable(surviving, path):
                 raise InvalidExtraRelationError(rel)
         rels.append(rel)
@@ -629,44 +660,18 @@ def _is_linear_nakayama(quiver):
     n = len(quiver.vertices)
     if len(quiver.arrows) != n - 1:
         return False
-    if n == 1:
-        return True
-    outdeg = {v: 0 for v in quiver.vertices}
-    indeg = {v: 0 for v in quiver.vertices}
-    for a in quiver.arrows:
-        if a.source == a.target:
-            return False
-        outdeg[a.source] += 1
-        indeg[a.target] += 1
-    sources = [v for v in quiver.vertices if indeg[v] == 0]
+    targets = {a.target for a in quiver.arrows}
+    sources = [v for v in quiver.vertices if v not in targets]
     if len(sources) != 1:
         return False
-    at = sources[0]
-    seen = 1
-    while outdeg[at] == 1:
-        nxt = [a.target for a in quiver.arrows if a.source == at]
-        at = nxt[0]
+    # n - 1 steps along single out-arrows that end at a sink cannot revisit
+    # a vertex, so they run through every vertex and every arrow
+    out = quiver.index.out
+    at, seen = sources[0], 1
+    while seen < n and len(out[at]) == 1:
+        at = out[at][0].target
         seen += 1
-        if indeg[at] != 1:
-            return False
-    return outdeg[at] == 0 and seen == n
-
-
-def linear_order(quiver):
-    """Vertex order along a linearly oriented line quiver, else None."""
-    if not _is_linear_nakayama(quiver):
-        return None
-    indeg = {v: 0 for v in quiver.vertices}
-    for a in quiver.arrows:
-        indeg[a.target] += 1
-    at = [v for v in quiver.vertices if indeg[v] == 0][0]
-    order = [at]
-    while True:
-        nxt = [a.target for a in quiver.arrows if a.source == at]
-        if not nxt:
-            return order
-        at = nxt[0]
-        order.append(at)
+    return seen == n and not out[at]
 
 
 def structural_profile(pres):
@@ -740,4 +745,4 @@ def homology_rank(pres):
 
 def presentations_equal(p1, p2):
     """Equality up to canonical reordering of relations and terms."""
-    return canonical_form(p1) == canonical_form(p2)
+    return serialize_presentation(p1) == serialize_presentation(p2)

@@ -272,42 +272,23 @@ def is_rad_square_zero(pres):
         return all(len(p) <= 1 for _, paths in table.pairs for p in paths)
     monomial_squares = {rel.terms[0][1] for rel in pres.relations
                         if rel.is_monomial() and len(rel.terms[0][1]) == 2}
-    for a in pres.quiver.arrows:
-        for b in pres.quiver.arrows:
-            if a.target == b.source and (a.name, b.name) not in monomial_squares:
-                return False
-    return True
+    out = pres.quiver.index.out
+    return all((a.name, b.name) in monomial_squares
+               for a in pres.quiver.arrows for b in out[a.target])
 
 
-class _SepData:
-    """Arrow multiplicities of a quiver, indexed for the subquiver sweeps."""
-
-    def __init__(self, quiver):
-        self.vertices = list(quiver.vertices)
-        self.index = {v: i for i, v in enumerate(self.vertices)}
-        self.n = len(self.vertices)
-        self.mult = {}
-        self.out_adj = [set() for _ in range(self.n)]
-        self.in_adj = [set() for _ in range(self.n)]
-        for a in quiver.arrows:
-            i, j = self.index[a.source], self.index[a.target]
-            self.mult[(i, j)] = self.mult.get((i, j), 0) + 1
-            self.out_adj[i].add(j)
-            self.in_adj[j].add(i)
-
-
-def _assignment_bad(data, sides):
-    """Does the single subquiver given by {vertex index: side} contain a
+def _assignment_bad(quiver, sides):
+    """Does the single subquiver given by {vertex: side} contain a
     non-Dynkin component?  Works on the induced bipartite multigraph."""
+    out, mult = quiver.index.out, quiver.index.mult
     zeros = [i for i, s in sides.items() if s == 0]
-    ones = {i for i, s in sides.items() if s == 1}
-    edges = []  # (source index, target index) with side 0 -> side 1
+    edges = []  # (source, target) with side 0 -> side 1
     deg = {}
     for i in zeros:
-        for j in data.out_adj[i]:
-            if j in ones:
-                m = data.mult[(i, j)]
-                if m >= 2:
+        for a in out[i]:
+            j = a.target
+            if sides.get(j) == 1:
+                if mult[(i, j)] >= 2:
                     return True
                 edges.append((i, j))
                 deg[(i, 0)] = deg.get((i, 0), 0) + 1
@@ -349,7 +330,7 @@ def _assignment_bad(data, sides):
     for x in nodes:
         if deg.get(x, 0) != 3:
             continue
-        legs = _leg_profile(data, sides, deg, x)
+        legs = _leg_profile(quiver, sides, deg, x)
         if legs is None:
             continue  # handled by branch/cycle counts above
         a, b, c = legs
@@ -358,28 +339,23 @@ def _assignment_bad(data, sides):
     return False
 
 
-def _neighbors(data, sides, x):
-    i, s = x
-    out = []
+def _neighbors(quiver, sides, x):
+    v, s = x
     if s == 0:
-        for j in data.out_adj[i]:
-            if sides.get(j) == 1:
-                out.append((j, 1))
-    else:
-        for j in data.in_adj[i]:
-            if sides.get(j) == 0:
-                out.append((j, 0))
-    return out
+        return [(a.target, 1) for a in quiver.index.out[v]
+                if sides.get(a.target) == 1]
+    return [(a.source, 0) for a in quiver.index.inc[v]
+            if sides.get(a.source) == 0]
 
 
-def _leg_profile(data, sides, deg, center):
+def _leg_profile(quiver, sides, deg, center):
     """Sorted leg lengths of a degree-3 node inside a tree component."""
     lengths = []
-    for start in _neighbors(data, sides, center):
+    for start in _neighbors(quiver, sides, center):
         length = 1
         prev, at = center, start
         while deg.get(at, 0) == 2:
-            nxts = [w for w in _neighbors(data, sides, at) if w != prev]
+            nxts = [w for w in _neighbors(quiver, sides, at) if w != prev]
             prev, at = at, nxts[0]
             length += 1
         if deg.get(at, 0) >= 3:
@@ -388,82 +364,83 @@ def _leg_profile(data, sides, deg, center):
     return sorted(lengths)
 
 
-def _all_choices(data, k):
+def _all_choices(quiver, k):
     """Every single-subquiver choice on exactly k original vertices, as a
-    {vertex index: side} dict: the C(n,k)·2^k sweep of naive mode."""
-    for combo in itertools.combinations(range(data.n), k):
+    {vertex: side} dict: the C(n,k)·2^k sweep of naive mode."""
+    for combo in itertools.combinations(quiver.vertices, k):
         for mask in range(1 << k):
             yield {combo[t]: (mask >> t) & 1 for t in range(k)}
 
 
-def _connected_choices(data, k):
+def _connected_choices(quiver, k):
     """Every choice on exactly k original vertices whose induced bipartite
     graph is connected, each yielded once.
 
-    ESU (Wernicke 2006) over the separated nodes: node x < n is (x, 0) and
-    node x >= n is (x - n, 1).  A subgraph grows from its smallest node v
-    only by nodes above v that neighbor the newest node exclusively, so each
-    connected set has one growth order.  Both sides of one vertex are never
-    taken together; every subset of a valid choice is valid, so pruning at
-    insertion loses nothing.
+    ESU (Wernicke 2006) over the separated nodes (vertex, side), in tuple
+    order.  A subgraph grows from its smallest node v only by nodes above v
+    that neighbor the newest node exclusively, so each connected set has
+    one growth order.  Both sides of one vertex are never taken together;
+    every subset of a valid choice is valid, so pruning at insertion loses
+    nothing.
     """
-    n = data.n
-    nbrs = [[j + n for j in data.out_adj[i]] for i in range(n)] + \
-        [list(data.in_adj[i]) for i in range(n)]
-    for v in range(2 * n):
+    nbrs = {}
+    for v in quiver.vertices:
+        # dict.fromkeys drops repeats from parallel arrows, keeping order
+        nbrs[(v, 0)] = list(dict.fromkeys(
+            (a.target, 1) for a in quiver.index.out[v]))
+        nbrs[(v, 1)] = list(dict.fromkeys(
+            (a.source, 0) for a in quiver.index.inc[v]))
+    for v in nbrs:
         stack = [((v,), [u for u in nbrs[v] if u > v], {v, *nbrs[v]})]
         while stack:
             sub, ext, closed = stack.pop()
             if len(sub) == k:
-                yield {x % n: x // n for x in sub}
+                yield dict(sub)
                 continue
-            taken = {x % n for x in sub}
+            taken = {x for x, _ in sub}
             while ext:
                 w = ext.pop()
-                if w % n in taken:
+                if w[0] in taken:
                     continue
                 grown = ext + [u for u in nbrs[w] if u > v and u not in closed]
                 stack.append((sub + (w,), grown, closed.union(nbrs[w])))
 
 
-def _lexmin_witness(data, quiver, k, choices):
-    """Lexicographically minimal bad choice among ``choices(data, k)``, as a
-    single subquiver, or None when none is bad."""
+def _lexmin_witness(quiver, k, choices):
+    """Lexicographically minimal bad choice among ``choices(quiver, k)``, as
+    a single subquiver, or None when none is bad."""
     best = None
     best_key = None
-    for sides in choices(data, k):
-        if not _assignment_bad(data, sides):
+    for sides in choices(quiver, k):
+        if not _assignment_bad(quiver, sides):
             continue
-        named = tuple(sorted((data.vertices[i], s)
-                             for i, s in sides.items()))
+        named = tuple(sorted(sides.items()))
         if best_key is None or named < best_key:
             best_key = named
             best = sides
     if best is None:
         return None
-    named_sides = {data.vertices[i]: s for i, s in best.items()}
-    return induced_single_subquiver(quiver, named_sides)
+    return induced_single_subquiver(quiver, best)
 
 
 def _naive_decide(quiver, naive_limit):
     """Brute force: a bad choice extends to a full side assignment, so the
     2^n full assignments decide the verdict; the minimal witness is then
     recovered by an ascending-size sweep."""
-    data = _SepData(quiver)
-    n = data.n
+    n = len(quiver.vertices)
     if n > naive_limit:
         raise SizeLimitError(
             f"{n} vertices exceeds the naive enumeration limit {naive_limit}")
     bad = False
     for mask in range(1 << n):
-        sides = {i: (mask >> i) & 1 for i in range(n)}
-        if _assignment_bad(data, sides):
+        sides = {v: (mask >> i) & 1 for i, v in enumerate(quiver.vertices)}
+        if _assignment_bad(quiver, sides):
             bad = True
             break
     if not bad:
         return None
     for k in range(2, n + 1):
-        witness = _lexmin_witness(data, quiver, k, _all_choices)
+        witness = _lexmin_witness(quiver, k, _all_choices)
         if witness is not None:
             return witness
     raise AssertionError("bad full assignment but no bad subset")
@@ -519,12 +496,12 @@ def _dtilde_pattern(m):
     return edges, coloring
 
 
-def _embed_pattern(data, edges, coloring):
+def _embed_pattern(quiver, edges, coloring):
     """Backtracking embedding of a 2-colored pattern into the quiver.
 
     Pattern vertices map injectively to original vertices; an edge from a
     0-colored to a 1-colored pattern vertex needs an arrow in that
-    direction.  Returns a {vertex index: side} assignment or None.
+    direction.  Returns a {vertex: side} assignment or None.
     """
     pattern_vertices = sorted(coloring)
     # order pattern vertices so each new one touches an embedded neighbor
@@ -550,12 +527,14 @@ def _embed_pattern(data, edges, coloring):
             iq = image[q]
             if coloring[p] == 0:
                 # edge p -> q in the separated sense needs arrow p_img -> q_img
-                cs = data.in_adj[iq] if coloring[q] == 1 else set()
+                cs = {a.source for a in quiver.index.inc[iq]} \
+                    if coloring[q] == 1 else set()
             else:
-                cs = data.out_adj[iq] if coloring[q] == 0 else set()
-            cands = set(cs) if cands is None else cands & set(cs)
+                cs = {a.target for a in quiver.index.out[iq]} \
+                    if coloring[q] == 0 else set()
+            cands = cs if cands is None else cands & cs
         if cands is None:
-            cands = set(range(data.n))
+            cands = set(quiver.vertices)
         return sorted(cands - used)
 
     def place(idx):
@@ -596,12 +575,13 @@ def _patterns_of_size(size):
     return out
 
 
-def _probe_bad_size(data):
+def _probe_bad_size(quiver):
     """Smallest size at which a Euclidean pattern embeds, or None."""
-    for size in range(2, data.n + 1):
+    for size in range(2, len(quiver.vertices) + 1):
         for pattern in _patterns_of_size(size):
             if pattern == "multi-pair":
-                if any(m >= 2 and i != j for (i, j), m in data.mult.items()):
+                if any(m >= 2 and i != j
+                       for (i, j), m in quiver.index.mult.items()):
                     return size
                 continue
             kind, arg = pattern
@@ -617,7 +597,7 @@ def _probe_bad_size(data):
                 variants = [coloring,
                             {p: 1 - c for p, c in coloring.items()}]
             for variant in variants:
-                if _embed_pattern(data, edges, variant) is not None:
+                if _embed_pattern(quiver, edges, variant) is not None:
                     return size
     return None
 
@@ -626,11 +606,10 @@ def _witness_search_decide(quiver):
     """Probe for embedded Euclidean shapes in ascending size; on a hit,
     normalize to the lexicographically minimal witness of that size among
     connected choices, which is exact (see the module docstring)."""
-    data = _SepData(quiver)
-    size = _probe_bad_size(data)
+    size = _probe_bad_size(quiver)
     if size is None:
         return None
-    witness = _lexmin_witness(data, quiver, size, _connected_choices)
+    witness = _lexmin_witness(quiver, size, _connected_choices)
     if witness is None:
         raise InvariantViolationError(
             f"a Euclidean pattern embeds on {size} vertices but no connected "
@@ -692,16 +671,17 @@ def adachi_decide(pres, mode="witness-search", naive_limit=12):
 
 def find_oriented_cycle(quiver):
     """A simple oriented cycle of length >= 2, as a vertex list, or None."""
-    out = {v: [] for v in quiver.vertices}
-    for a in quiver.arrows:
-        if a.source != a.target:
-            out[a.source].append(a.target)
+    out = quiver.index.out
+
+    def successors(v):  # loops do not count
+        return (a.target for a in out[v] if a.target != v)
+
     color = {v: 0 for v in quiver.vertices}  # 0 new, 1 on path, 2 done
     for root in quiver.vertices:
         if color[root] != 0:
             continue
         color[root] = 1
-        path, path_pos, todo = [root], {root: 0}, [iter(out[root])]
+        path, path_pos, todo = [root], {root: 0}, [successors(root)]
         while todo:
             for w in todo[-1]:
                 if color[w] == 1:
@@ -710,7 +690,7 @@ def find_oriented_cycle(quiver):
                     color[w] = 1
                     path_pos[w] = len(path)
                     path.append(w)
-                    todo.append(iter(out[w]))
+                    todo.append(successors(w))
                     break
             else:
                 color[path.pop()] = 2

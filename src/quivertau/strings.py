@@ -50,18 +50,19 @@ class StringWord:
 def special_biserial_check(pres):
     """Degree and composition-uniqueness conditions for special biseriality."""
     q = pres.quiver
+    out, inc = q.index.out, q.index.inc
     violations = []
     for v in q.vertices:
-        if len(q.out_arrows(v)) > 2:
+        if len(out[v]) > 2:
             violations.append(f"vertex {v}: more than 2 outgoing arrows")
-        if len(q.in_arrows(v)) > 2:
+        if len(inc[v]) > 2:
             violations.append(f"vertex {v}: more than 2 incoming arrows")
     spaces = ideal_membership_spaces(pres)
     for b in q.arrows:
-        befores = [a.name for a in q.arrows if a.target == b.source
-                   and not path_is_zero(pres, (a.name, b.name), spaces)]
-        afters = [c.name for c in q.arrows if c.source == b.target
-                  and not path_is_zero(pres, (b.name, c.name), spaces)]
+        befores = [a.name for a in inc[b.source]
+                   if not path_is_zero(pres, (a.name, b.name), spaces)]
+        afters = [c.name for c in out[b.target]
+                  if not path_is_zero(pres, (b.name, c.name), spaces)]
         if len(befores) > 1:
             violations.append(
                 f"arrow {b.name}: several nonzero left compositions")
@@ -122,53 +123,56 @@ def band_search(pres, length_bound=None):
         raise NotStringAlgebraError("non-monomial relation present")
     if length_bound is None:
         length_bound = max(2, 2 * len(pres.quiver.arrows) ** 2)
-    q = pres.quiver
-    by_name = q.arrows_by_name()
-    zero_paths = tuple(rel.terms[0][1] for rel in pres.relations)
-
-    letters = []
-    for a in q.arrows:
-        letters.append((a.name, True))
-        letters.append((a.name, False))
-    letters.sort(key=lambda l: (l[0], not l[1]))
-
-    found = []
-
-    def extend(word, at, start):
-        if found:
-            return
-        if len(word) >= 2 and at == start:
-            kinds = {d for _, d in word}
-            if len(kinds) == 2 and not _is_power(word) \
-                    and _word_ok(by_name, zero_paths, word + word):
-                found.append(tuple(word))
-                return
-        if len(word) >= length_bound:
-            return
-        for letter in letters:
-            src, tgt = _letter_endpoints(by_name, letter)
-            if src != at:
-                continue
-            word.append(letter)
-            if _word_ok(by_name, zero_paths, word):
-                extend(word, tgt, start)
-            word.pop()
-            if found:
-                return
-
-    for start in q.vertices:
-        extend([], start, start)
-        if found:
-            break
-    if not found:
+    found = _first_band(pres, length_bound)
+    if found is None:
         return None
-    band = StringWord(found[0])
+    band = StringWord(found)
     best = None
     for candidate in (band, band.inverse()):
         for rot in candidate.rotations():
             if best is None or str(rot) < str(best):
                 best = rot
     return best
+
+
+def _first_band(pres, length_bound):
+    """First band met by a depth-first walk from each vertex in turn,
+    trying letters by name, direct before inverse."""
+    q = pres.quiver
+    by_name = q.index.by_name
+    zero_paths = tuple(rel.terms[0][1] for rel in pres.relations)
+    # a string stays a string after one more letter unless its last
+    # junction or a zero path ending in the new letter breaks it
+    window = max([2, *map(len, zero_paths)])
+    moves = {v: sorted([(a.name, True) for a in q.index.out[v]]
+                       + [(a.name, False) for a in q.index.inc[v]],
+                       key=lambda l: (l[0], not l[1]))
+             for v in q.vertices}
+    for start in q.vertices:
+        # frames[i] iterates the letters that may follow word[:i]
+        word, frames = [], [iter(moves[start])]
+        while frames:
+            letter = next(frames[-1], None)
+            if letter is None:
+                frames.pop()
+                if word:
+                    word.pop()
+                continue
+            word.append(letter)
+            if not _word_ok(by_name, zero_paths, word[-window:]):
+                word.pop()
+                continue
+            at = _letter_endpoints(by_name, letter)[1]
+            if len(word) >= 2 and at == start \
+                    and len({d for _, d in word}) == 2 \
+                    and not _is_power(word) \
+                    and _word_ok(by_name, zero_paths, word + word):
+                return tuple(word)
+            if len(word) >= length_bound:
+                word.pop()
+            else:
+                frames.append(iter(moves[at]))
+    return None
 
 
 def _is_power(word):

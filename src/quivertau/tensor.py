@@ -38,6 +38,8 @@ def tensor_product(pa, pb):
     qa, qb = pa.quiver, pb.quiver
     vertices = tuple(tensor_vertex(u, v)
                      for u in qa.vertices for v in qb.vertices)
+    if len(set(vertices)) != len(vertices):
+        raise QuivertauError("tensor vertex ids collide; rename factors")
     arrows = []
     for a in qa.arrows:
         for v in qb.vertices:
@@ -76,21 +78,15 @@ def tensor_product(pa, pb):
     return Presentation(Quiver(vertices, tuple(arrows)), tuple(relations))
 
 
-def linear_line(n, prefix="a"):
-    """The hereditary linearly oriented line on n vertices."""
-    vertices = tuple(str(i) for i in range(1, n + 1))
-    arrows = tuple(Arrow(f"{prefix}{i}", str(i), str(i + 1))
-                   for i in range(1, n))
-    return Presentation(Quiver(vertices, arrows), ())
-
-
 def triangular_matrix(pres, n):
     """Tensor with the linear line on n vertices; n = 1 returns pres."""
+    from .catalog import catalog_get  # the catalog builds on this module
+
     if n < 1:
         raise QuivertauError("triangular size must be >= 1")
     if n == 1:
         return pres
-    return tensor_product(pres, linear_line(n))
+    return tensor_product(pres, catalog_get(f"A({n},{'+' * (n - 1)})"))
 
 
 def enveloping(pres):
@@ -105,12 +101,9 @@ def rad_square_quotient(pres):
     paths as monomial relations.
     """
     q = pres.quiver
-    relations = []
-    for a in q.arrows:
-        for b in q.arrows:
-            if a.target == b.source:
-                relations.append(Relation(((Fraction(1), (a.name, b.name)),)))
-    return Presentation(q, tuple(relations))
+    relations = tuple(Relation(((Fraction(1), (a.name, b.name)),))
+                      for a in q.arrows for b in q.index.out[a.target])
+    return Presentation(q, relations)
 
 
 def tensor_pair_dims(pa, pb):

@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import inspect
 import random
+import sys
+
+import pytest
 
 from quivertau.presentation import Arrow, Presentation, Quiver, Relation
 from fractions import Fraction
@@ -73,3 +77,13 @@ def random_tree_quiver(rng, max_vertices=9):
 
 def seeded(seed=20240817):
     return random.Random(seed)
+
+
+@pytest.fixture
+def shallow_stack():
+    """Recursion limit 60 frames above the current depth, so any walk that
+    recurses once per step fails on inputs deeper than that."""
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 60)
+    yield
+    sys.setrecursionlimit(old)

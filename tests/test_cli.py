@@ -157,6 +157,32 @@ class TestOtherCommands:
         code, out, err = run(capsys, "adachi", str(kronecker))
         assert code == 4 and out == "" and "invariant" in err
 
+    def test_unexpected_exception_exit_4(self, capsys, monkeypatch):
+        from quivertau import cli
+
+        def broken(args):
+            raise RuntimeError("first line\nsecond line")
+
+        monkeypatch.setattr(cli, "_cmd_dim", broken)
+        code, out, err = run(capsys, "dim", B1)
+        assert code == 4 and out == ""
+        assert err == "qt: internal error: RuntimeError: first line " \
+            "second line\n"
+
+    def test_tensor_vertex_collision_exit_2(self, capsys, tmp_path):
+        a = tmp_path / "a.quiver"
+        a.write_text("vertex 1,2\nvertex 1\n", encoding="utf-8")
+        b = tmp_path / "b.quiver"
+        b.write_text("vertex 3\nvertex 2,3\n", encoding="utf-8")
+        code, out, err = run(capsys, "tensor", str(a), str(b))
+        assert code == 2 and out == "" and "vertex ids collide" in err
+
+    def test_dim_deeper_than_the_stack(self, capsys, shallow_stack):
+        n = 200
+        code, out, err = run(capsys, "dim", f"catalog:A({n},{'+' * (n - 1)})")
+        assert code == 0 and err == ""
+        assert out.startswith(f"total: {n * (n + 1) // 2}\n")
+
     def test_table(self, capsys):
         code, out, _ = run(capsys, "table", "--format", "json")
         assert code == 0

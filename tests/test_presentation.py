@@ -17,7 +17,6 @@ from quivertau.presentation import (
     Relation,
     UnknownVertexError,
     all_paths,
-    canonical_form,
     dimension_table,
     homology_rank,
     opposite,
@@ -114,8 +113,8 @@ class TestSerialization:
         assert "relation 1*a.b - 1*c.d" in serialize_presentation(p)
 
     def test_parse_serialize_identity_on_canonical(self, b1):
-        canon = canonical_form(b1)
-        assert canonical_form(parse_presentation(canon)) == canon
+        canon = serialize_presentation(b1)
+        assert serialize_presentation(parse_presentation(canon)) == canon
 
 
 class TestValidation:
@@ -146,6 +145,14 @@ class TestValidation:
 
 
 class TestDimensions:
+    def test_all_paths_deeper_than_the_stack(self, shallow_stack):
+        # a long line once recursed once per arrow (RecursionError at
+        # ~1,000 vertices); a 1,200-vertex line itself would need ~2 GB of
+        # path tuples, so the stack is made shallow instead
+        paths = all_paths(line(200).quiver)
+        assert paths[("1", "200")] == (tuple(f"a{i}" for i in range(1, 200)),)
+        assert sum(len(ps) for ps in paths.values()) == 200 * 199 // 2
+
     def test_nn_total(self):
         for n in range(1, 7):
             assert dimension_table(nn(n)).total == 2 * n - 1
@@ -214,7 +221,7 @@ class TestOpposite:
     def test_b1_relation_reversed(self, b1):
         op = opposite(b1)
         assert op.relations[0].terms == ((Fraction(1), ("β", "γ")),)
-        assert op.quiver.arrow("β") == Arrow("β", "2", "3")
+        assert op.quiver.index.by_name["β"] == Arrow("β", "2", "3")
 
     def test_transposed_dimensions(self, b1):
         rng = seeded(11)

@@ -194,15 +194,16 @@ def _choice_key(sides):
     return frozenset(sides.items())
 
 
-def _is_connected(data, sides):
+def _is_connected(quiver, sides):
     """Connectivity of the induced bipartite graph, by plain search."""
     nodes = set(sides.items())
     start = next(iter(nodes))
     seen, frontier = {start}, [start]
     while frontier:
         i, s = frontier.pop()
-        nbrs = ({(j, 1) for j in data.out_adj[i]} if s == 0
-                else {(j, 0) for j in data.in_adj[i]})
+        nbrs = ({(a.target, 1) for a in quiver.arrows if a.source == i}
+                if s == 0 else
+                {(a.source, 0) for a in quiver.arrows if a.target == i})
         for node in (nbrs & nodes) - seen:
             seen.add(node)
             frontier.append(node)
@@ -215,34 +216,32 @@ class TestConnectedEnumeration:
         checked = 0
         while checked < 40:
             q = random_quiver(rng, max_vertices=8).quiver
-            data = sepgraph._SepData(q)
             brute = None
-            for k in range(2, data.n + 1):
-                brute = {_choice_key(s) for s in sepgraph._all_choices(data, k)
-                         if sepgraph._assignment_bad(data, s)}
+            for k in range(2, len(q.vertices) + 1):
+                brute = {_choice_key(s) for s in sepgraph._all_choices(q, k)
+                         if sepgraph._assignment_bad(q, s)}
                 if brute:
                     break
             if not brute:
                 continue
             checked += 1
-            assert sepgraph._probe_bad_size(data) == k
+            assert sepgraph._probe_bad_size(q) == k
             connected = {_choice_key(s)
-                         for s in sepgraph._connected_choices(data, k)
-                         if sepgraph._assignment_bad(data, s)}
+                         for s in sepgraph._connected_choices(q, k)
+                         if sepgraph._assignment_bad(q, s)}
             assert connected == brute
 
     def test_each_connected_choice_once(self):
         rng = seeded(59)
         for _ in range(30):
             q = random_quiver(rng, max_vertices=7).quiver
-            data = sepgraph._SepData(q)
-            for k in range(1, min(data.n, 5) + 1):
+            for k in range(1, min(len(q.vertices), 5) + 1):
                 found = [_choice_key(s)
-                         for s in sepgraph._connected_choices(data, k)]
+                         for s in sepgraph._connected_choices(q, k)]
                 assert len(found) == len(set(found))
                 expected = {_choice_key(s)
-                            for s in sepgraph._all_choices(data, k)
-                            if _is_connected(data, s)}
+                            for s in sepgraph._all_choices(q, k)
+                            if _is_connected(q, s)}
                 assert set(found) == expected
 
     def test_large_grid_witness_fast(self):
@@ -264,7 +263,7 @@ class TestConnectedEnumeration:
 
     def test_empty_enumeration_fails_loud(self, monkeypatch):
         monkeypatch.setattr(sepgraph, "_connected_choices",
-                            lambda data, k: iter(()))
+                            lambda quiver, k: iter(()))
         q = Quiver(("1", "2"), (Arrow("a", "1", "2"), Arrow("b", "1", "2")))
         with pytest.raises(InvariantViolationError):
             adachi_decide(rad_square_quotient(Presentation(q, ())))

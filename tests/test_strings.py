@@ -109,6 +109,13 @@ class TestBandSearch:
         # a hereditary line
         assert band_search(p) is None
 
+    def test_search_deeper_than_the_stack(self, shallow_stack):
+        # band search once recursed once per letter: a 1,100-vertex zigzag
+        # line with bound 3,300 raised RecursionError
+        n = 300
+        zigzag = catalog_get(f"A({n},{'+-' * ((n - 1) // 2)}+)")
+        assert band_search(zigzag, length_bound=3 * n) is None
+
     def test_rotation_inversion_normal_form(self):
         word = StringWord((("a", True), ("b", False)))
         variants = {str(r) for r in word.rotations()}

@@ -6,8 +6,10 @@ from conftest import line, mono, random_tree_quiver, seeded
 
 from quivertau.catalog import catalog_get, is_iso
 from quivertau.presentation import (
+    QuivertauError,
     dimension_table,
     opposite,
+    parse_presentation,
     presentations_equal,
     structural_profile,
 )
@@ -89,7 +91,6 @@ class TestTensorProduct:
             tensor_product(schurian, nn(3))).is_schurian
         # a non-Schurian factor: two commuting squares stacked so the long
         # paths stay independent
-        from quivertau.presentation import parse_presentation
         non_schurian = parse_presentation(
             "vertex 1\nvertex 2\nvertex 3\nvertex 4\n"
             "vertex 5\nvertex 6\nvertex 7\n"
@@ -152,6 +153,13 @@ class TestDerivedConstructions:
 
 
 class TestNaming:
+    def test_vertex_id_collision_rejected(self):
+        # (1,2) x 3 and 1 x (2,3) would both be named (1,2,3)
+        pa = parse_presentation("vertex 1,2\nvertex 1\n")
+        pb = parse_presentation("vertex 3\nvertex 2,3\n")
+        with pytest.raises(QuivertauError, match="vertex ids collide"):
+            tensor_product(pa, pb)
+
     def test_vertex_names(self):
         t = tensor_product(line(2), line(2))
         assert tensor_vertex("1", "1") in t.quiver.vertices
