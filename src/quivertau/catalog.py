@@ -21,9 +21,8 @@ from .presentation import (
     QuivertauError,
     Relation,
     SizeLimitError,
+    all_paths,
     ideal_membership_spaces,
-    path_source,
-    path_target,
     quotient,
     validate_presentation,
 )
@@ -267,41 +266,26 @@ def _transported_relation_vectors(pres, amap):
     return out
 
 
-def _pair_of_vector(quiver, vec):
-    path = next(iter(vec))
-    return (path_source(quiver, path), path_target(quiver, path))
-
-
 def _ideal_contains(target_pres, vectors):
-    spaces = ideal_membership_spaces(target_pres)
-    for vec in vectors:
-        pair = _pair_of_vector(target_pres.quiver, vec)
-        space = spaces.get(pair)
-        if space is None or not space.contains(vec):
-            return False
-    return True
+    ideal = ideal_membership_spaces(target_pres)
+    return all(ideal.contains(vec) for vec in vectors)
 
 
 def _ideals_equal(pres1, amap, pres2):
     """Does transporting pres1's ideal along amap give exactly pres2's?"""
     vectors = _transported_relation_vectors(pres1, amap)
-    if not _ideal_contains(pres2, vectors):
+    ideal2 = ideal_membership_spaces(pres2)
+    if not all(ideal2.contains(vec) for vec in vectors):
         return False
     # equality needs matching ranks pairwise
-    spaces2 = ideal_membership_spaces(pres2)
     transported = Presentation(
         pres2.quiver,
         tuple(Relation(tuple((c, p) for p, c in sorted(v.items())))
               for v in vectors))
-    # build spans of the transported ideal inside pres2's quiver
-    spaces1 = ideal_membership_spaces(transported)
-    pairs = set(spaces1) | set(spaces2)
-    for pair in pairs:
-        r1 = spaces1[pair].rank if pair in spaces1 else 0
-        r2 = spaces2[pair].rank if pair in spaces2 else 0
-        if r1 != r2:
-            return False
-    return True
+    # the transported ideal inside pres2's quiver
+    ideal1 = ideal_membership_spaces(transported)
+    return all(ideal1.rank(pair) == ideal2.rank(pair)
+               for pair in all_paths(pres2.quiver))
 
 
 @dataclass(frozen=True)

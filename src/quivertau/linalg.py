@@ -1,9 +1,16 @@
 """Exact rational linear algebra over sparse vectors.
 
 Vectors are dicts mapping an arbitrary hashable key (here: paths) to a
-nonzero Fraction.  A subspace is kept as a reduced row basis, one row per
-pivot key.  Keys carry a total order supplied by the caller so that pivot
-selection, and hence the surviving quotient basis, is deterministic.
+nonzero rational (an int or a Fraction).  A subspace is kept as a reduced
+row basis, one row per pivot key.  Keys carry a total order supplied by
+the caller so that pivot selection, and hence the surviving quotient
+basis, is deterministic.
+
+Zero paths and two-term relations never come here: the relation ideal
+(``presentation.PathIdeal``) settles them with a weighted union-find.
+``SparseSpace`` serves the normal forms of relations with three or more
+terms, the cycle space of the homology proxy, and the tests, whose
+full-elimination reference ideal checks the union-find.
 """
 
 from __future__ import annotations

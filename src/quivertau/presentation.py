@@ -497,15 +497,53 @@ def require_valid(pres, require_acyclic=False):
 # paths and dimensions
 
 
+# Most path letters all_paths may hold at once: a 300-vertex line needs
+# ~4.5M, a 1,200-vertex line ~288M (gigabytes of tuples).
+PATH_LETTER_BUDGET = 16_000_000
+
+
+def _check_path_budget(quiver):
+    """Count the letters of all paths of an acyclic quiver without building
+    any path, and raise SizeLimitError when they pass the budget."""
+    out = quiver.index.out
+    below = {}  # vertex -> (paths starting there, their total letters)
+    total = 0
+    for v in quiver.vertices:
+        if v in below:
+            continue
+        stack = [(v, iter(out[v]))]
+        while stack:
+            u, arrows = stack[-1]
+            for a in arrows:
+                if a.target not in below:
+                    stack.append((a.target, iter(out[a.target])))
+                    break
+            else:
+                stack.pop()
+                count = letters = 0
+                for a in out[u]:
+                    n, m = below[a.target]
+                    count += 1 + n
+                    letters += 1 + n + m
+                below[u] = (count, letters)
+                total += letters
+                if total > PATH_LETTER_BUDGET:
+                    raise SizeLimitError(
+                        f"paths of this quiver exceed {PATH_LETTER_BUDGET} "
+                        "letters")
+
+
 @lru_cache(maxsize=None)
 def all_paths(quiver):
     """All nonempty paths of an acyclic quiver, grouped by (source, target).
 
     Each value list is sorted by path_key, so downstream elimination and
-    basis choices are deterministic.
+    basis choices are deterministic.  Raises SizeLimitError, before any
+    path is built, when the paths hold more than PATH_LETTER_BUDGET letters.
     """
     if not quiver.is_acyclic():
         raise CyclicQuiverError("path enumeration needs an acyclic quiver")
+    _check_path_budget(quiver)
     out = quiver.index.out
     grouped = {}
     for v in quiver.vertices:
@@ -521,37 +559,187 @@ def all_paths(quiver):
             for pair, ps in grouped.items()}
 
 
-def _ideal_spaces(pres):
-    """Per vertex pair, the subspace of kQ spanned by the padded relations."""
+def _exact(x):
+    """x as an int when it is one, else as a Fraction."""
+    x = Fraction(x)
+    return x.numerator if x.denominator == 1 else x
+
+
+def _quo(num, den):
+    """num / den, an int while the quotient is exact."""
+    if type(num) is int and type(den) is int and num % den == 0:
+        return num // den
+    return _exact(Fraction(num, den))
+
+
+class PathIdeal:
+    """The relation ideal I of a presentation, read per vertex pair of kQ.
+
+    Build it with ``ideal_membership_spaces(pres)``.  Every relation is
+    padded with every path ending at its source on the left and every path
+    starting at its target on the right; the padded vectors span I.
+
+    Padded vectors with one or two terms (zero paths and binomials
+    ``c1*p + c2*q``, which is nearly all of a tensor product's ideal) go
+    into a weighted union-find: each path is ``ratio * root``, the root
+    being the smallest path of its class by ``path_key``.  A class lies in
+    I when it holds a zero path or when two routes through it give
+    different ratios.  Padded vectors with three or more terms are
+    rewritten to their normal form (each path replaced by ratio times its
+    root, zero classes dropped), which goes into a per-pair SparseSpace.
+
+    The basis of ``e_i (kQ/I) e_j`` is then the roots of nonzero classes
+    that are not pivots of their pair's SparseSpace.  This is the
+    non-pivot set that largest-key elimination of all padded vectors
+    keeps, i.e. the paths that are not the leading term of any element of
+    I: a non-root p is the leading term of ``p - ratio*root``, a zero root
+    lies in I, and for a nonzero root p an element v of I with leading
+    term p has a normal form with the same coefficient at p and only
+    smaller roots besides, because the normal form only replaces a path by
+    a smaller root.  So no leading term moves, and p leads some element
+    of I exactly when it leads some element of the normal-form space.
+    """
+
+    __slots__ = ("_quiver", "_paths", "_link", "_zero", "_spaces")
+
+    def __init__(self, quiver, paths):
+        self._quiver = quiver
+        self._paths = paths
+        self._link = {}  # non-root path -> (parent, ratio), path = ratio*parent
+        self._zero = set()  # roots whose class lies in I
+        self._spaces = {}  # pair -> SparseSpace of normal forms
+
+    def _find(self, path):
+        """(root, ratio) with path = ratio * root; flattens the walk."""
+        link = self._link
+        step = link.get(path)
+        if step is None:
+            return path, 1
+        if step[0] not in link:
+            return step
+        trail = []
+        node = path
+        while step is not None:
+            trail.append((node, step[1]))
+            node = step[0]
+            step = link.get(node)
+        ratio = 1
+        for below, r in reversed(trail):
+            ratio = r * ratio
+            link[below] = (node, ratio)
+        return node, ratio
+
+    def _kill(self, path):
+        self._zero.add(self._find(path)[0])
+
+    def _join(self, p, q, k):
+        """Record p = k * q."""
+        rp, a = self._find(p)
+        rq, b = self._find(q)
+        kb = k * b  # a * rp = kb * rq
+        if rp == rq:
+            if a != kb:
+                self._zero.add(rp)
+            return
+        if path_key(rq) < path_key(rp):
+            rp, rq, a, kb = rq, rp, kb, a
+        self._link[rq] = (rp, _quo(a, kb))
+        if rq in self._zero:
+            self._zero.add(rp)
+
+    def _normal_form(self, vec):
+        out = {}
+        for path, coeff in vec.items():
+            root, ratio = self._find(path)
+            if root in self._zero:
+                continue
+            value = out.get(root, 0) + coeff * ratio
+            if value:
+                out[root] = value
+            else:
+                del out[root]
+        return out
+
+    def _pair(self, path):
+        return (path_source(self._quiver, path),
+                path_target(self._quiver, path))
+
+    def _add(self, vec):
+        """Add a padded vector with three or more terms."""
+        nf = self._normal_form(vec)
+        if nf:
+            pair = self._pair(next(iter(vec)))
+            space = self._spaces.get(pair)
+            if space is None:
+                space = self._spaces[pair] = SparseSpace(path_key)
+            space.add(nf)
+
+    def contains(self, vec):
+        """Is the vector (path -> coefficient) in I?"""
+        nf = self._normal_form(vec)
+        if not nf:
+            return True
+        space = self._spaces.get(self._pair(next(iter(vec))))
+        return space is not None and space.contains(nf)
+
+    def basis(self, pair):
+        """Paths of the pair that stay independent modulo I, by path_key."""
+        paths = self._paths.get(pair, ())
+        space = self._spaces.get(pair)
+        pivots = space.rows if space is not None else ()
+        link, zero = self._link, self._zero
+        if not (link or zero or pivots):
+            return paths
+        return tuple(p for p in paths
+                     if p not in link and p not in zero and p not in pivots)
+
+    def rank(self, pair):
+        """Dimension of I inside the span of the pair's paths."""
+        return len(self._paths.get(pair, ())) - len(self.basis(pair))
+
+
+def ideal_membership_spaces(pres):
+    """The relation ideal of ``pres`` as a PathIdeal."""
     q = pres.quiver
     paths = all_paths(q)
-    spaces = {}
+    ideal = PathIdeal(q, paths)
+    if not pres.relations:
+        return ideal
+    ending = {v: [()] for v in q.vertices}
+    starting = {v: [()] for v in q.vertices}
+    for (x, y), ps in paths.items():
+        starting[x].extend(ps)
+        ending[y].extend(ps)
+    longer = []
     for rel in pres.relations:
         if not rel.terms:
             continue
-        a = path_source(q, rel.terms[0][1])
-        b = path_target(q, rel.terms[0][1])
-        lefts = [()] + [p for (x, y), ps in paths.items() if y == a
-                        for p in ps]
-        rights = [()] + [p for (x, y), ps in paths.items() if x == b
-                         for p in ps]
+        lefts = ending[path_source(q, rel.terms[0][1])]
+        rights = starting[path_target(q, rel.terms[0][1])]
+        merged = {}
+        for coeff, mid in rel.terms:
+            merged[mid] = merged.get(mid, 0) + coeff
+        terms = [(c, mid) for mid, c in merged.items() if c]
+        if len(terms) == 1:
+            mid = terms[0][1]
+            for left in lefts:
+                for right in rights:
+                    ideal._kill(left + mid + right)
+        elif len(terms) == 2:
+            (c1, m1), (c2, m2) = terms
+            k = _quo(_exact(-c2), _exact(c1))  # p = k * q
+            for left in lefts:
+                lm1, lm2 = left + m1, left + m2
+                for right in rights:
+                    ideal._join(lm1 + right, lm2 + right, k)
+        elif terms:
+            longer.append((lefts, rights, terms))
+    # normal forms are taken once the union-find is complete
+    for lefts, rights, terms in longer:
         for left in lefts:
-            lsrc = path_source(q, left) if left else a
             for right in rights:
-                rtgt = path_target(q, right) if right else b
-                vec = {}
-                for coeff, mid in rel.terms:
-                    key = left + mid + right
-                    vec[key] = vec.get(key, Fraction(0)) + coeff
-                vec = {k: c for k, c in vec.items() if c}
-                if not vec:
-                    continue
-                pair = (lsrc, rtgt)
-                space = spaces.get(pair)
-                if space is None:
-                    space = spaces[pair] = SparseSpace(path_key)
-                space.add(vec)
-    return spaces
+                ideal._add({left + mid + right: c for c, mid in terms})
+    return ideal
 
 
 @lru_cache(maxsize=None)
@@ -560,40 +748,25 @@ def dimension_table(pres):
     q = pres.quiver
     if not q.is_acyclic():
         raise CyclicQuiverError("dimension table needs an acyclic quiver")
-    paths = all_paths(q)
-    spaces = _ideal_spaces(pres)
+    ideal = ideal_membership_spaces(pres)
     pairs = []
     total = 0
     for i in q.vertices:
         for j in q.vertices:
-            basis = []
+            basis = ideal.basis((i, j))
             if i == j:
-                basis.append(())  # the idempotent e_i
-            candidates = paths.get((i, j), ())
-            space = spaces.get((i, j))
-            if space is None:
-                basis.extend(candidates)
-            else:
-                pivots = space.pivots()
-                basis.extend(p for p in candidates if p not in pivots)
+                basis = ((),) + basis  # the idempotent e_i
             if basis:
-                pairs.append(((i, j), tuple(sorted(basis, key=path_key))))
+                pairs.append(((i, j), basis))
                 total += len(basis)
     return DimensionTable(tuple(pairs), total)
 
 
-def ideal_membership_spaces(pres):
-    """Public handle on the per-pair relation ideal subspaces."""
-    return _ideal_spaces(pres)
-
-
-def path_is_zero(pres, path, spaces=None):
+def path_is_zero(pres, path, ideal=None):
     """True if the path lies in the relation ideal."""
-    if spaces is None:
-        spaces = _ideal_spaces(pres)
-    pair = (path_source(pres.quiver, path), path_target(pres.quiver, path))
-    space = spaces.get(pair)
-    return space is not None and space.contains({path: Fraction(1)})
+    if ideal is None:
+        ideal = ideal_membership_spaces(pres)
+    return ideal.contains({path: 1})
 
 
 # ---------------------------------------------------------------------------

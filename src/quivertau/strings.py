@@ -11,11 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .catalog import BadParameterError
-from .presentation import (
-    QuivertauError,
-    ideal_membership_spaces,
-    path_is_zero,
-)
+from .presentation import QuivertauError, ideal_membership_spaces
 
 
 class NotStringAlgebraError(QuivertauError):
@@ -57,12 +53,12 @@ def special_biserial_check(pres):
             violations.append(f"vertex {v}: more than 2 outgoing arrows")
         if len(inc[v]) > 2:
             violations.append(f"vertex {v}: more than 2 incoming arrows")
-    spaces = ideal_membership_spaces(pres)
+    ideal = ideal_membership_spaces(pres)
     for b in q.arrows:
         befores = [a.name for a in inc[b.source]
-                   if not path_is_zero(pres, (a.name, b.name), spaces)]
+                   if not ideal.contains({(a.name, b.name): 1})]
         afters = [c.name for c in out[b.target]
-                  if not path_is_zero(pres, (b.name, c.name), spaces)]
+                  if not ideal.contains({(b.name, c.name): 1})]
         if len(befores) > 1:
             violations.append(
                 f"arrow {b.name}: several nonzero left compositions")

@@ -1,6 +1,7 @@
 """Command line surface: subcommands, formats, exit codes."""
 
 import json
+import time
 
 import pytest
 
@@ -182,6 +183,14 @@ class TestOtherCommands:
         code, out, err = run(capsys, "dim", f"catalog:A({n},{'+' * (n - 1)})")
         assert code == 0 and err == ""
         assert out.startswith(f"total: {n * (n + 1) // 2}\n")
+
+    def test_dim_path_budget_exit_2(self, capsys):
+        # a 1,200-vertex line has ~288M path letters
+        n = 1200
+        start = time.perf_counter()
+        code, out, err = run(capsys, "dim", f"catalog:A({n},{'+' * (n - 1)})")
+        assert code == 2 and out == "" and "letters" in err
+        assert time.perf_counter() - start < 10
 
     def test_table(self, capsys):
         code, out, _ = run(capsys, "table", "--format", "json")

@@ -5,6 +5,8 @@ from fractions import Fraction
 
 from conftest import line, mono, random_tree_quiver, seeded
 
+from quivertau import linalg
+
 from quivertau.presentation import (
     LIKELY_SIMPLY_CONNECTED,
     NOT_SIMPLY_CONNECTED,
@@ -15,12 +17,15 @@ from quivertau.presentation import (
     Presentation,
     Quiver,
     Relation,
+    SizeLimitError,
     UnknownVertexError,
     all_paths,
     dimension_table,
     homology_rank,
+    ideal_membership_spaces,
     opposite,
     parse_presentation,
+    path_is_zero,
     presentations_equal,
     quotient,
     serialize_presentation,
@@ -153,6 +158,11 @@ class TestDimensions:
         assert paths[("1", "200")] == (tuple(f"a{i}" for i in range(1, 200)),)
         assert sum(len(ps) for ps in paths.values()) == 200 * 199 // 2
 
+    def test_path_budget(self):
+        # ~288M path letters; the budget stops it before any path is built
+        with pytest.raises(SizeLimitError):
+            all_paths(line(1200).quiver)
+
     def test_nn_total(self):
         for n in range(1, 7):
             assert dimension_table(nn(n)).total == 2 * n - 1
@@ -208,6 +218,79 @@ class TestDimensions:
             expected = len(pres.quiver.vertices) + sum(
                 1 for ps in paths.values() for p in ps if not dead(p))
             assert dimension_table(pres).total == expected
+
+
+SQUARE = ("vertex 1\nvertex 2\nvertex 3\nvertex 4\n"
+          "arrow a : 1 -> 2\narrow b : 2 -> 4\n"
+          "arrow c : 1 -> 3\narrow d : 3 -> 4\n")
+# three parallel routes a.b, c.d, e.f from 1 to 5
+ROUTES = ("vertex 1\nvertex 2\nvertex 3\nvertex 4\nvertex 5\n"
+          "arrow a : 1 -> 2\narrow b : 2 -> 5\n"
+          "arrow c : 1 -> 3\narrow d : 3 -> 5\n"
+          "arrow e : 1 -> 4\narrow f : 4 -> 5\n")
+
+
+def _paths(*dotted):
+    return tuple(tuple(p.split(".")) for p in dotted)
+
+
+class TestIdeal:
+    def test_weighted_square_routes_disagree(self):
+        # padding a.b = 2 c.d by x gives x.a.b = 2 x.c.d; the relation
+        # x.a.b = x.c.d reaches the same class with ratio 1, so it dies
+        text = SQUARE + "vertex 0\narrow x : 0 -> 1\n" \
+            "relation 1*x.a.b - 1*x.c.d\n"
+        p = parse_presentation(text + "relation 1*a.b - 2*c.d\n")
+        table = dimension_table(p)
+        assert table.basis("1", "4") == _paths("a.b")
+        assert table.basis("0", "4") == ()
+        assert path_is_zero(p, ("x", "c", "d"))
+        assert not path_is_zero(p, ("c", "d"))
+        agree = parse_presentation(text + "relation 1*a.b - 1*c.d\n")
+        assert dimension_table(agree).basis("0", "4") == _paths("x.a.b")
+
+    def test_zero_path_kills_binomial_class(self):
+        text = ROUTES + "relation 1*a.b - 1*c.d\nrelation 1*c.d - 1/2*e.f\n"
+        alive = parse_presentation(text)
+        assert dimension_table(alive).basis("1", "5") == _paths("a.b")
+        p = parse_presentation(text + "zero e.f\n")
+        assert dimension_table(p).basis("1", "5") == ()
+        assert path_is_zero(p, ("a", "b"))
+        assert ideal_membership_spaces(p).rank(("1", "5")) == 3
+
+    def test_three_term_normal_form_vanishes(self):
+        text = ROUTES + "relation 1*a.b - 1*c.d\nrelation 1*c.d - 1*e.f\n"
+        p = parse_presentation(text + "relation 1*a.b + 1*c.d - 2*e.f\n")
+        assert dimension_table(p).basis("1", "5") == _paths("a.b")
+        assert ideal_membership_spaces(p).rank(("1", "5")) == 2
+        dead = parse_presentation(text + "relation 1*a.b + 1*c.d + 1*e.f\n")
+        assert dimension_table(dead).basis("1", "5") == ()
+
+    def test_terms_on_one_path_cancel(self):
+        q = parse_presentation(SQUARE).quiver
+        ab = ("a", "b")
+        cancel = Presentation(q, (Relation(((Fraction(1), ab),
+                                            (Fraction(-1), ab))),))
+        assert dimension_table(cancel).basis("1", "4") == _paths("a.b", "c.d")
+        merged = Presentation(q, (Relation(((Fraction(1), ab),
+                                            (Fraction(2), ab))),))
+        assert dimension_table(merged).basis("1", "4") == _paths("c.d")
+
+    def test_only_longer_relations_reach_sparse_space(self, monkeypatch):
+        added = []
+        add = linalg.SparseSpace.add
+
+        def counting_add(space, vec):
+            added.append(vec)
+            return add(space, vec)
+
+        monkeypatch.setattr(linalg.SparseSpace, "add", counting_add)
+        ideal_membership_spaces(parse_presentation(
+            ROUTES + "relation 1*a.b - 1*c.d\nzero e.f\n"))
+        assert added == []
+        ideal_membership_spaces(parse_presentation(
+            ROUTES + "relation 1*a.b - 1*c.d + 1*e.f\n"))
+        assert len(added) == 1
 
 
 class TestOpposite:
