@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import re
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -24,6 +25,7 @@ from .presentation import (
     all_paths,
     ideal_membership_spaces,
     quotient,
+    surviving_relations,
     validate_presentation,
 )
 from .sepgraph import GraphType, classify_graph, euclidean_size, underlying_graph
@@ -181,24 +183,26 @@ def catalog_ids():
 # quiver isomorphism with ideal transport
 
 
+def _vertex_signatures(vertices, mult):
+    """Per vertex: sorted out- and in-multiplicities, from the arrow
+    counts per (source, target)."""
+    outs = {v: [] for v in vertices}
+    ins = {v: [] for v in vertices}
+    for (s, t), m in mult.items():
+        outs[s].append(m)
+        ins[t].append(m)
+    return {v: (tuple(sorted(outs[v])), tuple(sorted(ins[v])))
+            for v in vertices}
+
+
 def _vertex_maps(q1, q2):
     """All quiver-compatible vertex bijections, in deterministic order."""
     if len(q1.vertices) != len(q2.vertices) or \
             len(q1.arrows) != len(q2.arrows):
         return
     m1, m2 = q1.index.mult, q2.index.mult
-
-    def signature(quiver):
-        """Per vertex: sorted out- and in-multiplicities."""
-        outs = {v: [] for v in quiver.vertices}
-        ins = {v: [] for v in quiver.vertices}
-        for (s, t), m in quiver.index.mult.items():
-            outs[s].append(m)
-            ins[t].append(m)
-        return {v: (tuple(sorted(outs[v])), tuple(sorted(ins[v])))
-                for v in quiver.vertices}
-
-    sig1, sig2 = signature(q1), signature(q2)
+    sig1 = _vertex_signatures(q1.vertices, m1)
+    sig2 = _vertex_signatures(q2.vertices, m2)
     order = list(q1.vertices)
     used = set()
     vmap = {}
@@ -231,25 +235,37 @@ def _vertex_maps(q1, q2):
 
 
 def _arrow_maps(q1, q2, vmap):
-    """All arrow bijections compatible with a vertex bijection."""
+    """All arrow bijections compatible with a vertex bijection.
+
+    Parallel arrows are matched by permutation, the first (source, target)
+    pair varying slowest; permutations are generated one at a time, so the
+    first map costs nothing however many parallel arrows there are."""
 
     def names(quiver, s, t):
         return [a.name for a in quiver.index.out[s] if a.target == t]
 
-    pools = []
+    amap = {}
+    pools = []  # pairs with parallel arrows; the others have one bijection
     for s, t in sorted(q1.index.mult):
         names1 = names(q1, s, t)
         names2 = names(q2, vmap[s], vmap[t])
         if len(names1) != len(names2):
             return
-        pools.append([list(zip(names1, perm))
-                      for perm in itertools.permutations(names2)])
-    for combo in itertools.product(*pools):
-        amap = {}
-        for pairs in combo:
-            for n1, n2 in pairs:
-                amap[n1] = n2
-        yield amap
+        if len(names1) == 1:
+            amap[names1[0]] = names2[0]
+        else:
+            pools.append((names1, names2))
+
+    def extend(k):
+        if k == len(pools):
+            yield dict(amap)
+            return
+        names1, names2 = pools[k]
+        for perm in itertools.permutations(names2):
+            amap.update(zip(names1, perm))
+            yield from extend(k + 1)
+
+    yield from extend(0)
 
 
 def _transported_relation_vectors(pres, amap):
@@ -271,10 +287,10 @@ def _ideal_contains(target_pres, vectors):
     return all(ideal.contains(vec) for vec in vectors)
 
 
-def _ideals_equal(pres1, amap, pres2):
-    """Does transporting pres1's ideal along amap give exactly pres2's?"""
+def _ideals_equal(pres1, amap, pres2, ideal2):
+    """Does transporting pres1's ideal along amap give exactly pres2's,
+    whose ideal is ideal2?"""
     vectors = _transported_relation_vectors(pres1, amap)
-    ideal2 = ideal_membership_spaces(pres2)
     if not all(ideal2.contains(vec) for vec in vectors):
         return False
     # equality needs matching ranks pairwise
@@ -303,9 +319,12 @@ def is_iso(p1, p2, size_limit=20):
     if len(p1.quiver.vertices) > size_limit or \
             len(p2.quiver.vertices) > size_limit:
         raise SizeLimitError("isomorphism search limit exceeded")
+    ideal2 = None  # built on the first candidate map, then shared
     for vmap in _vertex_maps(p1.quiver, p2.quiver):
         for amap in _arrow_maps(p1.quiver, p2.quiver, vmap):
-            if _ideals_equal(p1, amap, p2):
+            if ideal2 is None:
+                ideal2 = ideal_membership_spaces(p2)
+            if _ideals_equal(p1, amap, p2, ideal2):
                 return Isomorphism(tuple(sorted(vmap.items())),
                                    tuple(sorted(amap.items())))
     return None
@@ -335,33 +354,110 @@ class QuotientWitness:
 def has_quotient(pres, target, size_limit=16):
     """First witness that ``target`` is a quotient of ``pres``, or None.
 
-    The search kills vertex sets then arrow sets (ascending, declaration
-    order), maps the surviving subquiver onto the target quiver, and checks
-    that the induced relations land inside the target ideal; containment
-    suffices because additional admissible relations may always be imposed.
+    The search kills vertex sets, then arrow sets among the surviving
+    arrows, then tries vertex maps of the surviving subquiver onto the
+    target quiver, then arrow maps over each; every level runs in
+    lexicographic combination order over declaration order, and the first
+    map whose induced relations land inside the target ideal is the
+    witness.  Containment suffices because additional admissible
+    relations may always be imposed.
+
+    Two prunes drop no witness.  When the target quiver is connected, only
+    kept vertex sets inducing a connected subquiver are tried: killing
+    arrows cannot reconnect one.  Each arrow set is first compared with
+    the target by the multiset of per-vertex degree signatures (sorted
+    out- and in-multiplicities): a vertex map must send every vertex to
+    one with the same signature, so ``_vertex_maps`` yields nothing when
+    the multisets differ.  Only arrow sets that pass get a
+    sub-presentation, with the term filter of ``quotient``: a relation
+    term dies if and only if it uses a dead arrow.  The target ideal is
+    built once, at the first candidate map.
     """
     if len(pres.quiver.vertices) > size_limit:
         raise SizeLimitError("quotient search limit exceeded")
-    nv = len(pres.quiver.vertices) - len(target.quiver.vertices)
-    if nv < 0:
+    q, tq = pres.quiver, target.quiver
+    if len(q.vertices) < len(tq.vertices):
         return None
-    for killed_vs in itertools.combinations(pres.quiver.vertices, nv):
-        after_v = quotient(pres, killed_vs)
-        na = len(after_v.quiver.arrows) - len(target.quiver.arrows)
+    wanted = sorted(_vertex_signatures(tq.vertices, tq.index.mult).values())
+    pos = {v: i for i, v in enumerate(q.vertices)}
+    succ = [[pos[a.target] for a in q.index.out[v]] for v in q.vertices]
+    ideal = None
+    for kept in _kept_vertex_sets(q, len(tq.vertices), tq.is_connected()):
+        mask = 0
+        for i in kept:
+            mask |= 1 << i
+        # arrows among the kept vertices beyond the target's: those to kill
+        na = sum(mask >> j & 1 for i in kept for j in succ[i]) \
+            - len(tq.arrows)
         if na < 0:
             continue
-        arrow_names = tuple(a.name for a in after_v.quiver.arrows)
-        for killed_as in itertools.combinations(arrow_names, na):
-            sub = quotient(pres, killed_vs, killed_as)
-            for vmap in _vertex_maps(sub.quiver, target.quiver):
-                for amap in _arrow_maps(sub.quiver, target.quiver, vmap):
+        vertices = tuple(q.vertices[i] for i in kept)
+        killed_vs = tuple(v for i, v in enumerate(q.vertices)
+                          if not mask >> i & 1)
+        gone = set(killed_vs)
+        arrows = tuple(a for a in q.arrows
+                       if a.source not in gone and a.target not in gone)
+        ends = [(a.source, a.target) for a in arrows]
+        mult = Counter(ends)
+        for killed in itertools.combinations(range(len(arrows)), na):
+            kept_mult = dict(mult)
+            for i in killed:
+                kept_mult[ends[i]] -= 1
+            kept_mult = {st: m for st, m in kept_mult.items() if m}
+            if sorted(_vertex_signatures(vertices, kept_mult).values()) \
+                    != wanted:
+                continue
+            killed_as = tuple(arrows[i].name for i in killed)
+            dead = {a.name for a in q.arrows
+                    if a.source in gone or a.target in gone}
+            dead.update(killed_as)
+            sub = Presentation(
+                Quiver(vertices,
+                       tuple(a for a in arrows if a.name not in dead)),
+                surviving_relations(pres.relations, dead))
+            for vmap in _vertex_maps(sub.quiver, tq):
+                for amap in _arrow_maps(sub.quiver, tq, vmap):
+                    if ideal is None:
+                        ideal = ideal_membership_spaces(target)
                     vectors = _transported_relation_vectors(sub, amap)
-                    if _ideal_contains(target, vectors):
+                    if all(ideal.contains(vec) for vec in vectors):
                         return QuotientWitness(
-                            tuple(killed_vs), tuple(killed_as),
+                            killed_vs, killed_as,
                             tuple(sorted(vmap.items())),
                             tuple(sorted(amap.items())))
     return None
+
+
+def _kept_vertex_sets(quiver, k, connected):
+    """Position tuples of the k-vertex sets a quotient search keeps, in
+    reverse lexicographic order: the complements of the killed sets taken
+    in lexicographic order.  With ``connected`` only the sets that induce
+    a connected subquiver, grown one neighbour at a time as bit masks."""
+    n = len(quiver.vertices)
+    if not connected or k == 0:
+        return reversed(list(itertools.combinations(range(n), k)))
+    pos = {v: i for i, v in enumerate(quiver.vertices)}
+    adjacent = [0] * n
+    for a in quiver.arrows:
+        s, t = pos[a.source], pos[a.target]
+        adjacent[s] |= 1 << t
+        adjacent[t] |= 1 << s
+    # each connected set's mask -> the mask of its neighbours outside it
+    level = {1 << i: adjacent[i] & ~(1 << i) for i in range(n)}
+    for _ in range(k - 1):
+        grown = {}
+        for mask, border in level.items():
+            rest = border
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                bigger = mask | low
+                if bigger not in grown:
+                    grown[bigger] = (border | adjacent[low.bit_length() - 1]) \
+                        & ~bigger
+        level = grown
+    return sorted((tuple(i for i in range(n) if mask >> i & 1)
+                   for mask in level), reverse=True)
 
 
 def verify_quotient_witness(pres, target, witness):

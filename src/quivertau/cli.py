@@ -10,6 +10,7 @@ reported in one stderr line instead of a traceback.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -252,7 +253,7 @@ def build_parser():
     parser = _Parser(prog="qt", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, func, *specs, expect=False):
+    def add(name, *specs, expect=False):
         p = sub.add_parser(name)
         p.add_argument("--format", choices=("text", "json"),
                        default="text")
@@ -261,45 +262,51 @@ def build_parser():
         if expect:
             p.add_argument("--expect",
                            choices=("finite", "infinite", "open"))
-        p.set_defaults(func=func)
         return p
 
-    add("classify", _cmd_classify, "a", "b", expect=True)
-    add("single", _cmd_single, "a", expect=True)
-    add("envelope", _cmd_envelope, "a", expect=True)
-    add("self-tensor", _cmd_self_tensor, "a", expect=True)
-    add("triple", _cmd_triple, "a", "b", "c", expect=True)
-    add("tensor", _cmd_tensor, "a", "b")
-    p = add("adachi", _cmd_adachi, "a", expect=True)
+    add("classify", "a", "b", expect=True)
+    add("single", "a", expect=True)
+    add("envelope", "a", expect=True)
+    add("self-tensor", "a", expect=True)
+    add("triple", "a", "b", "c", expect=True)
+    add("tensor", "a", "b")
+    p = add("adachi", "a", expect=True)
     p.add_argument("--mode", choices=("naive", "witness-search"),
                    default="witness-search")
     p.add_argument("--naive-limit", type=int, default=12)
-    add("separated", _cmd_separated, "a")
-    add("graph-type", _cmd_graph_type, "a")
-    add("dim", _cmd_dim, "a")
-    p = add("quotient-search", _cmd_quotient_search, "a")
+    add("separated", "a")
+    add("graph-type", "a")
+    add("dim", "a")
+    p = add("quotient-search", "a")
     p.add_argument("--target", required=True)
     p.add_argument("--iso-limit", type=int, default=16)
     p = sub.add_parser("catalog")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("action", choices=("list", "show"))
     p.add_argument("id", nargs="?")
-    p.set_defaults(func=_cmd_catalog)
     p = sub.add_parser("witness")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--frame", required=True)
-    p.set_defaults(func=_cmd_witness)
-    p = add("strings", _cmd_strings, "a")
+    p = add("strings", "a")
     p.add_argument("--band-bound", type=int, default=None)
-    add("table", _cmd_table)
+    add("table")
     return parser
 
 
+@functools.cache
+def _shared_parser():
+    """The parser, built on the first ``main`` call (not at import time)
+    and reused by every later call in the process."""
+    return build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _shared_parser().parse_args(argv)
+    # subcommand x-y runs _cmd_x_y, looked up per call rather than kept in
+    # the shared parser, so a handler replaced on the module takes effect
+    handler = globals()["_cmd_" + args.command.replace("-", "_")]
     try:
-        code = args.func(args)
+        code = handler(args)
     except InvariantViolationError as exc:
         print(f"qt: internal invariant violation: {exc}", file=sys.stderr)
         return 4

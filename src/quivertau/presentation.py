@@ -784,6 +784,18 @@ def opposite(pres):
     return Presentation(Quiver(q.vertices, arrows), rels)
 
 
+def surviving_relations(relations, dead_arrows):
+    """Relations re-imaged once the named arrows die: a term dies if and
+    only if it uses a dead arrow, and a relation with no term left goes."""
+    out = []
+    for rel in relations:
+        terms = tuple((c, p) for c, p in rel.terms
+                      if not any(n in dead_arrows for n in p))
+        if terms:
+            out.append(Relation(terms))
+    return tuple(out)
+
+
 def quotient(pres, killed_vertices=(), killed_arrows=(), extra_relations=()):
     """Kill vertices/arrows and add relations; relations are re-imaged.
 
@@ -807,12 +819,7 @@ def quotient(pres, killed_vertices=(), killed_arrows=(), extra_relations=()):
             dead_arrows.add(a.name)
     vertices = tuple(v for v in q.vertices if v not in killed_vertices)
     arrows = tuple(a for a in q.arrows if a.name not in dead_arrows)
-    rels = []
-    for rel in pres.relations:
-        terms = tuple((c, p) for c, p in rel.terms
-                      if not any(n in dead_arrows for n in p))
-        if terms:
-            rels.append(Relation(terms))
+    rels = list(surviving_relations(pres.relations, dead_arrows))
     surviving = Quiver(vertices, arrows)
     for rel in extra_relations:
         for coeff, path in rel.terms:

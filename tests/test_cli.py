@@ -66,6 +66,20 @@ class TestClassify:
         assert exc.value.code == 1
 
 
+def test_parser_shared_across_calls(capsys, monkeypatch):
+    from quivertau import cli
+
+    code, out, _ = run(capsys, "classify", N3, B1, "--format", "json",
+                       "--expect", "finite")
+    assert code == 0
+    assert json.loads(out)["status"] == "finite"
+    monkeypatch.setattr(cli, "build_parser", None)  # built once already
+    # the defaults come back: text output and no expectation to miss
+    code, out, _ = run(capsys, "classify", N4, "catalog:LNak4")
+    assert code == 0
+    assert out.startswith("status: infinite\n")
+
+
 class TestOtherCommands:
     def test_single(self, capsys):
         code, out, _ = run(capsys, "single", "catalog:A(4,+++)",

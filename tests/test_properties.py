@@ -1,7 +1,9 @@
 """Property tests on random loop-free quivers with at most 9 vertices,
-and the union-find ideal against full Gaussian elimination."""
+the union-find ideal against full Gaussian elimination, and quotient
+search against the search that rebuilds every candidate."""
 
 import importlib.util
+import itertools
 from fractions import Fraction
 from pathlib import Path
 
@@ -9,7 +11,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quivertau.catalog import catalog_get, catalog_ids, frame_ids, witness_frame
+from quivertau.catalog import (
+    QuotientWitness,
+    _arrow_maps,
+    _ideal_contains,
+    _transported_relation_vectors,
+    _vertex_maps,
+    catalog_get,
+    catalog_ids,
+    frame_ids,
+    has_quotient,
+    verify_quotient_witness,
+    witness_frame,
+)
 from quivertau.linalg import SparseSpace
 from quivertau.presentation import (
     Arrow,
@@ -25,6 +39,7 @@ from quivertau.presentation import (
     path_key,
     path_source,
     path_target,
+    quotient,
     serialize_presentation,
 )
 from quivertau.tensor import tensor_pair_dims, tensor_product
@@ -340,3 +355,100 @@ def test_tensor_dimension_swap_and_opposite(pa, pb):
     assert dimension_table(tensor_product(pb, pa)).total == total
     assert dimension_table(opposite(tensor_product(pa, pb))).total == \
         dimension_table(tensor_product(opposite(pa), opposite(pb))).total
+
+
+# ---------------------------------------------------------------------------
+# quotient search against the search that rebuilds every candidate
+
+
+def _reference_has_quotient(pres, target):
+    """Reference: kill vertex sets, then arrow sets, rebuilding each
+    candidate with ``quotient`` and the target ideal per candidate map."""
+    nv = len(pres.quiver.vertices) - len(target.quiver.vertices)
+    if nv < 0:
+        return None
+    for killed_vs in itertools.combinations(pres.quiver.vertices, nv):
+        after_v = quotient(pres, killed_vs)
+        na = len(after_v.quiver.arrows) - len(target.quiver.arrows)
+        if na < 0:
+            continue
+        arrow_names = tuple(a.name for a in after_v.quiver.arrows)
+        for killed_as in itertools.combinations(arrow_names, na):
+            sub = quotient(pres, killed_vs, killed_as)
+            for vmap in _vertex_maps(sub.quiver, target.quiver):
+                for amap in _arrow_maps(sub.quiver, target.quiver, vmap):
+                    vectors = _transported_relation_vectors(sub, amap)
+                    if _ideal_contains(target, vectors):
+                        return QuotientWitness(
+                            tuple(killed_vs), tuple(killed_as),
+                            tuple(sorted(vmap.items())),
+                            tuple(sorted(amap.items())))
+    return None
+
+
+# every target classify.py searches for, two with parallel arrows and a
+# disconnected one
+QUOTIENT_TARGETS = tuple(catalog_get(cat_id) for cat_id in (
+    "A(3,++)", "A(3,+-)", "A(3,-+)", "A(3,--)", "N(3)", "B1", "L42",
+    "L43square", "B5_1", "B5_2", "B5_3", "LNak4", "A(4,-+-)")) + (
+    parse_presentation("vertex 1\nvertex 2\n"
+                       "arrow a : 1 -> 2\narrow b : 1 -> 2\n"),
+    parse_presentation("vertex 1\nvertex 2\nvertex 3\n"
+                       "arrow a : 1 -> 2\narrow b : 1 -> 2\n"
+                       "arrow c : 3 -> 2\n"),
+    parse_presentation("vertex 1\nvertex 2\nvertex 3\n"
+                       "arrow a : 1 -> 2\n"))
+
+
+@st.composite
+def quotient_sources(draw):
+    """A tree on 1 to 7 vertices, or a square with up to 3 tree vertices
+    hanging off it; sometimes one arrow doubled; up to 2 zero paths, and
+    on a square a commutativity, weighted or zero relation."""
+    square = draw(st.booleans())
+    if square:
+        vertices = ["1", "2", "3", "4"]
+        arrows = [Arrow("a", "1", "2"), Arrow("b", "2", "4"),
+                  Arrow("c", "1", "3"), Arrow("d", "3", "4")]
+    else:
+        vertices, arrows = ["1"], []
+    for _ in range(draw(st.integers(0, 3 if square else 6))):
+        new = str(len(vertices) + 1)
+        ends = (draw(st.sampled_from(vertices)), new)
+        if draw(st.booleans()):
+            ends = ends[::-1]
+        vertices.append(new)
+        arrows.append(Arrow(f"t{new}", *ends))
+    if arrows and draw(st.integers(0, 3)) == 0:
+        a = draw(st.sampled_from(arrows))
+        arrows.append(Arrow(a.name + "x", a.source, a.target))
+    q = Quiver(tuple(vertices), tuple(arrows))
+    long_paths = [p for ps in all_paths(q).values() for p in ps
+                  if len(p) >= 2]
+    relations = [Relation(((Fraction(1), z),)) for z in draw(st.lists(
+        st.sampled_from(long_paths), max_size=2, unique=True))] \
+        if long_paths else []
+    if square:
+        c1, c2 = draw(st.sampled_from(
+            ((1, -1), (1, 2), (1, None), (None, None))))
+        if c1 is not None:
+            terms = ((Fraction(c1), ("a", "b")),)
+            if c2 is not None:
+                terms += ((Fraction(c2), ("c", "d")),)
+            relations.append(Relation(terms))
+    return Presentation(q, tuple(relations))
+
+
+QUOTIENT = settings(max_examples=100, deadline=None, derandomize=True,
+                    database=None)
+
+
+@QUOTIENT
+@given(quotient_sources())
+def test_quotient_search_matches_reference(pres):
+    for source in (pres, opposite(pres)):
+        for target in QUOTIENT_TARGETS:
+            found = has_quotient(source, target)
+            assert found == _reference_has_quotient(source, target)
+            if found is not None:
+                assert verify_quotient_witness(source, target, found)
