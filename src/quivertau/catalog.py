@@ -23,7 +23,6 @@ from .presentation import (
     Relation,
     SizeLimitError,
     all_paths,
-    ideal_membership_spaces,
     quotient,
     surviving_relations,
     validate_presentation,
@@ -282,14 +281,9 @@ def _transported_relation_vectors(pres, amap):
     return out
 
 
-def _ideal_contains(target_pres, vectors):
-    ideal = ideal_membership_spaces(target_pres)
-    return all(ideal.contains(vec) for vec in vectors)
-
-
-def _ideals_equal(pres1, amap, pres2, ideal2):
-    """Does transporting pres1's ideal along amap give exactly pres2's,
-    whose ideal is ideal2?"""
+def _ideals_equal(pres1, amap, pres2):
+    """Does transporting pres1's ideal along amap give exactly pres2's?"""
+    ideal2 = pres2.ideal
     vectors = _transported_relation_vectors(pres1, amap)
     if not all(ideal2.contains(vec) for vec in vectors):
         return False
@@ -299,7 +293,7 @@ def _ideals_equal(pres1, amap, pres2, ideal2):
         tuple(Relation(tuple((c, p) for p, c in sorted(v.items())))
               for v in vectors))
     # the transported ideal inside pres2's quiver
-    ideal1 = ideal_membership_spaces(transported)
+    ideal1 = transported.ideal
     return all(ideal1.rank(pair) == ideal2.rank(pair)
                for pair in all_paths(pres2.quiver))
 
@@ -319,12 +313,9 @@ def is_iso(p1, p2, size_limit=20):
     if len(p1.quiver.vertices) > size_limit or \
             len(p2.quiver.vertices) > size_limit:
         raise SizeLimitError("isomorphism search limit exceeded")
-    ideal2 = None  # built on the first candidate map, then shared
     for vmap in _vertex_maps(p1.quiver, p2.quiver):
         for amap in _arrow_maps(p1.quiver, p2.quiver, vmap):
-            if ideal2 is None:
-                ideal2 = ideal_membership_spaces(p2)
-            if _ideals_equal(p1, amap, p2, ideal2):
+            if _ideals_equal(p1, amap, p2):
                 return Isomorphism(tuple(sorted(vmap.items())),
                                    tuple(sorted(amap.items())))
     return None
@@ -370,8 +361,9 @@ def has_quotient(pres, target, size_limit=16):
     one with the same signature, so ``_vertex_maps`` yields nothing when
     the multisets differ.  Only arrow sets that pass get a
     sub-presentation, with the term filter of ``quotient``: a relation
-    term dies if and only if it uses a dead arrow.  The target ideal is
-    built once, at the first candidate map.
+    term dies if and only if it uses a dead arrow.  Candidate maps are
+    checked against ``target.ideal``, which the target builds on first use
+    and keeps, so repeated searches for one target share it.
     """
     if len(pres.quiver.vertices) > size_limit:
         raise SizeLimitError("quotient search limit exceeded")
@@ -381,7 +373,6 @@ def has_quotient(pres, target, size_limit=16):
     wanted = sorted(_vertex_signatures(tq.vertices, tq.index.mult).values())
     pos = {v: i for i, v in enumerate(q.vertices)}
     succ = [[pos[a.target] for a in q.index.out[v]] for v in q.vertices]
-    ideal = None
     for kept in _kept_vertex_sets(q, len(tq.vertices), tq.is_connected()):
         mask = 0
         for i in kept:
@@ -417,10 +408,8 @@ def has_quotient(pres, target, size_limit=16):
                 surviving_relations(pres.relations, dead))
             for vmap in _vertex_maps(sub.quiver, tq):
                 for amap in _arrow_maps(sub.quiver, tq, vmap):
-                    if ideal is None:
-                        ideal = ideal_membership_spaces(target)
                     vectors = _transported_relation_vectors(sub, amap)
-                    if all(ideal.contains(vec) for vec in vectors):
+                    if all(target.ideal.contains(vec) for vec in vectors):
                         return QuotientWitness(
                             killed_vs, killed_as,
                             tuple(sorted(vmap.items())),
@@ -477,7 +466,7 @@ def verify_quotient_witness(pres, target, witness):
                 vmap[a.target] != b.target:
             return False
     vectors = _transported_relation_vectors(sub, amap)
-    return _ideal_contains(target, vectors)
+    return all(target.ideal.contains(vec) for vec in vectors)
 
 
 # ---------------------------------------------------------------------------

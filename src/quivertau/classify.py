@@ -15,6 +15,7 @@ from .presentation import (
     InvariantViolationError,
     NOT_SIMPLY_CONNECTED,
     NotSimplyConnectedError,
+    dimension_table,
     homology_rank,
     opposite,
     require_valid,
@@ -28,6 +29,13 @@ from .sepgraph import (
     separated_quiver,
     underlying_graph,
 )
+
+
+# Every catalog target a rule searches for, built once so that each keeps
+# its ideal across requests: catalog_get rebuilds parameterized ids.
+_TARGETS = {cat_id: catalog_get(cat_id) for cat_id in (
+    "A(3,++)", "A(3,+-)", "A(3,-+)", "A(3,--)", "N(3)", "LNak4", "B1",
+    "L42", "L43square", "B5_1", "B5_2", "B5_3", "A(4,-+-)")}
 
 
 def _gate(pres, who):
@@ -218,29 +226,24 @@ def classify_tensor(pa, pb):
 
     # R2: multiple arrows
     for pres, name in ((pa, "A"), (pb, "B")):
-        if pres.quiver.has_multiple_arrows():
-            seen = {}
-            pair = None
-            for a in pres.quiver.arrows:
-                key = (a.source, a.target)
-                if key in seen:
-                    pair = (seen[key], a.name, key)
-                    break
-                seen[key] = a.name
-            return vd.verdict(
-                vd.INFINITE, "multiple-arrows",
-                "a factor whose quiver has parallel arrows makes the "
-                "product infinite",
-                witness={"kind": "structural", "factor": name,
-                         "arrows": [pair[0], pair[1]],
-                         "from": pair[2][0], "to": pair[2][1]},
-                trace=(*trace, f"multiple-arrows: {name}"))
+        seen = {}
+        for a in pres.quiver.arrows:
+            key = (a.source, a.target)
+            if key in seen:
+                return vd.verdict(
+                    vd.INFINITE, "multiple-arrows",
+                    "a factor whose quiver has parallel arrows makes the "
+                    "product infinite",
+                    witness={"kind": "structural", "factor": name,
+                             "arrows": [seen[key], a.name],
+                             "from": a.source, "to": a.target},
+                    trace=(*trace, f"multiple-arrows: {name}"))
+            seen[key] = a.name
     trace.append("multiple-arrows: no")
 
     # R3: non-Schurian factor (the product is Schurian iff both are)
     for prof, pres, name in ((prof_a, pa, "A"), (prof_b, pb, "B")):
         if prof.is_schurian is False:
-            from .presentation import dimension_table
             bad = next(pair for pair, paths
                        in dimension_table(pres).pairs if len(paths) >= 2)
             return vd.verdict(
@@ -364,7 +367,7 @@ def _three_line_branch(hered, other, other_prof, trace):
     witness = None
     ch = line_class(hered.quiver)
     for omega in ("++", "+-", "-+", "--"):
-        qw = has_quotient(other, catalog_get(f"A(3,{omega})"))
+        qw = has_quotient(other, _TARGETS[f"A(3,{omega})"])
         if qw is not None:
             frame_id, bridge = _a3a3_frame(ch, orientation_class(omega))
             if frame_id:
@@ -385,7 +388,7 @@ def _four_line_branch(hered, other, other_prof, trace):
     ch = line_class(hered.quiver)
     frame_id = _A4_FRAME_KEYS.get(ch)
     if frame_id is not None:
-        qw = has_quotient(other, catalog_get("N(3)"))
+        qw = has_quotient(other, _TARGETS["N(3)"])
         if qw is not None:
             witness = _frame_payload(
                 frame_id, quotients=((qw, "N(3)", "non-hereditary"),))
@@ -421,7 +424,7 @@ def _obstruction_witness(pres, obstruction_ids):
     as (catalog id, frame payload), or (None, None)."""
     op = opposite(pres)
     for cat_id in obstruction_ids:
-        target = catalog_get(cat_id)
+        target = _TARGETS[cat_id]
         for candidate, where in ((pres, ""), (op, "op")):
             qw = has_quotient(candidate, target)
             if qw is not None:
@@ -441,7 +444,7 @@ def _both_non_hereditary(pa, prof_a, pb, prof_b, trace):
         omegas = []
         for pres, tag in ((pa, "A"), (pb, "B")):
             for omega in ("++", "+-", "-+", "--"):
-                qw = has_quotient(pres, catalog_get(f"A(3,{omega})"))
+                qw = has_quotient(pres, _TARGETS[f"A(3,{omega})"])
                 if qw is not None:
                     quots.append((qw, f"A(3,{omega})", tag))
                     omegas.append(orientation_class(omega))
@@ -488,7 +491,7 @@ def _both_non_hereditary(pa, prof_a, pb, prof_b, trace):
 
 def _rsz_vs_deep_line(n, other, trace):
     if n >= 4:
-        qw = has_quotient(other, catalog_get("LNak4"))
+        qw = has_quotient(other, _TARGETS["LNak4"])
         if qw is not None:
             return vd.verdict(
                 vd.INFINITE, "rad-square-zero-line-vs-deep-line",
@@ -514,7 +517,7 @@ def _rsz_vs_non_nakayama(n, other, other_prof, trace):
             "a simply connected non-hereditary factor on 3 vertices must "
             "be the radical-square-zero line")
     if m == 4:
-        b1 = catalog_get("B1")
+        b1 = _TARGETS["B1"]
         if is_iso(other, b1) or is_iso(opposite(other), b1):
             return vd.verdict(
                 vd.FINITE, "rad-square-zero-line-vs-b1",
@@ -538,7 +541,7 @@ def _rsz_vs_non_nakayama(n, other, other_prof, trace):
             "non-line factor with 5 or more vertices is infinite",
             witness=witness,
             trace=(*trace, "rad-square-zero-line4-vs-big"))
-    b1 = catalog_get("B1")
+    b1 = _TARGETS["B1"]
     if has_quotient(other, b1) is None and \
             has_quotient(opposite(other), b1) is None:
         return vd.verdict(

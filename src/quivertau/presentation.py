@@ -217,6 +217,11 @@ class Presentation:
     quiver: Quiver
     relations: tuple[Relation, ...]
 
+    @cached_property
+    def ideal(self):
+        """The relation ideal as a PathIdeal, built on first use."""
+        return ideal_membership_spaces(self)
+
 
 @dataclass(frozen=True)
 class Violation:
@@ -575,9 +580,9 @@ def _quo(num, den):
 class PathIdeal:
     """The relation ideal I of a presentation, read per vertex pair of kQ.
 
-    Build it with ``ideal_membership_spaces(pres)``.  Every relation is
-    padded with every path ending at its source on the left and every path
-    starting at its target on the right; the padded vectors span I.
+    Read it as ``pres.ideal``.  Every relation is padded with every path
+    ending at its source on the left and every path starting at its target
+    on the right; the padded vectors span I.
 
     Padded vectors with one or two terms (zero paths and binomials
     ``c1*p + c2*q``, which is nearly all of a tensor product's ideal) go
@@ -699,7 +704,7 @@ class PathIdeal:
 
 
 def ideal_membership_spaces(pres):
-    """The relation ideal of ``pres`` as a PathIdeal."""
+    """Build the relation ideal of ``pres``; read it as ``pres.ideal``."""
     q = pres.quiver
     paths = all_paths(q)
     ideal = PathIdeal(q, paths)
@@ -742,13 +747,12 @@ def ideal_membership_spaces(pres):
     return ideal
 
 
-@lru_cache(maxsize=None)
 def dimension_table(pres):
     """Exact basis of e_i(kQ/I)e_j per pair; needs an acyclic quiver."""
     q = pres.quiver
     if not q.is_acyclic():
         raise CyclicQuiverError("dimension table needs an acyclic quiver")
-    ideal = ideal_membership_spaces(pres)
+    ideal = pres.ideal
     pairs = []
     total = 0
     for i in q.vertices:
@@ -762,11 +766,9 @@ def dimension_table(pres):
     return DimensionTable(tuple(pairs), total)
 
 
-def path_is_zero(pres, path, ideal=None):
+def path_is_zero(pres, path):
     """True if the path lies in the relation ideal."""
-    if ideal is None:
-        ideal = ideal_membership_spaces(pres)
-    return ideal.contains({path: 1})
+    return pres.ideal.contains({path: 1})
 
 
 # ---------------------------------------------------------------------------

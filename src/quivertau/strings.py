@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .catalog import BadParameterError
-from .presentation import QuivertauError, ideal_membership_spaces
+from .presentation import QuivertauError
 
 
 class NotStringAlgebraError(QuivertauError):
@@ -53,7 +53,7 @@ def special_biserial_check(pres):
             violations.append(f"vertex {v}: more than 2 outgoing arrows")
         if len(inc[v]) > 2:
             violations.append(f"vertex {v}: more than 2 incoming arrows")
-    ideal = ideal_membership_spaces(pres)
+    ideal = pres.ideal
     for b in q.arrows:
         befores = [a.name for a in inc[b.source]
                    if not ideal.contains({(a.name, b.name): 1})]

@@ -17,6 +17,7 @@ from .presentation import (
     Quiver,
     QuivertauError,
     Relation,
+    dimension_table,
     opposite,
 )
 
@@ -108,8 +109,6 @@ def rad_square_quotient(pres):
 
 def tensor_pair_dims(pa, pb):
     """Per-pair dimension products predicted by the factor tables."""
-    from .presentation import dimension_table
-
     ta = dimension_table(pa)
     tb = dimension_table(pb)
     da = ta.as_dict()

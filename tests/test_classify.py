@@ -1,11 +1,15 @@
 """Decision engine: verdicts, certificates, symmetry and soundness."""
 
+import gc
 import itertools
+import sys
+import weakref
 
 import pytest
 
 from conftest import cycle_presentation, line, mono, seeded
 
+from quivertau import presentation
 from quivertau.catalog import (
     catalog_get,
     verify_quotient_witness,
@@ -28,11 +32,13 @@ from quivertau.presentation import (
     Presentation,
     Quiver,
     Arrow,
+    dimension_table,
     opposite,
     parse_presentation,
     quotient,
 )
 from quivertau.sepgraph import is_single_subquiver
+from quivertau.strings import special_biserial_check
 from quivertau.tensor import rad_square_quotient, tensor_product
 
 C = catalog_get
@@ -432,3 +438,40 @@ class TestTriple:
     def test_all_local(self):
         one = C("N(1)")
         assert classify_triple(one, one, one).status == "finite"
+
+
+class TestIdealOwnership:
+    def test_decided_presentation_is_not_kept(self):
+        pres = parse_presentation(
+            "vertex 1\nvertex 2\nvertex 3\nvertex 4\n"
+            "arrow a : 1 -> 2\narrow b : 2 -> 3\narrow c : 4 -> 3\n"
+            "zero a.b\n")
+        ref = weakref.ref(pres)
+        dimension_table(pres)
+        classify_tensor(pres, C("N(3)"))
+        special_biserial_check(pres)
+        del pres
+        gc.collect()
+        assert ref() is None
+
+    def test_catalog_targets_keep_their_ideals(self, monkeypatch):
+        built = []
+        build = presentation.ideal_membership_spaces
+
+        def counting(pres):
+            built.append(pres)
+            return build(pres)
+
+        # every module binding, as by-name imports hold their own
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "quivertau" and \
+                    getattr(module, "ideal_membership_spaces", None) is build:
+                monkeypatch.setattr(module, "ideal_membership_spaces",
+                                    counting)
+        pa, pb = C("A(3,+-)"), C("LNak4")
+        first = classify_tensor(pa, pb)
+        built.clear()
+        assert classify_tensor(pa, pb) == first
+        targets = [C(f"A(3,{omega})") for omega in ("++", "+-", "-+", "--")]
+        assert not [p for p in built if p in targets]
+        assert pa.ideal is pa.ideal

@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 from quivertau.catalog import (
     QuotientWitness,
     _arrow_maps,
-    _ideal_contains,
     _transported_relation_vectors,
     _vertex_maps,
     catalog_get,
@@ -378,7 +377,8 @@ def _reference_has_quotient(pres, target):
             for vmap in _vertex_maps(sub.quiver, target.quiver):
                 for amap in _arrow_maps(sub.quiver, target.quiver, vmap):
                     vectors = _transported_relation_vectors(sub, amap)
-                    if _ideal_contains(target, vectors):
+                    ideal = ideal_membership_spaces(target)
+                    if all(ideal.contains(vec) for vec in vectors):
                         return QuotientWitness(
                             tuple(killed_vs), tuple(killed_as),
                             tuple(sorted(vmap.items())),
