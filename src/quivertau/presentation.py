@@ -444,6 +444,8 @@ def validate_presentation(pres, require_acyclic=False):
     """Structural checks; returns a list of Violation records."""
     out = []
     q = pres.quiver
+    if not q.vertices:
+        out.append(Violation("EmptyQuiver", "quiver", "no vertices"))
     if len(set(q.vertices)) != len(q.vertices):
         out.append(Violation("DuplicateVertex", "quiver", "vertex ids repeat"))
     names = [a.name for a in q.arrows]
@@ -753,11 +755,12 @@ def dimension_table(pres):
     if not q.is_acyclic():
         raise CyclicQuiverError("dimension table needs an acyclic quiver")
     ideal = pres.ideal
+    with_paths = ideal._paths  # pairs with no path have an empty basis
     pairs = []
     total = 0
     for i in q.vertices:
         for j in q.vertices:
-            basis = ideal.basis((i, j))
+            basis = ideal.basis((i, j)) if (i, j) in with_paths else ()
             if i == j:
                 basis = ((),) + basis  # the idempotent e_i
             if basis:

@@ -6,8 +6,8 @@ lines as they pass.
 
 import itertools
 import time
+from operator import itemgetter
 
-import numpy as np
 import pytest
 
 from conftest import cycle_presentation, random_quiver, seeded
@@ -112,44 +112,66 @@ def test_criterion_04_hereditary_line_boundary():
            f"in {elapsed:.2f}s", ok)
 
 
-def _all_loopfree_multiquivers_up_to_iso(n, max_arrows):
-    """Canonical representatives of arrow multisets on n labeled vertices,
-    up to vertex relabeling (both decision modes are relabel-invariant)."""
+def _quivers_up_to_iso(n, max_arrows=None, max_degree=None):
+    """Loop-free multiquivers on n labeled vertices, one per class up to
+    vertex relabeling, as arrow-count vectors over the off-diagonal cells
+    (i, j) in row-major order.  ``max_arrows`` bounds the arrow total and
+    ``max_degree`` every in- and out-degree; at least one bound is needed
+    once n > 1.  Returns the lexicographically smallest form of each class,
+    sorted.
+
+    Orderly generation (Read 1978; McKay 1998): the vectors are grown one
+    arrow at a time through their lexicographically largest forms, a new
+    arrow going into a cell at or after the vector's last nonzero cell,
+    and a child is kept only if no relabeling makes it larger.
+
+    Every largest form v != 0 is reached exactly once.  Let k be its last
+    nonzero cell and u = v - e_k.  Suppose a relabeling p had p(u) > u,
+    first differing at position d.  If d >= k, then p(u) agrees with u
+    before d and exceeds it at d, so the entries of p(u) up to d sum to
+    more than u's total, as u is zero after k; but relabeling preserves
+    the total.  So d < k, where v and u agree.  Since p(v) >= p(u)
+    entrywise, p(v) >= v entrywise before d, and v is largest, so p(v)
+    equals v there; then p(v)[d] >= p(u)[d] > u[d] = v[d] makes p(v) > v,
+    a contradiction.  So u is a largest form, and v is its child at cell
+    k >= the last nonzero cell of u.  Conversely a child's last nonzero
+    cell is the one its arrow went into, so its parent is u and no other.
+    Both bounds are relabel-invariant and hold for u whenever they hold
+    for v, so pruning by them loses no class.
+    """
     cells = [(i, j) for i in range(n) for j in range(n) if i != j]
-    ncells = len(cells)
-    if ncells == 0:
+    if not cells:
         return [()]
-    cell_index = {c: k for k, c in enumerate(cells)}
-    perms = []
-    for perm in itertools.permutations(range(n)):
-        perms.append([cell_index[(perm[i], perm[j])] for (i, j) in cells])
+    index = {c: k for k, c in enumerate(cells)}
+    # relabeling w by a vertex permutation is one itemgetter call
+    relabelings = [itemgetter(*(index[perm[i], perm[j]] for i, j in cells))
+                   for perm in itertools.permutations(range(n))]
+    out_cells = [[index[i, j] for j in range(n) if j != i] for i in range(n)]
+    in_cells = [[index[i, j] for i in range(n) if i != j] for j in range(n)]
 
-    rows = []
-    current = [0] * ncells
+    def within_degree(w, cell):
+        i, j = cells[cell]
+        return (sum(w[c] for c in out_cells[i]) <= max_degree
+                and sum(w[c] for c in in_cells[j]) <= max_degree)
 
-    def rec(idx, budget):
-        if idx == ncells:
-            rows.append(tuple(current))
-            return
-        for value in range(budget + 1):
-            current[idx] = value
-            rec(idx + 1, budget - value)
-        current[idx] = 0
-
-    rec(0, max_arrows)
-    mat = np.array(rows, dtype=np.uint64)
-
-    def packed(columns):
-        acc = mat[:, columns[0]].copy()
-        for k in columns[1:]:
-            acc = acc * np.uint64(8) + mat[:, k]
-        return acc
-
-    base = packed(list(range(ncells)))
-    keep = np.ones(len(mat), dtype=bool)
-    for pm in perms[1:]:
-        keep &= packed(pm) >= base
-    return [tuple(int(x) for x in row) for row in mat[keep]]
+    largest = []
+    level = [((0,) * len(cells), 0)]  # (largest form, last nonzero cell)
+    arrows = 0
+    while level:
+        largest.extend(w for w, _ in level)
+        if arrows == max_arrows:
+            break
+        children = []
+        for w, last in level:
+            for k in range(last, len(cells)):
+                child = w[:k] + (w[k] + 1,) + w[k + 1:]
+                if max_degree is not None and not within_degree(child, k):
+                    continue
+                if all(f(child) <= child for f in relabelings):
+                    children.append((child, k))
+        level = children
+        arrows += 1
+    return sorted(min(f(w) for f in relabelings) for w in largest)
 
 
 def _quiver_from_cells(n, cells, counts):
@@ -163,13 +185,68 @@ def _quiver_from_cells(n, cells, counts):
     return Quiver(vertices, tuple(arrows))
 
 
+def _quivers_up_to_iso_by_brute_force(n, max_arrows=None, max_degree=None):
+    """Reference for _quivers_up_to_iso: every arrow multiset under the
+    bounds, kept when no relabeling makes its count vector smaller."""
+    cells = [(i, j) for i in range(n) for j in range(n) if i != j]
+    index = {c: k for k, c in enumerate(cells)}
+    relabelings = [[index[perm[i], perm[j]] for i, j in cells]
+                   for perm in itertools.permutations(range(n))]
+    most = max_arrows if max_arrows is not None else n * max_degree
+    found = []
+    for total in range(most + 1):
+        for multiset in itertools.combinations_with_replacement(
+                range(len(cells)), total):
+            w = [0] * len(cells)
+            out_deg, in_deg = [0] * n, [0] * n
+            for k in multiset:
+                w[k] += 1
+                out_deg[cells[k][0]] += 1
+                in_deg[cells[k][1]] += 1
+            if max_degree is not None and max(out_deg + in_deg) > max_degree:
+                continue
+            if all([w[c] for c in pm] >= w for pm in relabelings):
+                found.append(tuple(w))
+    return sorted(found)
+
+
+@pytest.mark.parametrize("n, max_arrows, max_degree", [
+    *((n, 4, None) for n in range(1, 5)),
+    (5, 3, None),
+    *((n, None, 2) for n in range(1, 5)),
+])
+def test_quivers_up_to_iso_matches_brute_force(n, max_arrows, max_degree):
+    assert _quivers_up_to_iso(n, max_arrows, max_degree) == \
+        _quivers_up_to_iso_by_brute_force(n, max_arrows, max_degree)
+
+
+def test_quivers_up_to_iso_class_counts():
+    # criterion 05 pins its own sweep, 5 and 6 vertices included
+    assert [len(_quivers_up_to_iso(n, max_arrows=7)) for n in range(1, 5)] \
+        == [1, 20, 298, 2215]
+    assert [len(_quivers_up_to_iso(n, max_degree=2)) for n in range(1, 6)] \
+        == [1, 6, 28, 173, 1280]
+
+
+# (vertices, arrow bound) -> classes up to relabeling.  Criterion 05 sweeps
+# every class with at most 7 arrows on n <= 5 vertices and with at most 6
+# on 6 vertices: every 6-vertex quiver whose underlying graph is a tree or
+# has exactly one cycle, and the disconnected ones with as few arrows.
+_SWEEP05 = {(1, 7): 1, (2, 7): 20, (3, 7): 298, (4, 7): 2215, (5, 7): 8130,
+            (6, 6): 3744}
+
+
 def test_criterion_05_adachi_cross_validation():
     start = time.monotonic()
     disagreements = 0
     checked = 0
-    for n in range(1, 6):
+    for (n, max_arrows), classes in _SWEEP05.items():
         cells = [(i, j) for i in range(n) for j in range(n) if i != j]
-        for counts in _all_loopfree_multiquivers_up_to_iso(n, 7):
+        reps = _quivers_up_to_iso(n, max_arrows=max_arrows)
+        if len(reps) != classes:
+            disagreements += 1
+            print(f"  {len(reps)} classes on {n} vertices, not {classes}")
+        for counts in reps:
             q = _quiver_from_cells(n, cells, counts)
             w1 = minimal_bad_single_subquiver(q, mode="naive")
             w2 = minimal_bad_single_subquiver(q, mode="witness-search")
@@ -191,8 +268,9 @@ def test_criterion_05_adachi_cross_validation():
         if w1 != w2:
             disagreements += 1
     elapsed = time.monotonic() - start
-    report(5, f"separated-criterion modes agree on {checked} exhaustive "
-           f"representatives and {random_checked} random quivers "
+    report(5, f"separated-criterion modes agree on all {checked} classes "
+           f"up to relabeling (n <= 5 with <= 7 arrows, n = 6 with <= 6) "
+           f"and {random_checked} random quivers "
            f"({elapsed:.1f}s)", disagreements == 0)
 
 
@@ -329,50 +407,6 @@ def test_criterion_09_symmetry_and_soundness():
            f"{len(_CORPUS9)} catalog algebras", ok)
 
 
-def _string_quivers_up_to_iso(n):
-    """Loop-free multidigraphs with in- and out-degree at most 2, up to
-    relabeling (entries at most 2 follow from the degree bounds)."""
-    cells = [(i, j) for i in range(n) for j in range(n) if i != j]
-    ncells = len(cells)
-    if ncells == 0:
-        return [()]
-    cell_index = {c: k for k, c in enumerate(cells)}
-    perms = []
-    for perm in itertools.permutations(range(n)):
-        perms.append([cell_index[(perm[i], perm[j])] for (i, j) in cells])
-    rows = []
-    current = [0] * ncells
-
-    def rec(idx, out_left, in_left):
-        if idx == ncells:
-            rows.append(tuple(current))
-            return
-        i, j = cells[idx]
-        for value in range(min(2, out_left[i], in_left[j]) + 1):
-            current[idx] = value
-            out_left[i] -= value
-            in_left[j] -= value
-            rec(idx + 1, out_left, in_left)
-            out_left[i] += value
-            in_left[j] += value
-        current[idx] = 0
-
-    rec(0, [2] * n, [2] * n)
-    mat = np.array(rows, dtype=np.uint64)
-
-    def packed(columns):
-        acc = mat[:, columns[0]].copy()
-        for k in columns[1:]:
-            acc = acc * np.uint64(8) + mat[:, k]
-        return acc
-
-    base = packed(list(range(ncells)))
-    keep = np.ones(len(mat), dtype=bool)
-    for pm in perms[1:]:
-        keep &= packed(pm) >= base
-    return [tuple(int(x) for x in row) for row in mat[keep]]
-
-
 def _is_tree_quiver(q):
     simple_pairs = {frozenset((a.source, a.target)) for a in q.arrows}
     return (q.is_connected() and not q.has_multiple_arrows()
@@ -393,7 +427,7 @@ def test_criterion_10_bands_match_separated_criterion():
     checked_impl = 0
     for n in range(1, 6):
         cells = [(i, j) for i in range(n) for j in range(n) if i != j]
-        for counts in _string_quivers_up_to_iso(n):
+        for counts in _quivers_up_to_iso(n, max_degree=2):
             q = _quiver_from_cells(n, cells, counts)
             if not q.is_acyclic():
                 # the string machinery works over path bases and rejects

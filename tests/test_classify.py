@@ -30,6 +30,7 @@ from quivertau.presentation import (
     CyclicQuiverError,
     NotSimplyConnectedError,
     Presentation,
+    QuivertauError,
     Quiver,
     Arrow,
     dimension_table,
@@ -438,6 +439,27 @@ class TestTriple:
     def test_all_local(self):
         one = C("N(1)")
         assert classify_triple(one, one, one).status == "finite"
+
+
+class TestEmptyQuiver:
+    """An empty quiver is an input error at every classify entry point,
+    never a verdict nor a simple-connectedness complaint."""
+
+    EMPTY = Presentation(Quiver((), ()), ())
+
+    @pytest.mark.parametrize("classify", [
+        classify_single,
+        classify_enveloping,
+        classify_self_tensor,
+        lambda e: classify_tensor(e, C("N(3)")),
+        lambda e: classify_tensor(C("N(3)"), e),
+        lambda e: classify_triple(e, C("N(3)"), C("N(3)")),
+        lambda e: classify_triple(C("N(1)"), C("N(1)"), e),
+    ])
+    def test_rejected(self, classify):
+        with pytest.raises(QuivertauError, match="EmptyQuiver") as info:
+            classify(self.EMPTY)
+        assert not isinstance(info.value, NotSimplyConnectedError)
 
 
 class TestIdealOwnership:

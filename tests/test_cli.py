@@ -192,6 +192,21 @@ class TestOtherCommands:
         code, out, err = run(capsys, "tensor", str(a), str(b))
         assert code == 2 and out == "" and "vertex ids collide" in err
 
+    @pytest.mark.parametrize("argv", [
+        ("triple", "EMPTY", N3, N3),
+        ("single", "EMPTY"),
+        ("classify", "EMPTY", N3),
+        ("classify", N3, "EMPTY"),
+        ("envelope", "EMPTY"),
+        ("self-tensor", "EMPTY"),
+    ])
+    def test_empty_quiver_exit_2(self, capsys, tmp_path, argv):
+        empty = tmp_path / "empty.quiver"
+        empty.write_text("", encoding="utf-8")
+        argv = [str(empty) if a == "EMPTY" else a for a in argv]
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "" and "EmptyQuiver" in err
+
     def test_dim_deeper_than_the_stack(self, capsys, shallow_stack):
         n = 200
         code, out, err = run(capsys, "dim", f"catalog:A({n},{'+' * (n - 1)})")

@@ -131,6 +131,11 @@ class TestValidation:
         codes = [v.code for v in validate_presentation(p)]
         assert codes == ["Disconnected"]
 
+    def test_empty_quiver(self):
+        p = Presentation(Quiver((), ()), ())
+        codes = [v.code for v in validate_presentation(p)]
+        assert codes == ["EmptyQuiver"]
+
     def test_non_parallel_relation(self):
         q = Quiver(("1", "2", "3", "4"),
                    (Arrow("a", "1", "2"), Arrow("b", "2", "3"),
