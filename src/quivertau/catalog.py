@@ -353,17 +353,24 @@ def has_quotient(pres, target, size_limit=16):
     witness.  Containment suffices because additional admissible
     relations may always be imposed.
 
-    Two prunes drop no witness.  When the target quiver is connected, only
-    kept vertex sets inducing a connected subquiver are tried: killing
-    arrows cannot reconnect one.  Each arrow set is first compared with
-    the target by the multiset of per-vertex degree signatures (sorted
-    out- and in-multiplicities): a vertex map must send every vertex to
-    one with the same signature, so ``_vertex_maps`` yields nothing when
-    the multisets differ.  Only arrow sets that pass get a
-    sub-presentation, with the term filter of ``quotient``: a relation
-    term dies if and only if it uses a dead arrow.  Candidate maps are
-    checked against ``target.ideal``, which the target builds on first use
-    and keeps, so repeated searches for one target share it.
+    Two prunes drop no witness.  Only the kept vertex sets that
+    ``_host_sets`` returns are tried, still in the order of their killed
+    sets.  The inverse of a witness's vertex map sends the target's
+    vertices injectively into the kept set, and the witness's surviving
+    arrows are a subset of the arrows the kept set induces, so no arrow
+    count of the target exceeds the count between the image vertices: a
+    kept set that admits no such injection holds no witness.  For the
+    same reason the kept set induces at least as many arrows as the
+    target has, so the number of arrows to kill is never negative.  Each
+    arrow set is then compared with the target by the multiset of
+    per-vertex degree signatures (sorted out- and in-multiplicities): a
+    vertex map must send every vertex to one with the same signature, so
+    ``_vertex_maps`` yields nothing when the multisets differ.  Only arrow
+    sets that pass get a sub-presentation, with the term filter of
+    ``quotient``: a relation term dies if and only if it uses a dead
+    arrow.  Candidate maps are checked against ``target.ideal``, which the
+    target builds on first use and keeps, so repeated searches for one
+    target share it.
     """
     if len(pres.quiver.vertices) > size_limit:
         raise SizeLimitError("quotient search limit exceeded")
@@ -373,15 +380,13 @@ def has_quotient(pres, target, size_limit=16):
     wanted = sorted(_vertex_signatures(tq.vertices, tq.index.mult).values())
     pos = {v: i for i, v in enumerate(q.vertices)}
     succ = [[pos[a.target] for a in q.index.out[v]] for v in q.vertices]
-    for kept in _kept_vertex_sets(q, len(tq.vertices), tq.is_connected()):
+    for kept in _host_sets(q, tq):
         mask = 0
         for i in kept:
             mask |= 1 << i
         # arrows among the kept vertices beyond the target's: those to kill
         na = sum(mask >> j & 1 for i in kept for j in succ[i]) \
             - len(tq.arrows)
-        if na < 0:
-            continue
         vertices = tuple(q.vertices[i] for i in kept)
         killed_vs = tuple(v for i, v in enumerate(q.vertices)
                           if not mask >> i & 1)
@@ -417,36 +422,132 @@ def has_quotient(pres, target, size_limit=16):
     return None
 
 
-def _kept_vertex_sets(quiver, k, connected):
-    """Position tuples of the k-vertex sets a quotient search keeps, in
-    reverse lexicographic order: the complements of the killed sets taken
-    in lexicographic order.  With ``connected`` only the sets that induce
-    a connected subquiver, grown one neighbour at a time as bit masks."""
-    n = len(quiver.vertices)
-    if not connected or k == 0:
-        return reversed(list(itertools.combinations(range(n), k)))
-    pos = {v: i for i, v in enumerate(quiver.vertices)}
-    adjacent = [0] * n
-    for a in quiver.arrows:
-        s, t = pos[a.source], pos[a.target]
-        adjacent[s] |= 1 << t
-        adjacent[t] |= 1 << s
-    # each connected set's mask -> the mask of its neighbours outside it
-    level = {1 << i: adjacent[i] & ~(1 << i) for i in range(n)}
-    for _ in range(k - 1):
-        grown = {}
-        for mask, border in level.items():
-            rest = border
-            while rest:
-                low = rest & -rest
-                rest ^= low
-                bigger = mask | low
-                if bigger not in grown:
-                    grown[bigger] = (border | adjacent[low.bit_length() - 1]) \
-                        & ~bigger
-        level = grown
-    return sorted((tuple(i for i in range(n) if mask >> i & 1)
-                   for mask in level), reverse=True)
+def _host_sets(q, tq):
+    """Position tuples of the vertex sets of q that can hold tq's quiver,
+    without duplicates and in reverse lexicographic order: the images of
+    the injective maps from tq's vertices under which no arrow count of
+    tq, loops included, exceeds q's count between the image vertices.
+
+    The maps are found by backtracking over tq's vertices in the order of
+    ``_embedding_plan``.  A vertex with a placed neighbour takes its image
+    among the successors or predecessors of that neighbour's image; one
+    that starts a new component may take any vertex of q.  An image with
+    fewer distinct successors or predecessors than the vertex is skipped.
+    Arrow counts are compared as numbers, so parallel arrows are never
+    permuted.
+    """
+    n = len(q.vertices)
+    pos = {v: i for i, v in enumerate(q.vertices)}
+    # counted here rather than read from q.index.mult, which would then be
+    # kept on every source quiver that a cache holds
+    mult = {}
+    for a in q.arrows:
+        st = pos[a.source], pos[a.target]
+        mult[st] = mult.get(st, 0) + 1
+    succ = [[] for _ in range(n)]  # distinct successors, as positions
+    pred = [[] for _ in range(n)]
+    for s, t in mult:
+        succ[s].append(t)
+        pred[t].append(s)
+    plan = _embedding_plan(tq)
+    image = [0] * len(plan)
+    found = set()  # image sets as bit masks
+
+    def extend(i, used):
+        if i == len(plan):
+            found.add(used)
+            return
+        anchor, forward, n_out, n_in, loops, twin, checks = plan[i]
+        if anchor is None:
+            pool = range(n)
+        else:
+            pool = (succ if forward else pred)[image[anchor]]
+        floor = -1 if twin is None else image[twin]
+        for c in pool:
+            if used >> c & 1 or c < floor or len(succ[c]) < n_out or \
+                    len(pred[c]) < n_in or mult.get((c, c), 0) < loops:
+                continue
+            for j, to, back in checks:
+                if mult.get((c, image[j]), 0) < to or \
+                        mult.get((image[j], c), 0) < back:
+                    break
+            else:
+                image[i] = c
+                extend(i + 1, used | 1 << c)
+
+    extend(0, 0)
+    return sorted((tuple(i for i in range(n) if used >> i & 1)
+                   for used in found), reverse=True)
+
+
+def _embedding_plan(tq):
+    """One step per vertex of tq, in the order ``_host_sets`` maps them:
+    (anchor, forward, n_out, n_in, loops, twin, checks).
+
+    The next vertex is the one with the most arrows to the vertices
+    already placed, then with the most distinct neighbours, so each
+    component is placed in a connected order.  ``anchor`` is the step of
+    its first placed neighbour, or None, and ``forward`` says that an
+    arrow runs from that neighbour to it.  ``n_out`` and ``n_in`` count its
+    distinct successors and predecessors, ``loops`` its loops, and
+    ``checks`` holds (step, arrows to, arrows from) per placed neighbour.
+
+    ``twin`` is the step of the last placed vertex that an automorphism of
+    tq swaps with it, or None; the vertex then takes a larger image than
+    its twin.  No image set is lost: swapping two twins' images gives
+    another valid map onto the same set, and since twins form classes on
+    which every permutation is an automorphism, each image set is also
+    reached with every class in increasing order.  Without this, a target
+    with k isolated vertices would be mapped k! times onto every set.
+    """
+    mult = tq.index.mult
+    count = mult.get
+    n_out = dict.fromkeys(tq.vertices, 0)
+    n_in = dict.fromkeys(tq.vertices, 0)
+    nbrs = {v: set() for v in tq.vertices}
+    for s, t in mult:
+        n_out[s] += 1
+        n_in[t] += 1
+        if s != t:
+            nbrs[s].add(t)
+            nbrs[t].add(s)
+
+    def swaps(u, w):
+        """Is exchanging u and w an automorphism of tq?"""
+        return n_out[u] == n_out[w] and n_in[u] == n_in[w] and \
+            nbrs[u] - {w} == nbrs[w] - {u} and \
+            count((u, w), 0) == count((w, u), 0) and \
+            count((u, u), 0) == count((w, w), 0) and \
+            all(count((u, x), 0) == count((w, x), 0) and
+                count((x, u), 0) == count((x, w), 0)
+                for x in nbrs[u] if x != w)
+
+    links = dict.fromkeys(tq.vertices, 0)  # arrows to the placed vertices
+    step = {}
+    order = []
+    plan = []
+    rest = list(tq.vertices)
+    while rest:
+        u = max(rest, key=lambda v: (links[v], len(nbrs[v])))
+        rest.remove(u)
+        anchor, checks = None, []
+        for w in nbrs[u]:
+            if w in step:
+                checks.append((step[w], count((u, w), 0), count((w, u), 0)))
+                if anchor is None or step[w] < anchor:
+                    anchor = step[w]
+        forward = anchor is not None and (order[anchor], u) in mult
+        twin = None
+        for j, w in enumerate(order):
+            if swaps(u, w):
+                twin = j
+        plan.append((anchor, forward, n_out[u], n_in[u], count((u, u), 0),
+                     twin, tuple(checks)))
+        step[u] = len(order)
+        order.append(u)
+        for w in nbrs[u]:
+            links[w] += count((u, w), 0) + count((w, u), 0)
+    return plan
 
 
 def verify_quotient_witness(pres, target, witness):

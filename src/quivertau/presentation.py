@@ -23,7 +23,10 @@ LIKELY_SIMPLY_CONNECTED = "LikelySimplyConnected"
 
 
 class QuivertauError(Exception):
-    """Base class for all library errors."""
+    """Base class for all library errors.  An error raised for failed
+    validation keeps its ``Violation`` records in ``violations``."""
+
+    violations = ()
 
 
 class ParseError(QuivertauError):
@@ -90,17 +93,21 @@ class QuiverIndex:
 
     ``by_name`` maps arrow names to arrows, ``out`` and ``inc`` map every
     vertex to its outgoing and incoming arrows in declaration order, and
-    ``mult`` counts the arrows from each source to each target.  Slots keep
-    the many indexes that caches hold small; the index refers to the
-    quiver's tuples, not to the quiver, so it makes no reference cycle.
+    ``mult`` counts the arrows from each source to each target.
+    ``acyclic`` and ``connected`` answer ``Quiver.is_acyclic`` and
+    ``Quiver.is_connected``.  Slots keep the many indexes that caches hold
+    small; the index refers to the quiver's tuples, not to the quiver, so
+    it makes no reference cycle.
     """
 
-    __slots__ = ("_vertices", "_arrows", "_by_name", "_out", "_inc", "_mult")
+    __slots__ = ("_vertices", "_arrows", "_by_name", "_out", "_inc", "_mult",
+                 "_acyclic", "_connected")
 
     def __init__(self, vertices, arrows):
         self._vertices = vertices
         self._arrows = arrows
         self._by_name = self._out = self._inc = self._mult = None
+        self._acyclic = self._connected = None
 
     @property
     def by_name(self):
@@ -126,27 +133,27 @@ class QuiverIndex:
             self._mult = Counter((a.source, a.target) for a in self._arrows)
         return self._mult
 
+    @property
+    def acyclic(self):
+        if self._acyclic is None:
+            self._acyclic = self._find_no_cycle()
+        return self._acyclic
+
+    @property
+    def connected(self):
+        if self._connected is None:
+            self._connected = self._find_one_component()
+        return self._connected
+
     def _group_by(self, end):
         groups = {v: [] for v in self._vertices}
         for a in self._arrows:
             groups[end(a)].append(a)
         return {v: tuple(arrows) for v, arrows in groups.items()}
 
-
-@dataclass(frozen=True)
-class Quiver:
-    """Finite directed multigraph. Vertex ids and arrow names are unique."""
-
-    vertices: tuple[str, ...]
-    arrows: tuple[Arrow, ...]
-
-    @cached_property
-    def index(self):
-        return QuiverIndex(self.vertices, self.arrows)
-
-    def is_acyclic(self):
-        out = self.index.out
-        state = {v: 0 for v in self.vertices}  # 0 new, 1 open, 2 done
+    def _find_no_cycle(self):
+        out = self.out
+        state = {v: 0 for v in self._vertices}  # 0 new, 1 open, 2 done
 
         def visit(v):
             stack = [(v, iter(out[v]))]
@@ -168,13 +175,13 @@ class Quiver:
                     stack.pop()
             return True
 
-        for v in self.vertices:
+        for v in self._vertices:
             if state[v] == 0 and not visit(v):
                 return False
         return True
 
-    def is_connected(self):
-        root = {v: v for v in self.vertices}  # union-find over the arrows
+    def _find_one_component(self):
+        root = {v: v for v in self._vertices}  # union-find over the arrows
 
         def find(v):
             while root[v] != v:
@@ -182,9 +189,27 @@ class Quiver:
                 v = root[v]
             return v
 
-        for a in self.arrows:
+        for a in self._arrows:
             root[find(a.source)] = find(a.target)
-        return len({find(v) for v in self.vertices}) <= 1
+        return len({find(v) for v in self._vertices}) <= 1
+
+
+@dataclass(frozen=True)
+class Quiver:
+    """Finite directed multigraph. Vertex ids and arrow names are unique."""
+
+    vertices: tuple[str, ...]
+    arrows: tuple[Arrow, ...]
+
+    @cached_property
+    def index(self):
+        return QuiverIndex(self.vertices, self.arrows)
+
+    def is_acyclic(self):
+        return self.index.acyclic
+
+    def is_connected(self):
+        return self.index.connected
 
     def has_multiple_arrows(self):
         seen = set()
@@ -490,14 +515,22 @@ def validate_presentation(pres, require_acyclic=False):
 
 
 def require_valid(pres, require_acyclic=False):
+    """Raise the typed error for the violations ``validate_presentation``
+    finds, with a message such as ``EmptyQuiver (quiver): no vertices``
+    (several joined by ``; ``) and the list kept as ``.violations``."""
     violations = validate_presentation(pres, require_acyclic=require_acyclic)
     if violations:
         codes = {v.code for v in violations}
         if codes == {"Disconnected"}:
-            raise DisconnectedError(violations)
-        if "CyclicQuiver" in codes:
-            raise CyclicQuiverError(violations)
-        raise QuivertauError(violations)
+            error = DisconnectedError
+        elif "CyclicQuiver" in codes:
+            error = CyclicQuiverError
+        else:
+            error = QuivertauError
+        exc = error("; ".join(f"{v.code} ({v.where}): {v.detail}"
+                              for v in violations))
+        exc.violations = violations
+        raise exc
 
 
 # ---------------------------------------------------------------------------

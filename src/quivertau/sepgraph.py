@@ -31,6 +31,7 @@ from .presentation import (
     SizeLimitError,
     UnsupportedLoopError,
     dimension_table,
+    require_valid,
 )
 from .tensor import rad_square_quotient, tensor_product, tensor_vertex
 
@@ -639,9 +640,14 @@ def adachi_decide(pres, mode="witness-search", naive_limit=12):
     Finite when every single subquiver of the separated quiver is a union
     of Dynkin graphs; infinite verdicts carry the minimal bad single
     subquiver.  ``naive`` enumerates choices up to ``naive_limit`` original
-    vertices; ``witness-search`` hunts Euclidean shapes directly.
+    vertices; ``witness-search`` hunts Euclidean shapes directly.  A
+    quiver without vertices raises the error ``require_valid`` gives it;
+    a disconnected one is decided, since the criterion holds
+    componentwise.
     """
     q = pres.quiver
+    if not q.vertices:
+        require_valid(pres)  # raises EmptyQuiver
     if q.has_loop():
         raise UnsupportedLoopError("loop arrows are outside the criterion")
     if not is_rad_square_zero(pres):

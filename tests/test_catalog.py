@@ -12,6 +12,7 @@ from quivertau.catalog import (
     UnknownFrameError,
     UnknownIdError,
     _arrow_maps,
+    _host_sets,
     catalog_get,
     catalog_ids,
     frame_ids,
@@ -208,6 +209,32 @@ class TestParallelArrows:
         assert time.perf_counter() - start < 2.0
         assert w is not None and w.arrow_map == identity
         assert iso is not None and iso.arrow_map == identity
+
+
+class TestHostSets:
+    def test_loops_and_parallel_arrows_are_counted(self):
+        q = Quiver(("1", "2", "3"), (
+            Arrow("l", "1", "1"), Arrow("a", "1", "2"), Arrow("b", "1", "2"),
+            Arrow("c", "3", "2")))
+        loop = Quiver(("x",), (Arrow("m", "x", "x"),))
+        two_loops = Quiver(("x",), (Arrow("m", "x", "x"),
+                                    Arrow("n", "x", "x")))
+        assert _host_sets(q, loop) == [(0,)]
+        assert _host_sets(q, two_loops) == []
+        assert _host_sets(q, _kronecker(2).quiver) == [(0, 1)]
+        assert _host_sets(q, _kronecker(3).quiver) == []
+
+    def test_isolated_target_vertices_are_not_permuted(self):
+        # seven interchangeable vertices: each of the C(12, 7) sets is
+        # reached once, not once per ordering (7! = 5,040 each)
+        source = catalog_get(f"A(12,{'+' * 11})")
+        target = Presentation(Quiver(tuple("abcdefg"), ()), ())
+        start = time.perf_counter()
+        assert len(_host_sets(source.quiver, target.quiver)) == 792
+        w = has_quotient(source, target)
+        assert time.perf_counter() - start < 2.0
+        assert w.killed_vertices == tuple(str(i) for i in range(1, 6))
+        assert verify_quotient_witness(source, target, w)
 
 
 class TestFrames:

@@ -207,6 +207,25 @@ class TestOtherCommands:
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == "" and "EmptyQuiver" in err
 
+    @pytest.mark.parametrize("text, message", [
+        ("", "EmptyQuiver (quiver): no vertices"),
+        ("vertex 1\nvertex 2\n",
+         "Disconnected (quiver): underlying graph is not connected"),
+    ])
+    def test_invalid_quiver_message(self, capsys, tmp_path, text, message):
+        path = tmp_path / "bad.quiver"
+        path.write_text(text, encoding="utf-8")
+        code, out, err = run(capsys, "single", str(path))
+        assert code == 2 and out == ""
+        assert err == f"qt: input error: {message}\n"
+
+    def test_adachi_empty_quiver_exit_2(self, capsys, tmp_path):
+        empty = tmp_path / "empty.quiver"
+        empty.write_text("", encoding="utf-8")
+        code, out, err = run(capsys, "adachi", str(empty))
+        assert code == 2 and out == ""
+        assert err == "qt: input error: EmptyQuiver (quiver): no vertices\n"
+
     def test_dim_deeper_than_the_stack(self, capsys, shallow_stack):
         n = 200
         code, out, err = run(capsys, "dim", f"catalog:A({n},{'+' * (n - 1)})")

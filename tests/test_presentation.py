@@ -13,9 +13,12 @@ from quivertau.presentation import (
     SIMPLY_CONNECTED,
     Arrow,
     CyclicQuiverError,
+    DisconnectedError,
     ParseError,
     Presentation,
     Quiver,
+    QuiverIndex,
+    QuivertauError,
     Relation,
     SizeLimitError,
     UnknownVertexError,
@@ -28,6 +31,7 @@ from quivertau.presentation import (
     path_is_zero,
     presentations_equal,
     quotient,
+    require_valid,
     serialize_presentation,
     structural_profile,
     validate_presentation,
@@ -135,6 +139,21 @@ class TestValidation:
         p = Presentation(Quiver((), ()), ())
         codes = [v.code for v in validate_presentation(p)]
         assert codes == ["EmptyQuiver"]
+
+    def test_require_valid_message(self):
+        with pytest.raises(DisconnectedError) as info:
+            require_valid(Presentation(Quiver(("1", "2"), ()), ()))
+        assert str(info.value) == \
+            "Disconnected (quiver): underlying graph is not connected"
+        assert [v.code for v in info.value.violations] == ["Disconnected"]
+        with pytest.raises(QuivertauError) as info:
+            require_valid(Presentation(Quiver(("1", "1", "2"), ()), ()))
+        assert type(info.value) is QuivertauError
+        assert str(info.value) == (
+            "DuplicateVertex (quiver): vertex ids repeat; "
+            "Disconnected (quiver): underlying graph is not connected")
+        assert [v.code for v in info.value.violations] == \
+            ["DuplicateVertex", "Disconnected"]
 
     def test_non_parallel_relation(self):
         q = Quiver(("1", "2", "3", "4"),
@@ -352,6 +371,22 @@ class TestProfile:
         assert prof.is_acyclic is False
         assert prof.is_radical_square_zero is None
         assert prof.is_schurian is None
+
+    def test_acyclic_and_connected_answered_once(self, b1, monkeypatch):
+        searches = []
+        for name in ("_find_no_cycle", "_find_one_component"):
+            def counted(index, name=name, search=getattr(QuiverIndex, name)):
+                searches.append(name)
+                return search(index)
+            monkeypatch.setattr(QuiverIndex, name, counted)
+        pres = Presentation(Quiver(b1.quiver.vertices, b1.quiver.arrows),
+                            b1.relations)
+        for _ in range(2):
+            structural_profile(pres)
+            dimension_table(pres)
+            require_valid(pres, require_acyclic=True)
+            homology_rank(pres)
+        assert sorted(searches) == ["_find_no_cycle", "_find_one_component"]
 
 
 class TestQuotient:

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from quivertau.catalog import (
     QuotientWitness,
     _arrow_maps,
+    _host_sets,
     _transported_relation_vectors,
     _vertex_maps,
     catalog_get,
@@ -400,19 +401,31 @@ QUOTIENT_TARGETS = tuple(catalog_get(cat_id) for cat_id in (
                        "arrow a : 1 -> 2\n"))
 
 
+# cores for quotient sources; every core but the tree has an undirected
+# cycle, so some kept sets induce more arrows than the target and the
+# search kills arrows: a transitive triangle, a square, a square with a
+# diagonal and two squares sharing the edge d
+SQUARE = [Arrow("a", "1", "2"), Arrow("b", "2", "4"),
+          Arrow("c", "1", "3"), Arrow("d", "3", "4")]
+CORES = {
+    "tree": (["1"], []),
+    "triangle": (["1", "2", "3"], [Arrow("a", "1", "2"), Arrow("b", "2", "3"),
+                                   Arrow("c", "1", "3")]),
+    "square": (["1", "2", "3", "4"], SQUARE),
+    "diagonal": (["1", "2", "3", "4"], SQUARE + [Arrow("e", "1", "4")]),
+    "two squares": (["1", "2", "3", "4", "5", "6"], SQUARE + [
+        Arrow("e", "3", "5"), Arrow("f", "4", "6"), Arrow("g", "5", "6")]),
+}
+
+
 @st.composite
 def quotient_sources(draw):
-    """A tree on 1 to 7 vertices, or a square with up to 3 tree vertices
-    hanging off it; sometimes one arrow doubled; up to 2 zero paths, and
-    on a square a commutativity, weighted or zero relation."""
-    square = draw(st.booleans())
-    if square:
-        vertices = ["1", "2", "3", "4"]
-        arrows = [Arrow("a", "1", "2"), Arrow("b", "2", "4"),
-                  Arrow("c", "1", "3"), Arrow("d", "3", "4")]
-    else:
-        vertices, arrows = ["1"], []
-    for _ in range(draw(st.integers(0, 3 if square else 6))):
+    """A core from CORES with tree vertices hanging off it, at most 7
+    vertices in all; sometimes one arrow doubled; up to 2 zero paths, and
+    on a core with the square a commutativity, weighted or zero relation."""
+    core = draw(st.sampled_from(sorted(CORES)))
+    vertices, arrows = (list(part) for part in CORES[core])
+    for _ in range(draw(st.integers(0, 7 - max(len(vertices), 1)))):
         new = str(len(vertices) + 1)
         ends = (draw(st.sampled_from(vertices)), new)
         if draw(st.booleans()):
@@ -428,7 +441,7 @@ def quotient_sources(draw):
     relations = [Relation(((Fraction(1), z),)) for z in draw(st.lists(
         st.sampled_from(long_paths), max_size=2, unique=True))] \
         if long_paths else []
-    if square:
+    if "d" in q.index.by_name:
         c1, c2 = draw(st.sampled_from(
             ((1, -1), (1, 2), (1, None), (None, None))))
         if c1 is not None:
@@ -452,3 +465,52 @@ def test_quotient_search_matches_reference(pres):
             assert found == _reference_has_quotient(source, target)
             if found is not None:
                 assert verify_quotient_witness(source, target, found)
+
+
+def _injection_images(q, tq):
+    """Reference: every vertex set of q, as positions in lexicographic
+    order, onto which some bijection from tq's vertices keeps each arrow
+    count of tq at most q's count between the images."""
+    counts = q.index.mult
+    wanted = tq.index.mult.items()
+    images = []
+    for kept in itertools.combinations(range(len(q.vertices)),
+                                       len(tq.vertices)):
+        for perm in itertools.permutations(kept):
+            image = dict(zip(tq.vertices, (q.vertices[i] for i in perm)))
+            if all(counts[image[s], image[t]] >= m
+                   for (s, t), m in wanted):
+                images.append(kept)
+                break
+    return images
+
+
+def _sets_with_vertex_maps(q, tq):
+    """Kept sets of the search over every vertex set whose induced
+    subquiver, after killing some arrows, has a vertex map onto tq."""
+    for kept in itertools.combinations(range(len(q.vertices)),
+                                       len(tq.vertices)):
+        names = {q.vertices[i] for i in kept}
+        arrows = tuple(a for a in q.arrows
+                       if a.source in names and a.target in names)
+        na = len(arrows) - len(tq.arrows)
+        if na < 0:
+            continue
+        for killed in itertools.combinations(arrows, na):
+            sub = Quiver(tuple(q.vertices[i] for i in kept),
+                         tuple(a for a in arrows if a not in killed))
+            if next(_vertex_maps(sub, tq), None) is not None:
+                yield kept
+                break
+
+
+@QUOTIENT
+@given(quotient_sources())
+def test_host_sets_are_the_injection_images(pres):
+    for q in (pres.quiver, opposite(pres).quiver):
+        for target in QUOTIENT_TARGETS:
+            hosts = _host_sets(q, target.quiver)
+            assert all(a > b for a, b in zip(hosts, hosts[1:]))
+            assert hosts == _injection_images(q, target.quiver)[::-1]
+            assert set(_sets_with_vertex_maps(q, target.quiver)) \
+                <= set(hosts)

@@ -15,6 +15,7 @@ from quivertau.presentation import (
     NotRadicalSquareZeroError,
     Presentation,
     Quiver,
+    QuivertauError,
     SizeLimitError,
     UnsupportedLoopError,
 )
@@ -158,6 +159,20 @@ class TestAdachi:
         pres = rad_square_quotient(Presentation(q, ()))
         with pytest.raises(UnsupportedLoopError):
             adachi_decide(pres)
+
+    def test_empty_quiver_rejected(self):
+        with pytest.raises(QuivertauError, match="EmptyQuiver") as info:
+            adachi_decide(Presentation(Quiver((), ()), ()))
+        assert [v.code for v in info.value.violations] == ["EmptyQuiver"]
+
+    def test_disconnected_decided(self):
+        # the criterion holds componentwise
+        two = Presentation(Quiver(("1", "2"), ()), ())
+        assert adachi_decide(two).status == "finite"
+        kronecker = Quiver(("1", "2", "3"),
+                           (Arrow("a", "1", "2"), Arrow("b", "1", "2")))
+        pres = rad_square_quotient(Presentation(kronecker, ()))
+        assert adachi_decide(pres).status == "infinite"
 
     def test_naive_limit(self):
         big = Quiver(tuple(str(i) for i in range(13)), ())
