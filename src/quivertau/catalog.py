@@ -195,42 +195,47 @@ def _vertex_signatures(vertices, mult):
 
 
 def _vertex_maps(q1, q2):
-    """All quiver-compatible vertex bijections, in deterministic order."""
+    """All quiver-compatible vertex bijections, in deterministic order:
+    q1's vertices are mapped in declaration order, each trying q2's
+    vertices in theirs, by backtracking with an explicit stack."""
     if len(q1.vertices) != len(q2.vertices) or \
             len(q1.arrows) != len(q2.arrows):
         return
     m1, m2 = q1.index.mult, q2.index.mult
     sig1 = _vertex_signatures(q1.vertices, m1)
     sig2 = _vertex_signatures(q2.vertices, m2)
-    order = list(q1.vertices)
+    order = q1.vertices
+    if not order:
+        yield {}
+        return
     used = set()
     vmap = {}
-
-    def backtrack(idx):
-        if idx == len(order):
-            yield dict(vmap)
-            return
+    frames = [iter(q2.vertices)]  # frames[i] tries images for order[i]
+    while frames:
+        idx = len(frames) - 1
         u = order[idx]
-        for w in q2.vertices:
+        if u in vmap:
+            used.discard(vmap.pop(u))
+        for w in frames[-1]:
             if w in used or sig1[u] != sig2[w]:
                 continue
-            ok = True
             for prev in order[:idx]:
                 pw = vmap[prev]
                 if m1.get((u, prev), 0) != m2.get((w, pw), 0) or \
                         m1.get((prev, u), 0) != m2.get((pw, w), 0) or \
                         m1.get((u, u), 0) != m2.get((w, w), 0):
-                    ok = False
                     break
-            if not ok:
-                continue
-            vmap[u] = w
-            used.add(w)
-            yield from backtrack(idx + 1)
-            del vmap[u]
-            used.discard(w)
-
-    yield from backtrack(0)
+            else:
+                break
+        else:
+            frames.pop()
+            continue
+        vmap[u] = w
+        used.add(w)
+        if idx + 1 == len(order):
+            yield dict(vmap)
+        else:
+            frames.append(iter(q2.vertices))
 
 
 def _arrow_maps(q1, q2, vmap):
@@ -254,17 +259,21 @@ def _arrow_maps(q1, q2, vmap):
             amap[names1[0]] = names2[0]
         else:
             pools.append((names1, names2))
-
-    def extend(k):
-        if k == len(pools):
+    if not pools:
+        yield dict(amap)
+        return
+    # perms[k] iterates the matchings of pools[k]
+    perms = [itertools.permutations(pools[0][1])]
+    while perms:
+        perm = next(perms[-1], None)
+        if perm is None:
+            perms.pop()
+            continue
+        amap.update(zip(pools[len(perms) - 1][0], perm))
+        if len(perms) == len(pools):
             yield dict(amap)
-            return
-        names1, names2 = pools[k]
-        for perm in itertools.permutations(names2):
-            amap.update(zip(names1, perm))
-            yield from extend(k + 1)
-
-    yield from extend(0)
+        else:
+            perms.append(itertools.permutations(pools[len(perms)][1]))
 
 
 def _transported_relation_vectors(pres, amap):
@@ -428,13 +437,13 @@ def _host_sets(q, tq):
     the injective maps from tq's vertices under which no arrow count of
     tq, loops included, exceeds q's count between the image vertices.
 
-    The maps are found by backtracking over tq's vertices in the order of
-    ``_embedding_plan``.  A vertex with a placed neighbour takes its image
-    among the successors or predecessors of that neighbour's image; one
-    that starts a new component may take any vertex of q.  An image with
-    fewer distinct successors or predecessors than the vertex is skipped.
-    Arrow counts are compared as numbers, so parallel arrows are never
-    permuted.
+    The maps are found by a depth-first search with an explicit stack,
+    over tq's vertices in the order of ``_embedding_plan``.  A vertex with
+    a placed neighbour takes its image among the successors or
+    predecessors of that neighbour's image; one that starts a new
+    component may take any vertex of q.  An image with fewer distinct
+    successors or predecessors than the vertex is skipped.  Arrow counts
+    are compared as numbers, so parallel arrows are never permuted.
     """
     n = len(q.vertices)
     pos = {v: i for i, v in enumerate(q.vertices)}
@@ -450,13 +459,14 @@ def _host_sets(q, tq):
         succ[s].append(t)
         pred[t].append(s)
     plan = _embedding_plan(tq)
-    image = [0] * len(plan)
     found = set()  # image sets as bit masks
-
-    def extend(i, used):
+    stack = [((), 0)]  # images of the first steps, and their bit mask
+    while stack:
+        image, used = stack.pop()
+        i = len(image)
         if i == len(plan):
             found.add(used)
-            return
+            continue
         anchor, forward, n_out, n_in, loops, twin, checks = plan[i]
         if anchor is None:
             pool = range(n)
@@ -472,10 +482,7 @@ def _host_sets(q, tq):
                         mult.get((image[j], c), 0) < back:
                     break
             else:
-                image[i] = c
-                extend(i + 1, used | 1 << c)
-
-    extend(0, 0)
+                stack.append((image + (c,), used | 1 << c))
     return sorted((tuple(i for i in range(n) if used >> i & 1)
                    for used in found), reverse=True)
 

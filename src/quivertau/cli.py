@@ -24,6 +24,7 @@ from .presentation import (
     QuivertauError,
     dimension_table,
     parse_presentation,
+    require_valid,
     serialize_presentation,
 )
 from .tensor import tensor_product
@@ -37,7 +38,9 @@ class _Parser(argparse.ArgumentParser):
 
 
 def load_algebra(spec):
-    """A quiver file path or a catalog:<id> reference."""
+    """A quiver file path or a catalog:<id> reference.  A quiver without
+    vertices raises the error ``require_valid`` gives it, so every
+    subcommand rejects one; a disconnected quiver is returned."""
     if spec.startswith("catalog:"):
         return cat.catalog_get(spec[len("catalog:"):])
     try:
@@ -45,7 +48,10 @@ def load_algebra(spec):
             text = handle.read()
     except OSError as exc:
         raise QuivertauError(f"cannot read {spec}: {exc}") from exc
-    return parse_presentation(text)
+    pres = parse_presentation(text)
+    if not pres.quiver.vertices:
+        require_valid(pres)  # raises EmptyQuiver
+    return pres
 
 
 def _emit(args, payload, text_lines):

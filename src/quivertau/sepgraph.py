@@ -19,6 +19,7 @@ a smaller bad choice.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 
 from . import verdict as vd
@@ -497,63 +498,76 @@ def _dtilde_pattern(m):
     return edges, coloring
 
 
-def _embed_pattern(quiver, edges, coloring):
-    """Backtracking embedding of a 2-colored pattern into the quiver.
+def _neighbour_lists(quiver):
+    """Distinct successors and predecessors of each vertex, loops left
+    out: the arrows a pattern embedding can use."""
+    succ = {v: [] for v in quiver.vertices}
+    pred = {v: [] for v in quiver.vertices}
+    for i, j in quiver.index.mult:
+        if i != j:
+            succ[i].append(j)
+            pred[j].append(i)
+    return succ, pred
 
-    Pattern vertices map injectively to original vertices; an edge from a
-    0-colored to a 1-colored pattern vertex needs an arrow in that
-    direction.  Returns a {vertex: side} assignment or None.
+
+def _embed_pattern(vertices, succ, pred, edges, coloring):
+    """Does the connected, properly 2-colored pattern embed into the
+    quiver?
+
+    Pattern vertices map injectively to ``vertices``; an edge between a
+    0-colored and a 1-colored pattern vertex needs an arrow from the image
+    of the first to the image of the second (``succ`` and ``pred`` are
+    ``_neighbour_lists``).  Backtracking with an explicit stack places a
+    vertex of largest degree first, then always the vertex with the most
+    placed neighbours, the higher degree first among those; its candidates
+    are the common predecessors (0-colored) or successors (1-colored) of
+    the placed neighbours' images.  An image with fewer distinct successors
+    (0-colored) or predecessors (1-colored) than the vertex's degree is
+    skipped: its pattern neighbours map to distinct vertices.
     """
-    pattern_vertices = sorted(coloring)
-    # order pattern vertices so each new one touches an embedded neighbor
-    adj = {p: [] for p in pattern_vertices}
+    adj = {p: [] for p in sorted(coloring)}
     for u, v in edges:
         adj[u].append(v)
         adj[v].append(u)
-    order = [pattern_vertices[0]]
-    placed = {pattern_vertices[0]}
-    while len(order) < len(pattern_vertices):
-        nxt = next(p for p in pattern_vertices
-                   if p not in placed and any(q in placed for q in adj[p]))
-        order.append(nxt)
-        placed.add(nxt)
+    step = {}
+    plan = []  # (degree, own sets, neighbour sets, anchor steps) per step
+    links = dict.fromkeys(adj, 0)  # placed neighbours
+    while len(step) < len(adj):
+        p = max((q for q in adj if q not in step),
+                key=lambda q: (links[q], len(adj[q])))
+        anchors = [step[q] for q in adj[p] if q in step]
+        own, other = (succ, pred) if coloring[p] == 0 else (pred, succ)
+        plan.append((len(adj[p]), own, other, anchors))
+        step[p] = len(plan) - 1
+        for q in adj[p]:
+            links[q] += 1
 
-    image = {}
+    image = [None] * len(plan)
     used = set()
-
-    def candidates(p):
-        anchored = [q for q in adj[p] if q in image]
-        cands = None
-        for q in anchored:
-            iq = image[q]
-            if coloring[p] == 0:
-                # edge p -> q in the separated sense needs arrow p_img -> q_img
-                cs = {a.source for a in quiver.index.inc[iq]} \
-                    if coloring[q] == 1 else set()
-            else:
-                cs = {a.target for a in quiver.index.out[iq]} \
-                    if coloring[q] == 0 else set()
-            cands = cs if cands is None else cands & cs
-        if cands is None:
-            cands = set(quiver.vertices)
-        return sorted(cands - used)
-
-    def place(idx):
-        if idx == len(order):
+    frames = [iter(vertices)]
+    while frames:
+        i = len(frames) - 1
+        if image[i] is not None:
+            used.discard(image[i])
+            image[i] = None
+        degree, own = plan[i][:2]
+        for c in frames[-1]:
+            if c not in used and len(own[c]) >= degree:
+                break
+        else:
+            frames.pop()
+            continue
+        if i + 1 == len(plan):
             return True
-        p = order[idx]
-        for c in candidates(p):
-            image[p] = c
-            used.add(c)
-            if place(idx + 1):
-                return True
-            del image[p]
-            used.discard(c)
-        return False
-
-    if place(0):
-        return {image[p]: coloring[p] for p in pattern_vertices}
-    return None
+        image[i] = c
+        used.add(c)
+        _, _, other, anchors = plan[i + 1]
+        pool = other[image[anchors[0]]]
+        if len(anchors) > 1:
+            pool = set(pool).intersection(*(other[image[j]]
+                                             for j in anchors[1:]))
+        frames.append(iter(pool))
+    return False
 
 
 def _patterns_of_size(size):
@@ -577,8 +591,34 @@ def _patterns_of_size(size):
 
 
 def _probe_bad_size(quiver):
-    """Smallest size at which a Euclidean pattern embeds, or None."""
-    for size in range(2, len(quiver.vertices) + 1):
+    """Smallest size at which a Euclidean pattern embeds, or None.
+
+    Sizes stop at the node count of the largest connected component of the
+    separated quiver, where a vertex without arrows counts as a component
+    of one node.  That loses nothing: a pattern is connected, so its image
+    is a connected set of separated nodes, and these are distinct because
+    the embedding is injective on original vertices; the image therefore
+    lies inside one component and has as many nodes as the pattern has
+    vertices.
+    """
+    vertices = quiver.vertices
+    succ, pred = _neighbour_lists(quiver)
+    # union-find over the separated nodes (v, 0) and (w, 1), by position
+    pos = {v: i for i, v in enumerate(vertices)}
+    parent = list(range(2 * len(vertices)))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for v in vertices:
+        for w in succ[v]:
+            parent[find(2 * pos[v])] = find(2 * pos[w] + 1)
+    largest = max(Counter(map(find, range(len(parent)))).values(),
+                  default=0)
+    for size in range(2, min(len(vertices), largest) + 1):
         for pattern in _patterns_of_size(size):
             if pattern == "multi-pair":
                 if any(m >= 2 and i != j
@@ -598,7 +638,7 @@ def _probe_bad_size(quiver):
                 variants = [coloring,
                             {p: 1 - c for p, c in coloring.items()}]
             for variant in variants:
-                if _embed_pattern(quiver, edges, variant) is not None:
+                if _embed_pattern(vertices, succ, pred, edges, variant):
                     return size
     return None
 

@@ -74,9 +74,10 @@ def _letter_endpoints(by_name, letter):
     return (a.source, a.target) if direct else (a.target, a.source)
 
 
-def _word_ok(by_name, zero_paths, letters):
+def _word_ok(by_name, zero_paths, zero_lengths, letters):
     """Is the letter sequence a string: composable, reduced, and with every
-    direct or inverse run avoiding the zero paths?"""
+    direct or inverse run avoiding the zero paths?  ``zero_paths`` is a set
+    and ``zero_lengths`` holds the distinct lengths of its paths."""
     for prev, nxt in zip(letters, letters[1:]):
         if _letter_endpoints(by_name, prev)[1] != \
                 _letter_endpoints(by_name, nxt)[0]:
@@ -89,12 +90,11 @@ def _word_ok(by_name, zero_paths, letters):
         j = idx
         while j + 1 < len(letters) and letters[j + 1][1] == letters[idx][1]:
             j += 1
-        run = [n for n, _ in letters[idx:j + 1]]
+        run = tuple(n for n, _ in letters[idx:j + 1])
         if not letters[idx][1]:
-            run.reverse()
-        for zp in zero_paths:
-            k = len(zp)
-            if any(tuple(run[t:t + k]) == zp
+            run = run[::-1]
+        for k in zero_lengths:
+            if any(run[t:t + k] in zero_paths
                    for t in range(len(run) - k + 1)):
                 return False
         idx = j + 1
@@ -136,10 +136,11 @@ def _first_band(pres, length_bound):
     trying letters by name, direct before inverse."""
     q = pres.quiver
     by_name = q.index.by_name
-    zero_paths = tuple(rel.terms[0][1] for rel in pres.relations)
+    zero_paths = frozenset(rel.terms[0][1] for rel in pres.relations)
+    zero_lengths = sorted({len(zp) for zp in zero_paths})
     # a string stays a string after one more letter unless its last
     # junction or a zero path ending in the new letter breaks it
-    window = max([2, *map(len, zero_paths)])
+    window = max([2, *zero_lengths])
     moves = {v: sorted([(a.name, True) for a in q.index.out[v]]
                        + [(a.name, False) for a in q.index.inc[v]],
                        key=lambda l: (l[0], not l[1]))
@@ -155,14 +156,16 @@ def _first_band(pres, length_bound):
                     word.pop()
                 continue
             word.append(letter)
-            if not _word_ok(by_name, zero_paths, word[-window:]):
+            if not _word_ok(by_name, zero_paths, zero_lengths,
+                            word[-window:]):
                 word.pop()
                 continue
             at = _letter_endpoints(by_name, letter)[1]
             if len(word) >= 2 and at == start \
                     and len({d for _, d in word}) == 2 \
                     and not _is_power(word) \
-                    and _word_ok(by_name, zero_paths, word + word):
+                    and _word_ok(by_name, zero_paths, zero_lengths,
+                                 word + word):
                 return tuple(word)
             if len(word) >= length_bound:
                 word.pop()

@@ -1,5 +1,6 @@
 """Catalog entries, isomorphism testing, quotient search, witness frames."""
 
+import gc
 import itertools
 import time
 
@@ -274,3 +275,33 @@ class TestFrames:
     def test_unknown_frame(self):
         with pytest.raises(UnknownFrameError):
             witness_frame("nope")
+
+
+def test_searches_leave_no_cyclic_garbage():
+    # a recursive closure keeps itself alive through its own cell, so only
+    # the cycle collector frees it and the tables it holds
+    from quivertau.sepgraph import adachi_decide
+    from quivertau.strings import band_search
+
+    b1, b51 = catalog_get("B1"), catalog_get("B5_1")
+    n3, lnak4 = catalog_get("N(3)"), catalog_get("LNak4")
+    alternating = catalog_get("A(4,+-+)")
+    grid = rad_square_quotient(tensor_product(alternating, alternating))
+    linear = catalog_get("A(5,++++)")
+    finite_grid = rad_square_quotient(tensor_product(linear, linear))
+    kronecker = rad_square_quotient(_kronecker(2))
+    gc.collect()
+    gc.disable()
+    try:
+        assert has_quotient(b51, b1) is not None
+        assert has_quotient(n3, lnak4) is None
+        assert is_iso(b1, b1) is not None
+        assert is_iso(_kronecker(3), _kronecker(3)) is not None
+        assert is_iso(b1, opposite(b1)) is None
+        assert adachi_decide(grid).status == "infinite"
+        assert adachi_decide(finite_grid).status == "finite"
+        assert str(band_search(kronecker)) == "k00-.k01"
+        assert band_search(finite_grid) is None
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -199,13 +199,35 @@ class TestOtherCommands:
         ("classify", N3, "EMPTY"),
         ("envelope", "EMPTY"),
         ("self-tensor", "EMPTY"),
+        ("separated", "EMPTY"),
+        ("graph-type", "EMPTY"),
+        ("strings", "EMPTY"),
+        ("dim", "EMPTY"),
+        ("tensor", "EMPTY", N3),
+        ("tensor", N3, "EMPTY"),
+        ("quotient-search", N3, "--target", "EMPTY"),
     ])
     def test_empty_quiver_exit_2(self, capsys, tmp_path, argv):
         empty = tmp_path / "empty.quiver"
         empty.write_text("", encoding="utf-8")
         argv = [str(empty) if a == "EMPTY" else a for a in argv]
         code, out, err = run(capsys, *argv)
-        assert code == 2 and out == "" and "EmptyQuiver" in err
+        assert code == 2 and out == ""
+        assert err == "qt: input error: EmptyQuiver (quiver): no vertices\n"
+
+    @pytest.mark.parametrize("argv, first_line", [
+        (("dim",), "total: 2"),
+        (("graph-type",), "1: A1"),
+        (("separated",), "vertex (1,0)"),
+        (("strings",), "special biserial: True"),
+    ])
+    def test_disconnected_file_accepted(self, capsys, tmp_path, argv,
+                                        first_line):
+        path = tmp_path / "two.quiver"
+        path.write_text("vertex 1\nvertex 2\n", encoding="utf-8")
+        code, out, err = run(capsys, *argv, str(path))
+        assert code == 0 and err == ""
+        assert out.splitlines()[0] == first_line
 
     @pytest.mark.parametrize("text, message", [
         ("", "EmptyQuiver (quiver): no vertices"),

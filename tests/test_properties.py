@@ -1,6 +1,7 @@
 """Property tests on random loop-free quivers with at most 9 vertices,
-the union-find ideal against full Gaussian elimination, and quotient
-search against the search that rebuilds every candidate."""
+the union-find ideal against full Gaussian elimination, quotient search
+against the search that rebuilds every candidate, and the band search's
+string predicate against the one that scans every zero path."""
 
 import importlib.util
 import itertools
@@ -42,6 +43,7 @@ from quivertau.presentation import (
     quotient,
     serialize_presentation,
 )
+from quivertau.strings import _word_ok
 from quivertau.tensor import tensor_pair_dims, tensor_product
 
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True,
@@ -514,3 +516,53 @@ def test_host_sets_are_the_injection_images(pres):
             assert hosts == _injection_images(q, target.quiver)[::-1]
             assert set(_sets_with_vertex_maps(q, target.quiver)) \
                 <= set(hosts)
+
+
+def _scanning_word_ok(by_name, zero_paths, letters):
+    """Reference: the string predicate that scans every zero path for
+    every run."""
+    def ends(letter):
+        a = by_name[letter[0]]
+        return (a.source, a.target) if letter[1] else (a.target, a.source)
+
+    for prev, nxt in zip(letters, letters[1:]):
+        if ends(prev)[1] != ends(nxt)[0]:
+            return False
+        if prev[0] == nxt[0] and prev[1] != nxt[1]:
+            return False
+    idx = 0
+    while idx < len(letters):
+        j = idx
+        while j + 1 < len(letters) and letters[j + 1][1] == letters[idx][1]:
+            j += 1
+        run = [n for n, _ in letters[idx:j + 1]]
+        if not letters[idx][1]:
+            run.reverse()
+        for zp in zero_paths:
+            k = len(zp)
+            if any(tuple(run[t:t + k]) == zp
+                   for t in range(len(run) - k + 1)):
+                return False
+        idx = j + 1
+    return True
+
+
+# loops at one vertex compose in every order, so the runs decide a word
+WORD_ARROWS = {a.name: a for a in (Arrow("a", "1", "1"), Arrow("b", "1", "1"),
+                                   Arrow("c", "1", "1"))}
+ARROW_NAMES = st.sampled_from(sorted(WORD_ARROWS))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.tuples(st.booleans(),
+                          st.lists(ARROW_NAMES, min_size=1, max_size=6)),
+                max_size=3),
+       st.lists(st.lists(ARROW_NAMES, min_size=1, max_size=4).map(tuple),
+                max_size=5))
+def test_word_ok_matches_scanning_reference(runs, zero_paths):
+    # words drawn run by run, so runs are long enough for long zero paths
+    letters = [(name, direct) for direct, names in runs for name in names]
+    zero_set = frozenset(zero_paths)
+    lengths = sorted({len(zp) for zp in zero_set})
+    assert _word_ok(WORD_ARROWS, zero_set, lengths, letters) == \
+        _scanning_word_ok(WORD_ARROWS, tuple(zero_paths), letters)

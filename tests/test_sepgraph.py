@@ -1,5 +1,6 @@
 """Recognition, separated quivers, the finiteness criterion, cycle witnesses."""
 
+import itertools
 import time
 
 import pytest
@@ -228,8 +229,8 @@ def _is_connected(quiver, sides):
 class TestConnectedEnumeration:
     def test_bad_sets_match_brute_sweep_at_minimal_size(self):
         rng = seeded(53)
-        checked = 0
-        while checked < 40:
+        checked = finite = 0
+        while checked < 40 or finite < 40:
             q = random_quiver(rng, max_vertices=8).quiver
             brute = None
             for k in range(2, len(q.vertices) + 1):
@@ -238,6 +239,9 @@ class TestConnectedEnumeration:
                 if brute:
                     break
             if not brute:
+                # finite: the component bound must not cut a size short
+                assert sepgraph._probe_bad_size(q) is None
+                finite += 1
                 continue
             checked += 1
             assert sepgraph._probe_bad_size(q) == k
@@ -245,6 +249,16 @@ class TestConnectedEnumeration:
                          for s in sepgraph._connected_choices(q, k)
                          if sepgraph._assignment_bad(q, s)}
             assert connected == brute
+
+    def test_probe_size_on_the_largest_component(self):
+        # an A~3 square beside a longer Dynkin line: the bad size 4 is the
+        # node count of the largest separated component
+        q = Quiver(tuple("abcdwxyz"),
+                   (Arrow("p", "a", "b"), Arrow("q", "c", "b"),
+                    Arrow("r", "c", "d"), Arrow("s", "a", "d"),
+                    Arrow("t", "w", "x"), Arrow("u", "x", "y"),
+                    Arrow("v", "y", "z")))
+        assert sepgraph._probe_bad_size(q) == 4
 
     def test_each_connected_choice_once(self):
         rng = seeded(59)
@@ -282,6 +296,77 @@ class TestConnectedEnumeration:
         q = Quiver(("1", "2"), (Arrow("a", "1", "2"), Arrow("b", "1", "2")))
         with pytest.raises(InvariantViolationError):
             adachi_decide(rad_square_quotient(Presentation(q, ())))
+
+
+# every Euclidean pattern on at most 7 vertices, as (edges, coloring)
+PATTERNS = [
+    sepgraph._cycle_pattern(4),
+    sepgraph._cycle_pattern(6),
+    sepgraph._star_pattern((1, 1, 1, 1)),
+    sepgraph._dtilde_pattern(5),
+    sepgraph._dtilde_pattern(6),
+    sepgraph._star_pattern((2, 2, 2)),
+]
+
+
+def _brute_embeds(quiver, edges, coloring):
+    """Reference: some injective map from the pattern's vertices sends
+    every edge to an arrow from its 0-colored end to its 1-colored end."""
+    arrows = {(a.source, a.target) for a in quiver.arrows}
+    pattern = sorted(coloring)
+    for images in itertools.permutations(quiver.vertices, len(pattern)):
+        image = dict(zip(pattern, images))
+        if all((image[u], image[v]) in arrows if coloring[u] == 0
+               else (image[v], image[u]) in arrows for u, v in edges):
+            return True
+    return False
+
+
+def _embeds(quiver, edges, coloring):
+    succ, pred = sepgraph._neighbour_lists(quiver)
+    return sepgraph._embed_pattern(quiver.vertices, succ, pred, edges,
+                                   coloring)
+
+
+class TestPatternEmbedding:
+    def test_matches_brute_force_over_injections(self):
+        rng = seeded(61)
+        hits = misses = 0
+        for _ in range(200):
+            n = rng.randint(5, 7)
+            q = random_quiver(rng, max_vertices=n, max_extra=4 * n).quiver
+            for edges, coloring in PATTERNS:
+                flipped = {p: 1 - c for p, c in coloring.items()}
+                for variant in (coloring, flipped):
+                    found = _embeds(q, edges, variant)
+                    assert found == _brute_embeds(q, edges, variant)
+                    hits += found
+                    misses += not found
+        assert hits > 100 and misses > 100
+
+    def test_branch_vertex_without_four_arrows_one_way(self):
+        # three successors and one predecessor: degree 4 in the quiver,
+        # but neither side of the separated quiver branches four ways
+        q = Quiver(("c", "1", "2", "3", "4"),
+                   (Arrow("a", "c", "1"), Arrow("b", "c", "2"),
+                    Arrow("d", "c", "3"), Arrow("e", "4", "c")))
+        edges, coloring = sepgraph._star_pattern((1, 1, 1, 1))
+        for variant in (coloring, {p: 1 - c for p, c in coloring.items()}):
+            assert not _embeds(q, edges, variant)
+            assert not _brute_embeds(q, edges, variant)
+        # a fourth successor makes the D~4 star embed, centre colored 0
+        q4 = Quiver(q.vertices + ("5",), q.arrows + (Arrow("f", "c", "5"),))
+        assert _embeds(q4, edges, coloring)
+        assert _brute_embeds(q4, edges, coloring)
+
+    def test_parallel_arrows_count_once(self):
+        # four arrows to two targets: the star needs four distinct ones
+        q = Quiver(("c", "1", "2", "3"),
+                   (Arrow("a", "c", "1"), Arrow("b", "c", "1"),
+                    Arrow("d", "c", "2"), Arrow("e", "c", "2"),
+                    Arrow("f", "c", "3")))
+        edges, coloring = sepgraph._star_pattern((1, 1, 1, 1))
+        assert not _embeds(q, edges, coloring)
 
 
 class TestCycleWitness:

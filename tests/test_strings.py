@@ -66,7 +66,7 @@ class TestBandSearch:
             "arrow a : 1 -> 2\narrow b : 3 -> 2\n"
             "arrow c : 3 -> 4\narrow d : 1 -> 4\n")
         band = band_search(alt)
-        assert band is not None
+        assert str(band) == "a-.d.c-.b"
         assert adachi_decide(alt).status == "infinite"
 
     def test_band_matches_adachi_on_bad_grid(self):
@@ -79,7 +79,23 @@ class TestBandSearch:
             "arrow d : 5 -> 4\narrow e : 5 -> 6\narrow f : 1 -> 6\n")
         assert adachi_decide(hexa).status == "infinite"
         band = band_search(hexa, length_bound=8)
-        assert band is not None
+        assert str(band) == "a-.f.e-.d.c-.b"
+
+    @pytest.mark.parametrize("n", [5, 6])
+    def test_linear_grids_have_no_band(self, n):
+        a = catalog_get(f"A({n},{'+' * (n - 1)})")
+        grid = rad_square_quotient(tensor_product(a, a))
+        assert band_search(grid,
+                           length_bound=4 * len(grid.quiver.vertices)) is None
+        assert band_search(grid) is None
+
+    @pytest.mark.parametrize("line", ["A(3,+-)", "A(4,+-+)"])
+    def test_alternating_grids_are_not_string_algebras(self, line):
+        # a middle vertex takes four arrows from the two factors
+        a = catalog_get(line)
+        grid = rad_square_quotient(tensor_product(a, a))
+        with pytest.raises(NotStringAlgebraError, match="more than 2"):
+            band_search(grid)
 
     def test_non_string_rejected(self):
         star = parse_presentation(
