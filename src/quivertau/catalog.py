@@ -23,6 +23,7 @@ from .presentation import (
     Relation,
     SizeLimitError,
     all_paths,
+    embeddings,
     quotient,
     surviving_relations,
     validate_presentation,
@@ -387,21 +388,14 @@ def has_quotient(pres, target, size_limit=16):
     if len(q.vertices) < len(tq.vertices):
         return None
     wanted = sorted(_vertex_signatures(tq.vertices, tq.index.mult).values())
-    pos = {v: i for i, v in enumerate(q.vertices)}
-    succ = [[pos[a.target] for a in q.index.out[v]] for v in q.vertices]
     for kept in _host_sets(q, tq):
-        mask = 0
-        for i in kept:
-            mask |= 1 << i
-        # arrows among the kept vertices beyond the target's: those to kill
-        na = sum(mask >> j & 1 for i in kept for j in succ[i]) \
-            - len(tq.arrows)
         vertices = tuple(q.vertices[i] for i in kept)
-        killed_vs = tuple(v for i, v in enumerate(q.vertices)
-                          if not mask >> i & 1)
+        on = set(kept)
+        killed_vs = tuple(v for i, v in enumerate(q.vertices) if i not in on)
         gone = set(killed_vs)
         arrows = tuple(a for a in q.arrows
                        if a.source not in gone and a.target not in gone)
+        na = len(arrows) - len(tq.arrows)  # arrows to kill
         ends = [(a.source, a.target) for a in arrows]
         mult = Counter(ends)
         for killed in itertools.combinations(range(len(arrows)), na):
@@ -432,129 +426,11 @@ def has_quotient(pres, target, size_limit=16):
 
 
 def _host_sets(q, tq):
-    """Position tuples of the vertex sets of q that can hold tq's quiver,
-    without duplicates and in reverse lexicographic order: the images of
-    the injective maps from tq's vertices under which no arrow count of
-    tq, loops included, exceeds q's count between the image vertices.
-
-    The maps are found by a depth-first search with an explicit stack,
-    over tq's vertices in the order of ``_embedding_plan``.  A vertex with
-    a placed neighbour takes its image among the successors or
-    predecessors of that neighbour's image; one that starts a new
-    component may take any vertex of q.  An image with fewer distinct
-    successors or predecessors than the vertex is skipped.  Arrow counts
-    are compared as numbers, so parallel arrows are never permuted.
-    """
-    n = len(q.vertices)
-    pos = {v: i for i, v in enumerate(q.vertices)}
-    # counted here rather than read from q.index.mult, which would then be
-    # kept on every source quiver that a cache holds
-    mult = {}
-    for a in q.arrows:
-        st = pos[a.source], pos[a.target]
-        mult[st] = mult.get(st, 0) + 1
-    succ = [[] for _ in range(n)]  # distinct successors, as positions
-    pred = [[] for _ in range(n)]
-    for s, t in mult:
-        succ[s].append(t)
-        pred[t].append(s)
-    plan = _embedding_plan(tq)
-    found = set()  # image sets as bit masks
-    stack = [((), 0)]  # images of the first steps, and their bit mask
-    while stack:
-        image, used = stack.pop()
-        i = len(image)
-        if i == len(plan):
-            found.add(used)
-            continue
-        anchor, forward, n_out, n_in, loops, twin, checks = plan[i]
-        if anchor is None:
-            pool = range(n)
-        else:
-            pool = (succ if forward else pred)[image[anchor]]
-        floor = -1 if twin is None else image[twin]
-        for c in pool:
-            if used >> c & 1 or c < floor or len(succ[c]) < n_out or \
-                    len(pred[c]) < n_in or mult.get((c, c), 0) < loops:
-                continue
-            for j, to, back in checks:
-                if mult.get((c, image[j]), 0) < to or \
-                        mult.get((image[j], c), 0) < back:
-                    break
-            else:
-                stack.append((image + (c,), used | 1 << c))
-    return sorted((tuple(i for i in range(n) if used >> i & 1)
-                   for used in found), reverse=True)
-
-
-def _embedding_plan(tq):
-    """One step per vertex of tq, in the order ``_host_sets`` maps them:
-    (anchor, forward, n_out, n_in, loops, twin, checks).
-
-    The next vertex is the one with the most arrows to the vertices
-    already placed, then with the most distinct neighbours, so each
-    component is placed in a connected order.  ``anchor`` is the step of
-    its first placed neighbour, or None, and ``forward`` says that an
-    arrow runs from that neighbour to it.  ``n_out`` and ``n_in`` count its
-    distinct successors and predecessors, ``loops`` its loops, and
-    ``checks`` holds (step, arrows to, arrows from) per placed neighbour.
-
-    ``twin`` is the step of the last placed vertex that an automorphism of
-    tq swaps with it, or None; the vertex then takes a larger image than
-    its twin.  No image set is lost: swapping two twins' images gives
-    another valid map onto the same set, and since twins form classes on
-    which every permutation is an automorphism, each image set is also
-    reached with every class in increasing order.  Without this, a target
-    with k isolated vertices would be mapped k! times onto every set.
-    """
-    mult = tq.index.mult
-    count = mult.get
-    n_out = dict.fromkeys(tq.vertices, 0)
-    n_in = dict.fromkeys(tq.vertices, 0)
-    nbrs = {v: set() for v in tq.vertices}
-    for s, t in mult:
-        n_out[s] += 1
-        n_in[t] += 1
-        if s != t:
-            nbrs[s].add(t)
-            nbrs[t].add(s)
-
-    def swaps(u, w):
-        """Is exchanging u and w an automorphism of tq?"""
-        return n_out[u] == n_out[w] and n_in[u] == n_in[w] and \
-            nbrs[u] - {w} == nbrs[w] - {u} and \
-            count((u, w), 0) == count((w, u), 0) and \
-            count((u, u), 0) == count((w, w), 0) and \
-            all(count((u, x), 0) == count((w, x), 0) and
-                count((x, u), 0) == count((x, w), 0)
-                for x in nbrs[u] if x != w)
-
-    links = dict.fromkeys(tq.vertices, 0)  # arrows to the placed vertices
-    step = {}
-    order = []
-    plan = []
-    rest = list(tq.vertices)
-    while rest:
-        u = max(rest, key=lambda v: (links[v], len(nbrs[v])))
-        rest.remove(u)
-        anchor, checks = None, []
-        for w in nbrs[u]:
-            if w in step:
-                checks.append((step[w], count((u, w), 0), count((w, u), 0)))
-                if anchor is None or step[w] < anchor:
-                    anchor = step[w]
-        forward = anchor is not None and (order[anchor], u) in mult
-        twin = None
-        for j, w in enumerate(order):
-            if swaps(u, w):
-                twin = j
-        plan.append((anchor, forward, n_out[u], n_in[u], count((u, u), 0),
-                     twin, tuple(checks)))
-        step[u] = len(order)
-        order.append(u)
-        for w in nbrs[u]:
-            links[w] += count((u, w), 0) + count((w, u), 0)
-    return plan
+    """Position tuples of the vertex sets of q that can hold tq's quiver:
+    the distinct images of ``embeddings(q, tq)``, in reverse lexicographic
+    order."""
+    return sorted({tuple(sorted(image)) for image in embeddings(q, tq)},
+                  reverse=True)
 
 
 def verify_quotient_witness(pres, target, witness):

@@ -8,12 +8,19 @@ the decision is run either by brute enumeration (``naive``) or by searching
 directly for an embedded Euclidean shape (``witness-search``).
 
 Both modes return the smallest, then lexicographically first, bad single
-subquiver.  Naive mode sweeps every choice of each size.  Witness-search
-probes Euclidean shapes in ascending size, so it stops at the minimal bad
-size k, and then normalizes over connected k-vertex single subquivers only.
-That is exact: a bad choice of minimal size is a single non-Dynkin
-component, since with a second component its bad component alone would be
-a smaller bad choice.
+subquiver, as a {vertex: side} choice.  Naive mode sweeps every choice of
+each size.  Witness-search maps each Euclidean pattern, a quiver whose
+arrows run from its 0-colored to its 1-colored vertices, into the quiver
+with ``embeddings``, in ascending size; at the first size where any
+pattern embeds it returns the lexicographically minimal image, each
+pattern vertex on the side of its color.  That is exact.  Every image is
+a bad choice: its single subquiver contains the pattern's Euclidean graph,
+and a graph with a Euclidean subgraph is not Dynkin.  Conversely, let C be
+a bad choice of minimal size k.  It has a connected non-Dynkin component,
+which contains a Euclidean subgraph E.  The vertex set of E is itself a
+bad choice of size at most k, so E spans all of C, and C is the image of
+the pattern of E's shape and coloring.  So the images at the first size
+are exactly the bad choices of minimal size.
 """
 
 from __future__ import annotations
@@ -25,13 +32,13 @@ from dataclasses import dataclass
 from . import verdict as vd
 from .presentation import (
     Arrow,
-    InvariantViolationError,
     NoOrientedCycleError,
     NotRadicalSquareZeroError,
     Quiver,
     SizeLimitError,
     UnsupportedLoopError,
     dimension_table,
+    embeddings,
     require_valid,
 )
 from .tensor import rad_square_quotient, tensor_product, tensor_vertex
@@ -374,57 +381,6 @@ def _all_choices(quiver, k):
             yield {combo[t]: (mask >> t) & 1 for t in range(k)}
 
 
-def _connected_choices(quiver, k):
-    """Every choice on exactly k original vertices whose induced bipartite
-    graph is connected, each yielded once.
-
-    ESU (Wernicke 2006) over the separated nodes (vertex, side), in tuple
-    order.  A subgraph grows from its smallest node v only by nodes above v
-    that neighbor the newest node exclusively, so each connected set has
-    one growth order.  Both sides of one vertex are never taken together;
-    every subset of a valid choice is valid, so pruning at insertion loses
-    nothing.
-    """
-    nbrs = {}
-    for v in quiver.vertices:
-        # dict.fromkeys drops repeats from parallel arrows, keeping order
-        nbrs[(v, 0)] = list(dict.fromkeys(
-            (a.target, 1) for a in quiver.index.out[v]))
-        nbrs[(v, 1)] = list(dict.fromkeys(
-            (a.source, 0) for a in quiver.index.inc[v]))
-    for v in nbrs:
-        stack = [((v,), [u for u in nbrs[v] if u > v], {v, *nbrs[v]})]
-        while stack:
-            sub, ext, closed = stack.pop()
-            if len(sub) == k:
-                yield dict(sub)
-                continue
-            taken = {x for x, _ in sub}
-            while ext:
-                w = ext.pop()
-                if w[0] in taken:
-                    continue
-                grown = ext + [u for u in nbrs[w] if u > v and u not in closed]
-                stack.append((sub + (w,), grown, closed.union(nbrs[w])))
-
-
-def _lexmin_witness(quiver, k, choices):
-    """Lexicographically minimal bad choice among ``choices(quiver, k)``, as
-    a single subquiver, or None when none is bad."""
-    best = None
-    best_key = None
-    for sides in choices(quiver, k):
-        if not _assignment_bad(quiver, sides):
-            continue
-        named = tuple(sorted(sides.items()))
-        if best_key is None or named < best_key:
-            best_key = named
-            best = sides
-    if best is None:
-        return None
-    return induced_single_subquiver(quiver, best)
-
-
 def _naive_decide(quiver, naive_limit):
     """Brute force: a bad choice extends to a full side assignment, so the
     2^n full assignments decide the verdict; the minimal witness is then
@@ -442,156 +398,71 @@ def _naive_decide(quiver, naive_limit):
     if not bad:
         return None
     for k in range(2, n + 1):
-        witness = _lexmin_witness(quiver, k, _all_choices)
-        if witness is not None:
-            return witness
+        best = min((tuple(sorted(sides.items()))
+                    for sides in _all_choices(quiver, k)
+                    if _assignment_bad(quiver, sides)), default=None)
+        if best is not None:
+            return induced_single_subquiver(quiver, dict(best))
     raise AssertionError("bad full assignment but no bad subset")
 
 
-# Euclidean patterns for the direct search, as 2-colored edge lists.
+# Euclidean patterns for the direct search, as quivers whose arrows run
+# from the 0-colored to the 1-colored vertices.
+
+_KRONECKER = Quiver(("0", "1"), (Arrow("a", "0", "1"), Arrow("b", "0", "1")))
 
 
-def _cycle_pattern(size):
-    edges = [(i, (i + 1) % size) for i in range(size)]
-    coloring = {i: i % 2 for i in range(size)}
-    return edges, coloring
-
-
-def _star_pattern(leg_lengths):
-    """Tree with one center and the given leg lengths, 2-colored by parity."""
-    edges = []
-    coloring = {0: 0}
-    nxt = 1
-    for leg in leg_lengths:
-        prev = 0
-        for step in range(leg):
-            edges.append((prev, nxt))
-            coloring[nxt] = (coloring[prev] + 1) % 2
-            prev = nxt
-            nxt += 1
-    return edges, coloring
-
-
-def _dtilde_pattern(m):
-    """Two branch vertices with two leaves each, joined by a path; m >= 5."""
-    # vertices: 0,1 leaves; 2 branch; path 2..; far branch; far leaves
-    edges = []
-    coloring = {}
-    b1 = 2
-    coloring[0] = 1
-    coloring[1] = 1
-    coloring[b1] = 0
-    edges += [(0, b1), (1, b1)]
-    prev = b1
-    nxt = 3
-    for _ in range(m - 5):
-        coloring[nxt] = (coloring[prev] + 1) % 2
-        edges.append((prev, nxt))
-        prev = nxt
-        nxt += 1
-    b2 = nxt
-    coloring[b2] = (coloring[prev] + 1) % 2
-    edges.append((prev, b2))
-    for leaf in (nxt + 1, nxt + 2):
-        coloring[leaf] = (coloring[b2] + 1) % 2
-        edges.append((b2, leaf))
-    return edges, coloring
-
-
-def _neighbour_lists(quiver):
-    """Distinct successors and predecessors of each vertex, loops left
-    out: the arrows a pattern embedding can use."""
-    succ = {v: [] for v in quiver.vertices}
-    pred = {v: [] for v in quiver.vertices}
-    for i, j in quiver.index.mult:
-        if i != j:
-            succ[i].append(j)
-            pred[j].append(i)
-    return succ, pred
-
-
-def _embed_pattern(vertices, succ, pred, edges, coloring):
-    """Does the connected, properly 2-colored pattern embed into the
-    quiver?
-
-    Pattern vertices map injectively to ``vertices``; an edge between a
-    0-colored and a 1-colored pattern vertex needs an arrow from the image
-    of the first to the image of the second (``succ`` and ``pred`` are
-    ``_neighbour_lists``).  Backtracking with an explicit stack places a
-    vertex of largest degree first, then always the vertex with the most
-    placed neighbours, the higher degree first among those; its candidates
-    are the common predecessors (0-colored) or successors (1-colored) of
-    the placed neighbours' images.  An image with fewer distinct successors
-    (0-colored) or predecessors (1-colored) than the vertex's degree is
-    skipped: its pattern neighbours map to distinct vertices.
-    """
-    adj = {p: [] for p in sorted(coloring)}
+def _pattern(edges, flip):
+    """Pattern quiver of a connected bipartite graph on the vertices 0, 1,
+    ..., given as edges (u, v) with u reached before v from vertex 0.
+    Vertex 0 takes color ``flip``, and every edge becomes an arrow from
+    its 0-colored end to its 1-colored end."""
+    color = {0: flip}
     for u, v in edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    step = {}
-    plan = []  # (degree, own sets, neighbour sets, anchor steps) per step
-    links = dict.fromkeys(adj, 0)  # placed neighbours
-    while len(step) < len(adj):
-        p = max((q for q in adj if q not in step),
-                key=lambda q: (links[q], len(adj[q])))
-        anchors = [step[q] for q in adj[p] if q in step]
-        own, other = (succ, pred) if coloring[p] == 0 else (pred, succ)
-        plan.append((len(adj[p]), own, other, anchors))
-        step[p] = len(plan) - 1
-        for q in adj[p]:
-            links[q] += 1
+        color.setdefault(v, 1 - color[u])
+    arrows = []
+    for k, (u, v) in enumerate(edges):
+        s, t = (u, v) if color[u] == 0 else (v, u)
+        arrows.append(Arrow(f"e{k}", str(s), str(t)))
+    return Quiver(tuple(str(p) for p in color), tuple(arrows))
 
-    image = [None] * len(plan)
-    used = set()
-    frames = [iter(vertices)]
-    while frames:
-        i = len(frames) - 1
-        if image[i] is not None:
-            used.discard(image[i])
-            image[i] = None
-        degree, own = plan[i][:2]
-        for c in frames[-1]:
-            if c not in used and len(own[c]) >= degree:
-                break
-        else:
-            frames.pop()
-            continue
-        if i + 1 == len(plan):
-            return True
-        image[i] = c
-        used.add(c)
-        _, _, other, anchors = plan[i + 1]
-        pool = other[image[anchors[0]]]
-        if len(anchors) > 1:
-            pool = set(pool).intersection(*(other[image[j]]
-                                             for j in anchors[1:]))
-        frames.append(iter(pool))
-    return False
+
+def _star(legs):
+    """Edges of a tree with center 0 and legs of the given lengths."""
+    edges = []
+    for leg in legs:
+        prev = 0
+        for _ in range(leg):
+            edges.append((prev, len(edges) + 1))
+            prev = len(edges)
+    return edges
 
 
 def _patterns_of_size(size):
-    """Euclidean patterns on exactly ``size`` vertices, candidate order."""
-    out = []
+    """Euclidean patterns on exactly ``size`` vertices, in both colorings;
+    the two colorings of an even cycle give isomorphic quivers, so it
+    comes once."""
     if size == 2:
-        out.append("multi-pair")
-    if size >= 4 and size % 2 == 0:
-        out.append(("cycle", size))
-    if size == 5:
-        out.append(("star", (1, 1, 1, 1)))  # D~4
-    if size >= 6:
-        out.append(("dtilde", size - 1))
-    if size == 7:
-        out.append(("star", (2, 2, 2)))  # E~6
-    if size == 8:
-        out.append(("star", (1, 3, 3)))  # E~7
-    if size == 9:
-        out.append(("star", (1, 2, 5)))  # E~8
+        return [_KRONECKER]
+    trees = []
+    if size >= 5:  # D~(size-1): a path with two leaves at each end
+        last = size - 5
+        trees.append([(i, i + 1) for i in range(last)] +
+                     [(0, last + 1), (0, last + 2),
+                      (last, last + 3), (last, last + 4)])
+    legs = {7: (2, 2, 2), 8: (1, 3, 3), 9: (1, 2, 5)}.get(size)
+    if legs:  # E~6, E~7, E~8
+        trees.append(_star(legs))
+    out = [_pattern(edges, flip) for edges in trees for flip in (0, 1)]
+    if size % 2 == 0:
+        out.append(_pattern([(i, (i + 1) % size) for i in range(size)], 0))
     return out
 
 
-def _probe_bad_size(quiver):
-    """Smallest size at which a Euclidean pattern embeds, or None.
+def _witness_search_decide(quiver):
+    """The single subquiver of the lexicographically minimal pattern
+    image of the smallest size at which a Euclidean pattern embeds, or
+    None (see the module docstring).
 
     Sizes stop at the node count of the largest connected component of the
     separated quiver, where a vertex without arrows counts as a component
@@ -602,7 +473,6 @@ def _probe_bad_size(quiver):
     vertices.
     """
     vertices = quiver.vertices
-    succ, pred = _neighbour_lists(quiver)
     # union-find over the separated nodes (v, 0) and (w, 1), by position
     pos = {v: i for i, v in enumerate(vertices)}
     parent = list(range(2 * len(vertices)))
@@ -613,49 +483,22 @@ def _probe_bad_size(quiver):
             x = parent[x]
         return x
 
-    for v in vertices:
-        for w in succ[v]:
-            parent[find(2 * pos[v])] = find(2 * pos[w] + 1)
+    for v, w in quiver.index.mult:
+        parent[find(2 * pos[v])] = find(2 * pos[w] + 1)
     largest = max(Counter(map(find, range(len(parent)))).values(),
                   default=0)
     for size in range(2, min(len(vertices), largest) + 1):
+        best = None
         for pattern in _patterns_of_size(size):
-            if pattern == "multi-pair":
-                if any(m >= 2 and i != j
-                       for (i, j), m in quiver.index.mult.items()):
-                    return size
-                continue
-            kind, arg = pattern
-            if kind == "cycle":
-                edges, coloring = _cycle_pattern(arg)
-                variants = [coloring]
-            elif kind == "dtilde":
-                edges, coloring = _dtilde_pattern(arg)
-                variants = [coloring,
-                            {p: 1 - c for p, c in coloring.items()}]
-            else:
-                edges, coloring = _star_pattern(arg)
-                variants = [coloring,
-                            {p: 1 - c for p, c in coloring.items()}]
-            for variant in variants:
-                if _embed_pattern(vertices, succ, pred, edges, variant):
-                    return size
+            sides = [0 if pattern.index.out[p] else 1
+                     for p in pattern.vertices]
+            for image in embeddings(quiver, pattern):
+                key = tuple(sorted(zip((vertices[i] for i in image), sides)))
+                if best is None or key < best:
+                    best = key
+        if best is not None:
+            return induced_single_subquiver(quiver, dict(best))
     return None
-
-
-def _witness_search_decide(quiver):
-    """Probe for embedded Euclidean shapes in ascending size; on a hit,
-    normalize to the lexicographically minimal witness of that size among
-    connected choices, which is exact (see the module docstring)."""
-    size = _probe_bad_size(quiver)
-    if size is None:
-        return None
-    witness = _lexmin_witness(quiver, size, _connected_choices)
-    if witness is None:
-        raise InvariantViolationError(
-            f"a Euclidean pattern embeds on {size} vertices but no connected "
-            f"bad single subquiver of that size was found")
-    return witness
 
 
 def minimal_bad_single_subquiver(quiver, mode="witness-search",

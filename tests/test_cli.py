@@ -164,8 +164,12 @@ class TestOtherCommands:
     def test_adachi_invariant_violation_exit_4(self, capsys, monkeypatch,
                                                tmp_path):
         from quivertau import sepgraph
-        monkeypatch.setattr(sepgraph, "_connected_choices",
-                            lambda data, k: iter(()))
+        from quivertau.presentation import InvariantViolationError
+
+        def broken(quiver):
+            raise InvariantViolationError("two searches disagree")
+
+        monkeypatch.setattr(sepgraph, "_witness_search_decide", broken)
         kronecker = tmp_path / "kronecker.quiver"
         kronecker.write_text("vertex 1\nvertex 2\n"
                              "arrow a : 1 -> 2\narrow b : 1 -> 2\n")

@@ -2,6 +2,7 @@
 
 import itertools
 import time
+from collections import Counter
 
 import pytest
 
@@ -11,7 +12,6 @@ from quivertau import sepgraph
 from quivertau.catalog import catalog_get
 from quivertau.presentation import (
     Arrow,
-    InvariantViolationError,
     NoOrientedCycleError,
     NotRadicalSquareZeroError,
     Presentation,
@@ -19,6 +19,7 @@ from quivertau.presentation import (
     QuivertauError,
     SizeLimitError,
     UnsupportedLoopError,
+    embeddings,
 )
 from quivertau.sepgraph import (
     GraphType,
@@ -210,20 +211,25 @@ def _choice_key(sides):
     return frozenset(sides.items())
 
 
-def _is_connected(quiver, sides):
-    """Connectivity of the induced bipartite graph, by plain search."""
-    nodes = set(sides.items())
-    start = next(iter(nodes))
-    seen, frontier = {start}, [start]
-    while frontier:
-        i, s = frontier.pop()
-        nbrs = ({(a.target, 1) for a in quiver.arrows if a.source == i}
-                if s == 0 else
-                {(a.source, 0) for a in quiver.arrows if a.target == i})
-        for node in (nbrs & nodes) - seen:
-            seen.add(node)
-            frontier.append(node)
-    return seen == nodes
+def _sides(pattern):
+    """Side of each pattern vertex, in vertex order: 0 for the vertices
+    that arrows leave."""
+    return [0 if pattern.index.out[p] else 1 for p in pattern.vertices]
+
+
+def _embedded_choices(quiver, pattern):
+    """The {host vertex: side} choices of the maps ``embeddings`` yields."""
+    sides = _sides(pattern)
+    return {frozenset(zip((quiver.vertices[i] for i in image), sides))
+            for image in embeddings(quiver, pattern)}
+
+
+def _pattern_images(quiver, k):
+    """Every choice that a Euclidean pattern on k vertices embeds onto."""
+    out = set()
+    for pattern in sepgraph._patterns_of_size(k):
+        out |= _embedded_choices(quiver, pattern)
+    return out
 
 
 class TestConnectedEnumeration:
@@ -232,23 +238,25 @@ class TestConnectedEnumeration:
         checked = finite = 0
         while checked < 40 or finite < 40:
             q = random_quiver(rng, max_vertices=8).quiver
+            n = len(q.vertices)
             brute = None
-            for k in range(2, len(q.vertices) + 1):
+            for k in range(2, n + 1):
                 brute = {_choice_key(s) for s in sepgraph._all_choices(q, k)
                          if sepgraph._assignment_bad(q, s)}
                 if brute:
                     break
+            witness = sepgraph.minimal_bad_single_subquiver(q)
             if not brute:
-                # finite: the component bound must not cut a size short
-                assert sepgraph._probe_bad_size(q) is None
+                # finite: no pattern embeds at any size
+                assert not any(_pattern_images(q, k)
+                               for k in range(2, n + 1))
+                assert witness is None
                 finite += 1
                 continue
             checked += 1
-            assert sepgraph._probe_bad_size(q) == k
-            connected = {_choice_key(s)
-                         for s in sepgraph._connected_choices(q, k)
-                         if sepgraph._assignment_bad(q, s)}
-            assert connected == brute
+            assert not any(_pattern_images(q, j) for j in range(2, k))
+            assert _pattern_images(q, k) == brute
+            assert witness.vertices == min(tuple(sorted(c)) for c in brute)
 
     def test_probe_size_on_the_largest_component(self):
         # an A~3 square beside a longer Dynkin line: the bad size 4 is the
@@ -258,20 +266,8 @@ class TestConnectedEnumeration:
                     Arrow("r", "c", "d"), Arrow("s", "a", "d"),
                     Arrow("t", "w", "x"), Arrow("u", "x", "y"),
                     Arrow("v", "y", "z")))
-        assert sepgraph._probe_bad_size(q) == 4
-
-    def test_each_connected_choice_once(self):
-        rng = seeded(59)
-        for _ in range(30):
-            q = random_quiver(rng, max_vertices=7).quiver
-            for k in range(1, min(len(q.vertices), 5) + 1):
-                found = [_choice_key(s)
-                         for s in sepgraph._connected_choices(q, k)]
-                assert len(found) == len(set(found))
-                expected = {_choice_key(s)
-                            for s in sepgraph._all_choices(q, k)
-                            if _is_connected(q, s)}
-                assert set(found) == expected
+        witness = sepgraph.minimal_bad_single_subquiver(q)
+        assert witness.vertices == (("a", 0), ("b", 1), ("c", 0), ("d", 1))
 
     def test_large_grid_witness_fast(self):
         a6 = catalog_get("A(6,+-+-+)")
@@ -290,42 +286,47 @@ class TestConnectedEnumeration:
         assert is_single_subquiver(pres.quiver, w)
         assert not classify_graph(w.underlying()).all_dynkin()
 
-    def test_empty_enumeration_fails_loud(self, monkeypatch):
-        monkeypatch.setattr(sepgraph, "_connected_choices",
-                            lambda quiver, k: iter(()))
-        q = Quiver(("1", "2"), (Arrow("a", "1", "2"), Arrow("b", "1", "2")))
-        with pytest.raises(InvariantViolationError):
-            adachi_decide(rad_square_quotient(Presentation(q, ())))
+
+def _reversed(pattern):
+    """The pattern in the other coloring: every arrow turned around."""
+    return Quiver(pattern.vertices,
+                  tuple(Arrow(a.name, a.target, a.source)
+                        for a in pattern.arrows))
 
 
-# every Euclidean pattern on at most 7 vertices, as (edges, coloring)
-PATTERNS = [
-    sepgraph._cycle_pattern(4),
-    sepgraph._cycle_pattern(6),
-    sepgraph._star_pattern((1, 1, 1, 1)),
-    sepgraph._dtilde_pattern(5),
-    sepgraph._dtilde_pattern(6),
-    sepgraph._star_pattern((2, 2, 2)),
-]
+# every Euclidean pattern on at most 7 vertices, in both colorings: trees
+# come in both from _patterns_of_size, and the patterns with as many
+# arrows as vertices (the Kronecker quiver and even cycles) come once, so
+# their reversals are added
+PATTERNS = [variant for size in range(2, 8)
+            for pattern in sepgraph._patterns_of_size(size)
+            for variant in ((pattern, _reversed(pattern))
+                            if len(pattern.arrows) == size else (pattern,))]
 
 
-def _brute_embeds(quiver, edges, coloring):
-    """Reference: some injective map from the pattern's vertices sends
-    every edge to an arrow from its 0-colored end to its 1-colored end."""
-    arrows = {(a.source, a.target) for a in quiver.arrows}
-    pattern = sorted(coloring)
-    for images in itertools.permutations(quiver.vertices, len(pattern)):
-        image = dict(zip(pattern, images))
-        if all((image[u], image[v]) in arrows if coloring[u] == 0
-               else (image[v], image[u]) in arrows for u, v in edges):
-            return True
-    return False
+def _brute_embeds(quiver, pattern):
+    """Reference: the {host vertex: side} choices of the injections of the
+    pattern's vertices under which every arrow count of the pattern is at
+    most the quiver's count between the images."""
+    have = Counter((a.source, a.target) for a in quiver.arrows)
+    need = Counter((a.source, a.target) for a in pattern.arrows)
+    sides = _sides(pattern)
+    out = set()
+    for images in itertools.permutations(quiver.vertices,
+                                         len(pattern.vertices)):
+        image = dict(zip(pattern.vertices, images))
+        if all(have[image[s], image[t]] >= m for (s, t), m in need.items()):
+            out.add(frozenset(zip(images, sides)))
+    return out
 
 
-def _embeds(quiver, edges, coloring):
-    succ, pred = sepgraph._neighbour_lists(quiver)
-    return sepgraph._embed_pattern(quiver.vertices, succ, pred, edges,
-                                   coloring)
+def _star4(center_side):
+    """The D~4 pattern with its center on the given side."""
+    ends = [("o", str(k)) for k in range(4)]
+    return Quiver(("o", "0", "1", "2", "3"),
+                  tuple(Arrow(f"e{k}", *(end if center_side == 0
+                                         else end[::-1]))
+                        for k, end in enumerate(ends)))
 
 
 class TestPatternEmbedding:
@@ -335,13 +336,11 @@ class TestPatternEmbedding:
         for _ in range(200):
             n = rng.randint(5, 7)
             q = random_quiver(rng, max_vertices=n, max_extra=4 * n).quiver
-            for edges, coloring in PATTERNS:
-                flipped = {p: 1 - c for p, c in coloring.items()}
-                for variant in (coloring, flipped):
-                    found = _embeds(q, edges, variant)
-                    assert found == _brute_embeds(q, edges, variant)
-                    hits += found
-                    misses += not found
+            for pattern in PATTERNS:
+                found = _embedded_choices(q, pattern)
+                assert found == _brute_embeds(q, pattern)
+                hits += bool(found)
+                misses += not found
         assert hits > 100 and misses > 100
 
     def test_branch_vertex_without_four_arrows_one_way(self):
@@ -350,14 +349,32 @@ class TestPatternEmbedding:
         q = Quiver(("c", "1", "2", "3", "4"),
                    (Arrow("a", "c", "1"), Arrow("b", "c", "2"),
                     Arrow("d", "c", "3"), Arrow("e", "4", "c")))
-        edges, coloring = sepgraph._star_pattern((1, 1, 1, 1))
-        for variant in (coloring, {p: 1 - c for p, c in coloring.items()}):
-            assert not _embeds(q, edges, variant)
-            assert not _brute_embeds(q, edges, variant)
+        for side in (0, 1):
+            assert not _embedded_choices(q, _star4(side))
+            assert not _brute_embeds(q, _star4(side))
         # a fourth successor makes the D~4 star embed, centre colored 0
         q4 = Quiver(q.vertices + ("5",), q.arrows + (Arrow("f", "c", "5"),))
-        assert _embeds(q4, edges, coloring)
-        assert _brute_embeds(q4, edges, coloring)
+        expected = {frozenset({("c", 0), ("1", 1), ("2", 1), ("3", 1),
+                               ("5", 1)})}
+        assert _embedded_choices(q4, _star4(0)) == expected
+        assert _brute_embeds(q4, _star4(0)) == expected
+
+    def test_each_pattern_is_its_own_witness(self):
+        # the patterns cover every bipartite Euclidean graph on 2..9
+        # vertices, and each is found on itself at its own size (naive
+        # mode rechecks up to 8 vertices; 9 would cost a second)
+        labels = set()
+        for size in range(2, 10):
+            for pattern in sepgraph._patterns_of_size(size):
+                witness = sepgraph.minimal_bad_single_subquiver(pattern)
+                assert len(witness.vertices) == size
+                if size <= 8:
+                    assert witness == sepgraph.minimal_bad_single_subquiver(
+                        pattern, mode="naive")
+                (label,) = witness.report().tags()
+                labels.add(label)
+        assert labels == {"A~1", "A~3", "A~5", "A~7", "D~4", "D~5", "D~6",
+                          "D~7", "D~8", "E~6", "E~7", "E~8"}
 
     def test_parallel_arrows_count_once(self):
         # four arrows to two targets: the star needs four distinct ones
@@ -365,8 +382,8 @@ class TestPatternEmbedding:
                    (Arrow("a", "c", "1"), Arrow("b", "c", "1"),
                     Arrow("d", "c", "2"), Arrow("e", "c", "2"),
                     Arrow("f", "c", "3")))
-        edges, coloring = sepgraph._star_pattern((1, 1, 1, 1))
-        assert not _embeds(q, edges, coloring)
+        assert not _embedded_choices(q, _star4(0))
+        assert not _brute_embeds(q, _star4(0))
 
 
 class TestCycleWitness:
