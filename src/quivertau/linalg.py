@@ -1,16 +1,17 @@
 """Exact rational linear algebra over sparse vectors.
 
-Vectors are dicts mapping an arbitrary hashable key (here: paths) to a
-nonzero rational (an int or a Fraction).  A subspace is kept as a reduced
-row basis, one row per pivot key.  Keys carry a total order supplied by
-the caller so that pivot selection, and hence the surviving quotient
-basis, is deterministic.
+Vectors are dicts mapping a hashable key to a nonzero rational (an int or
+a Fraction).  A subspace is kept as a reduced row basis, one row per pivot
+key.  Keys carry a total order, their own or one supplied by the caller,
+so that pivot selection, and hence the surviving quotient basis, is
+deterministic.
 
 Zero paths and two-term relations never come here: the relation ideal
 (``presentation.PathIdeal``) settles them with a weighted union-find.
 ``SparseSpace`` serves the normal forms of relations with three or more
-terms, the cycle space of the homology proxy, and the tests, whose
-full-elimination reference ideal checks the union-find.
+terms, keyed by integer path ids; the cycle space of the homology proxy,
+keyed by arrow names; and the tests, whose full-elimination reference
+ideal, keyed by paths in ``path_key`` order, checks the union-find.
 """
 
 from __future__ import annotations
@@ -21,12 +22,12 @@ from fractions import Fraction
 class SparseSpace:
     """Row space in reduced echelon form with deterministic pivot order.
 
-    ``key_order(k)`` must give a total order on keys; elimination always
-    pivots on the largest key of a row, so the lexicographically smallest
-    keys survive as representatives of the quotient.
+    ``key_order(k)`` must give a total order on keys, and None orders the
+    keys themselves; elimination always pivots on the largest key of a
+    row, so the smallest keys survive as representatives of the quotient.
     """
 
-    def __init__(self, key_order):
+    def __init__(self, key_order=None):
         self.key_order = key_order
         self.rows = {}  # pivot key -> reduced row (dict key->Fraction)
 

@@ -14,6 +14,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from itertools import chain, count
 
 from .linalg import SparseSpace
 
@@ -95,19 +96,20 @@ class QuiverIndex:
     vertex to its outgoing and incoming arrows in declaration order, and
     ``mult`` counts the arrows from each source to each target.
     ``acyclic`` and ``connected`` answer ``Quiver.is_acyclic`` and
-    ``Quiver.is_connected``.  Slots keep the many indexes that caches hold
-    small; the index refers to the quiver's tuples, not to the quiver, so
-    it makes no reference cycle.
+    ``Quiver.is_connected``, and ``embedding_plan`` is the search plan
+    with which ``embeddings`` maps this quiver into others.  Slots keep
+    the many indexes that caches hold small; the index refers to the
+    quiver's tuples, not to the quiver, so it makes no reference cycle.
     """
 
     __slots__ = ("_vertices", "_arrows", "_by_name", "_out", "_inc", "_mult",
-                 "_acyclic", "_connected")
+                 "_acyclic", "_connected", "_embedding_plan")
 
     def __init__(self, vertices, arrows):
         self._vertices = vertices
         self._arrows = arrows
         self._by_name = self._out = self._inc = self._mult = None
-        self._acyclic = self._connected = None
+        self._acyclic = self._connected = self._embedding_plan = None
 
     @property
     def by_name(self):
@@ -144,6 +146,12 @@ class QuiverIndex:
         if self._connected is None:
             self._connected = self._find_one_component()
         return self._connected
+
+    @property
+    def embedding_plan(self):
+        if self._embedding_plan is None:
+            self._embedding_plan = _embedding_plan(self._vertices, self.mult)
+        return self._embedding_plan
 
     def _group_by(self, end):
         groups = {v: [] for v in self._vertices}
@@ -619,14 +627,27 @@ class PathIdeal:
     ending at its source on the left and every path starting at its target
     on the right; the padded vectors span I.
 
+    Inside, a path is an integer id: its position in the concatenation of
+    the per-pair lists of ``all_paths``.  Paths appear only at the
+    boundary: relations are padded into ids, ``basis`` maps ids back to
+    paths and ``contains`` reads paths.  A presentation without relations
+    has the zero ideal and gets no id table.
+
     Padded vectors with one or two terms (zero paths and binomials
     ``c1*p + c2*q``, which is nearly all of a tensor product's ideal) go
-    into a weighted union-find: each path is ``ratio * root``, the root
-    being the smallest path of its class by ``path_key``.  A class lies in
-    I when it holds a zero path or when two routes through it give
-    different ratios.  Padded vectors with three or more terms are
+    into a weighted union-find over the ids, kept in flat lists: each path
+    is ``ratio * root``, the root being the smallest id of its class.  A
+    class lies in I when it holds a zero path or when two routes through
+    it give different ratios.  Padded vectors with three or more terms are
     rewritten to their normal form (each path replaced by ratio times its
-    root, zero classes dropped), which goes into a per-pair SparseSpace.
+    root, zero classes dropped), which goes into a per-pair SparseSpace
+    over the ids.
+
+    The smallest id of a class is its smallest path by ``path_key``: a
+    binomial's two padded paths are parallel, so a class never leaves its
+    vertex pair, and each pair's list is sorted by ``path_key``, so within
+    a pair id order is ``path_key`` order.  The same holds for the pivots
+    of a pair's SparseSpace.
 
     The basis of ``e_i (kQ/I) e_j`` is then the roots of nonzero classes
     that are not pivots of their pair's SparseSpace.  This is the
@@ -640,98 +661,121 @@ class PathIdeal:
     of I exactly when it leads some element of the normal-form space.
     """
 
-    __slots__ = ("_quiver", "_paths", "_link", "_zero", "_spaces")
+    __slots__ = ("_quiver", "_paths", "_ids", "_parent", "_ratio", "_zero",
+                 "_spaces")
 
-    def __init__(self, quiver, paths):
+    def __init__(self, quiver, paths, ids):
         self._quiver = quiver
         self._paths = paths
-        self._link = {}  # non-root path -> (parent, ratio), path = ratio*parent
-        self._zero = set()  # roots whose class lies in I
+        self._ids = ids  # path -> id; empty when there are no relations
+        self._parent = list(range(len(ids)))  # a root is its own parent
+        self._ratio = [1] * len(ids)  # path = ratio * parent
+        self._zero = bytearray(len(ids))  # 1 on roots whose class lies in I
         self._spaces = {}  # pair -> SparseSpace of normal forms
 
-    def _find(self, path):
-        """(root, ratio) with path = ratio * root; flattens the walk."""
-        link = self._link
-        step = link.get(path)
-        if step is None:
-            return path, 1
-        if step[0] not in link:
-            return step
-        trail = []
-        node = path
-        while step is not None:
-            trail.append((node, step[1]))
-            node = step[0]
-            step = link.get(node)
-        ratio = 1
-        for below, r in reversed(trail):
-            ratio = r * ratio
-            link[below] = (node, ratio)
-        return node, ratio
+    def _find(self, k):
+        """(root, ratio) with path k = ratio * root; flattens the walk."""
+        parent = self._parent
+        up = parent[k]
+        if up == k:
+            return k, 1
+        ratio = self._ratio
+        if parent[up] == up:
+            return up, ratio[k]
+        trail = [k]
+        while parent[up] != up:
+            trail.append(up)
+            up = parent[up]
+        r = 1
+        for below in reversed(trail):
+            r = ratio[below] * r
+            ratio[below] = r
+            parent[below] = up
+        return up, r
 
-    def _kill(self, path):
-        self._zero.add(self._find(path)[0])
+    def _kill(self, k):
+        self._zero[self._find(k)[0]] = 1
 
     def _join(self, p, q, k):
         """Record p = k * q."""
         rp, a = self._find(p)
         rq, b = self._find(q)
         kb = k * b  # a * rp = kb * rq
+        zero = self._zero
         if rp == rq:
             if a != kb:
-                self._zero.add(rp)
+                zero[rp] = 1
             return
-        if path_key(rq) < path_key(rp):
+        if rq < rp:
             rp, rq, a, kb = rq, rp, kb, a
-        self._link[rq] = (rp, _quo(a, kb))
-        if rq in self._zero:
-            self._zero.add(rp)
+        self._parent[rq] = rp
+        self._ratio[rq] = _quo(a, kb)
+        if zero[rq]:
+            zero[rp] = 1
 
     def _normal_form(self, vec):
+        """The vector (id -> coefficient) with each id replaced by ratio
+        times its root, zero classes dropped."""
         out = {}
-        for path, coeff in vec.items():
-            root, ratio = self._find(path)
-            if root in self._zero:
+        zero = self._zero
+        for k, coeff in vec.items():
+            root, ratio = self._find(k)
+            if zero[root]:
                 continue
             value = out.get(root, 0) + coeff * ratio
             if value:
                 out[root] = value
             else:
-                del out[root]
+                out.pop(root, None)
         return out
 
-    def _pair(self, path):
-        return (path_source(self._quiver, path),
-                path_target(self._quiver, path))
-
-    def _add(self, vec):
-        """Add a padded vector with three or more terms."""
+    def _add(self, pair, vec):
+        """Add a padded vector (id -> coefficient) with three or more
+        terms, all in the pair."""
         nf = self._normal_form(vec)
         if nf:
-            pair = self._pair(next(iter(vec)))
             space = self._spaces.get(pair)
             if space is None:
-                space = self._spaces[pair] = SparseSpace(path_key)
+                space = self._spaces[pair] = SparseSpace()
             space.add(nf)
 
     def contains(self, vec):
-        """Is the vector (path -> coefficient) in I?"""
-        nf = self._normal_form(vec)
-        if not nf:
+        """Is the vector (path -> coefficient) in I?
+
+        The pair is read from the vector's first path, so an unknown arrow
+        at either end of it raises UnknownArrowError.  A path that is not
+        a path of the quiver has no id and stays as it is, so a vector with
+        one (and a nonzero coefficient) is not in I."""
+        ids = self._ids
+        by_id = {}
+        foreign = False
+        for path, coeff in vec.items():
+            k = ids.get(path)
+            if k is not None:
+                by_id[k] = coeff
+            elif coeff:
+                foreign = True
+        nf = self._normal_form(by_id)
+        if not (nf or foreign):
             return True
-        space = self._spaces.get(self._pair(next(iter(vec))))
+        first = next(iter(vec))
+        pair = (path_source(self._quiver, first),
+                path_target(self._quiver, first))
+        if foreign:
+            return False
+        space = self._spaces.get(pair)
         return space is not None and space.contains(nf)
 
     def basis(self, pair):
         """Paths of the pair that stay independent modulo I, by path_key."""
         paths = self._paths.get(pair, ())
+        if not (paths and self._ids):
+            return paths
+        parent, zero = self._parent, self._zero
         space = self._spaces.get(pair)
         pivots = space.rows if space is not None else ()
-        link, zero = self._link, self._zero
-        if not (link or zero or pivots):
-            return paths
-        return tuple(p for p in paths
-                     if p not in link and p not in zero and p not in pivots)
+        return tuple(p for k, p in enumerate(paths, self._ids[paths[0]])
+                     if parent[k] == k and not zero[k] and k not in pivots)
 
     def rank(self, pair):
         """Dimension of I inside the span of the pair's paths."""
@@ -739,46 +783,64 @@ class PathIdeal:
 
 
 def ideal_membership_spaces(pres):
-    """Build the relation ideal of ``pres``; read it as ``pres.ideal``."""
+    """Build the relation ideal of ``pres``; read it as ``pres.ideal``.
+
+    Raises QuivertauError when a relation's terms are not parallel paths
+    of the quiver (``validate_presentation`` reports such relations)."""
     q = pres.quiver
     paths = all_paths(q)
-    ideal = PathIdeal(q, paths)
     if not pres.relations:
-        return ideal
+        return PathIdeal(q, paths, {})
+    ids = dict(zip(chain.from_iterable(paths.values()), count()))
+    ideal = PathIdeal(q, paths, ids)
     ending = {v: [()] for v in q.vertices}
     starting = {v: [()] for v in q.vertices}
     for (x, y), ps in paths.items():
         starting[x].extend(ps)
         ending[y].extend(ps)
     longer = []
-    for rel in pres.relations:
+    for idx, rel in enumerate(pres.relations):
         if not rel.terms:
             continue
-        lefts = ending[path_source(q, rel.terms[0][1])]
-        rights = starting[path_target(q, rel.terms[0][1])]
         merged = {}
         for coeff, mid in rel.terms:
             merged[mid] = merged.get(mid, 0) + coeff
+        a = path_source(q, rel.terms[0][1])
+        b = path_target(q, rel.terms[0][1])
+        # the paths from a to b have the ids lo, lo + 1, ..., hi - 1
+        ab = paths.get((a, b), ())
+        lo = ids[ab[0]] if ab else 0
+        hi = lo + len(ab)
+        for mid in merged:
+            if not lo <= ids.get(mid, -1) < hi:
+                raise QuivertauError(
+                    f"relation {idx}: terms are not parallel paths")
         terms = [(c, mid) for mid, c in merged.items() if c]
         if len(terms) == 1:
+            kill = ideal._kill
             mid = terms[0][1]
-            for left in lefts:
-                for right in rights:
-                    ideal._kill(left + mid + right)
+            for left in ending[a]:
+                lm = left + mid
+                for right in starting[b]:
+                    kill(ids[lm + right])
         elif len(terms) == 2:
+            join = ideal._join
             (c1, m1), (c2, m2) = terms
             k = _quo(_exact(-c2), _exact(c1))  # p = k * q
-            for left in lefts:
+            for left in ending[a]:
                 lm1, lm2 = left + m1, left + m2
-                for right in rights:
-                    ideal._join(lm1 + right, lm2 + right, k)
+                for right in starting[b]:
+                    join(ids[lm1 + right], ids[lm2 + right], k)
         elif terms:
-            longer.append((lefts, rights, terms))
+            longer.append((a, b, terms))
     # normal forms are taken once the union-find is complete
-    for lefts, rights, terms in longer:
-        for left in lefts:
-            for right in rights:
-                ideal._add({left + mid + right: c for c, mid in terms})
+    for a, b, terms in longer:
+        for left in ending[a]:
+            x = path_source(q, left) if left else a
+            for right in starting[b]:
+                y = path_target(q, right) if right else b
+                ideal._add((x, y), {ids[left + mid + right]: c
+                                    for c, mid in terms})
     return ideal
 
 
@@ -816,7 +878,8 @@ def embeddings(q, tq):
     no arrow count of tq, loops included, exceeds q's count between the
     image vertices; each map is a tuple of q positions in ``tq.vertices``
     order.  Of maps that differ only by swapping the images of twins (see
-    ``_embedding_plan``), one is yielded.
+    ``_embedding_plan``), one is yielded.  The plan is built once per tq
+    and kept on its index.
 
     The maps are found by a depth-first search with an explicit stack,
     over tq's vertices in the order of ``_embedding_plan``.  A vertex with
@@ -839,7 +902,7 @@ def embeddings(q, tq):
     for s, t in mult:
         succ[s].append(t)
         pred[t].append(s)
-    plan, steps = _embedding_plan(tq)
+    plan, steps = tq.index.embedding_plan
     stack = [((), 0)]  # images of the first steps, and their bit mask
     while stack:
         image, used = stack.pop()
@@ -865,9 +928,10 @@ def embeddings(q, tq):
                 stack.append((image + (c,), used | 1 << c))
 
 
-def _embedding_plan(tq):
-    """One step per vertex of tq, in the order ``embeddings`` maps them,
-    and the step of each vertex in ``tq.vertices`` order.  A step is
+def _embedding_plan(vertices, mult):
+    """One step per vertex of a quiver tq, given by its vertices and arrow
+    counts, in the order ``embeddings`` maps them, and the step of each
+    vertex in ``vertices`` order.  A step is
     (anchor, forward, n_out, n_in, loops, twin, checks).
 
     The next vertex is the one with the most arrows to the vertices
@@ -886,11 +950,10 @@ def _embedding_plan(tq):
     reached with every class in increasing order.  Without this, a target
     with k isolated vertices would be mapped k! times onto every set.
     """
-    mult = tq.index.mult
     count = mult.get
-    n_out = dict.fromkeys(tq.vertices, 0)
-    n_in = dict.fromkeys(tq.vertices, 0)
-    nbrs = {v: set() for v in tq.vertices}
+    n_out = dict.fromkeys(vertices, 0)
+    n_in = dict.fromkeys(vertices, 0)
+    nbrs = {v: set() for v in vertices}
     for s, t in mult:
         n_out[s] += 1
         n_in[t] += 1
@@ -908,11 +971,11 @@ def _embedding_plan(tq):
                 count((x, u), 0) == count((x, w), 0)
                 for x in nbrs[u] if x != w)
 
-    links = dict.fromkeys(tq.vertices, 0)  # arrows to the placed vertices
+    links = dict.fromkeys(vertices, 0)  # arrows to the placed vertices
     step = {}
     order = []
     plan = []
-    rest = list(tq.vertices)
+    rest = list(vertices)
     while rest:
         u = max(rest, key=lambda v: (links[v], len(nbrs[v])))
         rest.remove(u)
@@ -933,7 +996,7 @@ def _embedding_plan(tq):
         order.append(u)
         for w in nbrs[u]:
             links[w] += count((u, w), 0) + count((w, u), 0)
-    return plan, tuple(step[v] for v in tq.vertices)
+    return plan, tuple(step[v] for v in vertices)
 
 
 # ---------------------------------------------------------------------------
@@ -1070,7 +1133,7 @@ def homology_rank(pres):
             vec[name] = vec.get(name, Fraction(0)) + 1
         return vec
 
-    cells = SparseSpace(lambda k: k)
+    cells = SparseSpace()
     for rel in pres.relations:
         if len(rel.terms) < 2:
             continue

@@ -28,6 +28,7 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 
 from . import verdict as vd
 from .presentation import (
@@ -438,12 +439,14 @@ def _star(legs):
     return edges
 
 
+@lru_cache(maxsize=64)
 def _patterns_of_size(size):
     """Euclidean patterns on exactly ``size`` vertices, in both colorings;
     the two colorings of an even cycle give isomorphic quivers, so it
-    comes once."""
+    comes once.  Each size is built once (the memo holds only patterns,
+    keyed by size), so each pattern's embedding plan is built once too."""
     if size == 2:
-        return [_KRONECKER]
+        return (_KRONECKER,)
     trees = []
     if size >= 5:  # D~(size-1): a path with two leaves at each end
         last = size - 5
@@ -456,7 +459,7 @@ def _patterns_of_size(size):
     out = [_pattern(edges, flip) for edges in trees for flip in (0, 1)]
     if size % 2 == 0:
         out.append(_pattern([(i, (i + 1) % size) for i in range(size)], 0))
-    return out
+    return tuple(out)
 
 
 def _witness_search_decide(quiver):

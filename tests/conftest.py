@@ -8,7 +8,17 @@ import sys
 
 import pytest
 
-from quivertau.presentation import Arrow, Presentation, Quiver, Relation
+from quivertau.linalg import SparseSpace
+from quivertau.presentation import (
+    Arrow,
+    Presentation,
+    Quiver,
+    Relation,
+    all_paths,
+    path_key,
+    path_source,
+    path_target,
+)
 from fractions import Fraction
 
 
@@ -77,6 +87,59 @@ def random_tree_quiver(rng, max_vertices=9):
 
 def seeded(seed=20240817):
     return random.Random(seed)
+
+
+# the relation ideal by full elimination, the union-find's oracle
+
+
+def elimination_ideal_spaces(pres):
+    """Reference: every padded relation through SparseSpace elimination.
+
+    Returns the per-pair spaces and the padded vectors per pair."""
+    q = pres.quiver
+    paths = all_paths(q)
+    spaces, padded = {}, {}
+    for rel in pres.relations:
+        if not rel.terms:
+            continue
+        a = path_source(q, rel.terms[0][1])
+        b = path_target(q, rel.terms[0][1])
+        lefts = [()] + [p for (x, y), ps in paths.items() if y == a
+                        for p in ps]
+        rights = [()] + [p for (x, y), ps in paths.items() if x == b
+                         for p in ps]
+        for left in lefts:
+            lsrc = path_source(q, left) if left else a
+            for right in rights:
+                rtgt = path_target(q, right) if right else b
+                vec = {}
+                for coeff, mid in rel.terms:
+                    key = left + mid + right
+                    vec[key] = vec.get(key, Fraction(0)) + coeff
+                vec = {k: c for k, c in vec.items() if c}
+                if not vec:
+                    continue
+                pair = (lsrc, rtgt)
+                if pair not in spaces:
+                    spaces[pair] = SparseSpace(path_key)
+                spaces[pair].add(vec)
+                padded.setdefault(pair, []).append(vec)
+    return spaces, padded
+
+
+def elimination_bases(pres, spaces):
+    """Reference dimension-table pairs: non-pivot paths per pair."""
+    q = pres.quiver
+    paths = all_paths(q)
+    pairs = []
+    for i in q.vertices:
+        for j in q.vertices:
+            pivots = spaces[(i, j)].pivots() if (i, j) in spaces else set()
+            basis = ([()] if i == j else []) + [
+                p for p in paths.get((i, j), ()) if p not in pivots]
+            if basis:
+                pairs.append(((i, j), tuple(basis)))
+    return tuple(pairs)
 
 
 @pytest.fixture

@@ -21,6 +21,7 @@ from quivertau.presentation import (
     QuivertauError,
     Relation,
     SizeLimitError,
+    UnknownArrowError,
     UnknownVertexError,
     all_paths,
     dimension_table,
@@ -315,6 +316,71 @@ class TestIdeal:
         ideal_membership_spaces(parse_presentation(
             ROUTES + "relation 1*a.b - 1*c.d + 1*e.f\n"))
         assert len(added) == 1
+
+    def test_no_relations_is_the_zero_ideal(self):
+        p = parse_presentation(ROUTES)
+        ideal = ideal_membership_spaces(p)
+        paths = all_paths(p.quiver)
+        for pair, ps in paths.items():
+            assert ideal.basis(pair) == ps
+            assert ideal.rank(pair) == 0
+            for path in ps:
+                assert not ideal.contains({path: 1})
+            assert not ideal.contains(
+                {path: Fraction(k + 1) for k, path in enumerate(ps)})
+        assert ideal.contains({})
+
+    @pytest.mark.parametrize("text", [
+        ROUTES, ROUTES + "relation 1*a.b - 1*c.d\n",
+        ROUTES + "relation 1*a.b - 1*c.d + 1*e.f\n"])
+    def test_pair_without_paths_has_rank_zero(self, text):
+        ideal = ideal_membership_spaces(parse_presentation(text))
+        for pair in (("5", "1"), ("2", "3"), ("1", "1")):
+            assert ideal.basis(pair) == ()
+            assert ideal.rank(pair) == 0
+
+    @pytest.mark.parametrize("text", [
+        ROUTES, ROUTES + "relation 1*a.b - 1*c.d\n",
+        ROUTES + "relation 1*a.b - 1*c.d + 1*e.f\n"])
+    def test_contains_on_paths_outside_the_quiver(self, text):
+        ideal = ideal_membership_spaces(parse_presentation(text))
+        # the pair comes from the first path, so an unknown arrow at
+        # either of its ends raises; anywhere else it is a foreign path
+        for path in (("zz",), ("a", "zz"), ("zz", "b")):
+            with pytest.raises(UnknownArrowError):
+                ideal.contains({path: 1})
+        assert not ideal.contains({("a", "b"): 1, ("zz",): 1})
+        # a non-composable word is no path, so it never lies in I
+        assert not ideal.contains({("a", "d"): 1})
+        assert not ideal.contains({("a", "b"): 1, ("c", "d"): -1,
+                                   ("a", "d"): 1})
+
+    @pytest.mark.parametrize("relations", [
+        "relation 1*a.b - 1*c.d\nzero x.c.d\n",
+        "zero x.c.d\nrelation 1*a.b - 1*c.d\n"])
+    def test_zero_path_meets_padded_binomial_class(self, relations):
+        # padding a.b = c.d by x makes the class {x.a.b, x.c.d} with root
+        # x.a.b; the zero path x.c.d meets it after or before that
+        p = parse_presentation(SQUARE + "vertex 0\nvertex 5\n"
+                               "arrow x : 0 -> 1\narrow y : 4 -> 5\n"
+                               + relations)
+        table = dimension_table(p)
+        assert table.basis("1", "4") == _paths("a.b")
+        assert table.basis("1", "5") == _paths("a.b.y")
+        assert table.basis("0", "4") == ()
+        assert table.basis("0", "5") == ()
+        assert path_is_zero(p, ("x", "a", "b"))
+        assert path_is_zero(p, ("x", "c", "d", "y"))
+        assert not path_is_zero(p, ("c", "d", "y"))
+        assert ideal_membership_spaces(p).rank(("0", "4")) == 2
+
+    def test_relation_terms_must_be_parallel_paths(self):
+        q = parse_presentation(SQUARE).quiver
+        for second in (("a",), ("c", "b")):
+            pres = Presentation(q, (Relation(((Fraction(1), ("a", "b")),
+                                              (Fraction(-1), second))),))
+            with pytest.raises(QuivertauError, match="not parallel paths"):
+                ideal_membership_spaces(pres)
 
 
 class TestOpposite:

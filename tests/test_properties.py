@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import elimination_bases, elimination_ideal_spaces
 from quivertau.catalog import (
     QuotientWitness,
     _arrow_maps,
@@ -25,7 +26,6 @@ from quivertau.catalog import (
     verify_quotient_witness,
     witness_frame,
 )
-from quivertau.linalg import SparseSpace
 from quivertau.presentation import (
     Arrow,
     Presentation,
@@ -38,8 +38,6 @@ from quivertau.presentation import (
     opposite,
     parse_presentation,
     path_key,
-    path_source,
-    path_target,
     quotient,
     serialize_presentation,
 )
@@ -143,59 +141,9 @@ def test_parse_serialize_round_trip(pres):
 # the relation ideal against full elimination
 
 
-def _elimination_ideal_spaces(pres):
-    """Reference: every padded relation through SparseSpace elimination.
-
-    Returns the per-pair spaces and the padded vectors per pair."""
-    q = pres.quiver
-    paths = all_paths(q)
-    spaces, padded = {}, {}
-    for rel in pres.relations:
-        if not rel.terms:
-            continue
-        a = path_source(q, rel.terms[0][1])
-        b = path_target(q, rel.terms[0][1])
-        lefts = [()] + [p for (x, y), ps in paths.items() if y == a
-                        for p in ps]
-        rights = [()] + [p for (x, y), ps in paths.items() if x == b
-                         for p in ps]
-        for left in lefts:
-            lsrc = path_source(q, left) if left else a
-            for right in rights:
-                rtgt = path_target(q, right) if right else b
-                vec = {}
-                for coeff, mid in rel.terms:
-                    key = left + mid + right
-                    vec[key] = vec.get(key, Fraction(0)) + coeff
-                vec = {k: c for k, c in vec.items() if c}
-                if not vec:
-                    continue
-                pair = (lsrc, rtgt)
-                if pair not in spaces:
-                    spaces[pair] = SparseSpace(path_key)
-                spaces[pair].add(vec)
-                padded.setdefault(pair, []).append(vec)
-    return spaces, padded
-
-
-def _elimination_bases(pres, spaces):
-    """Reference dimension-table pairs: non-pivot paths per pair."""
-    q = pres.quiver
-    paths = all_paths(q)
-    pairs = []
-    for i in q.vertices:
-        for j in q.vertices:
-            pivots = spaces[(i, j)].pivots() if (i, j) in spaces else set()
-            basis = ([()] if i == j else []) + [
-                p for p in paths.get((i, j), ()) if p not in pivots]
-            if basis:
-                pairs.append(((i, j), tuple(basis)))
-    return tuple(pairs)
-
-
 def _assert_bases_match(pres):
-    spaces, _ = _elimination_ideal_spaces(pres)
-    assert dimension_table(pres).pairs == _elimination_bases(pres, spaces)
+    spaces, _ = elimination_ideal_spaces(pres)
+    assert dimension_table(pres).pairs == elimination_bases(pres, spaces)
 
 
 COEFFS = st.one_of(
@@ -244,8 +192,8 @@ def _combination(draw, vectors):
 @PROPERTY
 @given(ideal_presentations(), st.data())
 def test_ideal_matches_full_elimination(pres, data):
-    spaces, padded = _elimination_ideal_spaces(pres)
-    assert dimension_table(pres).pairs == _elimination_bases(pres, spaces)
+    spaces, padded = elimination_ideal_spaces(pres)
+    assert dimension_table(pres).pairs == elimination_bases(pres, spaces)
     ideal = ideal_membership_spaces(pres)
     paths = all_paths(pres.quiver)
     for pair in paths:

@@ -1,12 +1,26 @@
 """Tensor constructions: counts, dimensions, symmetry."""
 
+import hashlib
+from fractions import Fraction
+
 import pytest
 
-from conftest import line, mono, random_tree_quiver, seeded
+from conftest import (
+    elimination_bases,
+    elimination_ideal_spaces,
+    line,
+    mono,
+    random_tree_quiver,
+    seeded,
+)
 
 from quivertau.catalog import catalog_get, is_iso
 from quivertau.presentation import (
+    Arrow,
+    Presentation,
+    Quiver,
     QuivertauError,
+    Relation,
     dimension_table,
     opposite,
     parse_presentation,
@@ -25,6 +39,36 @@ from quivertau.tensor import (
 
 def nn(n):
     return catalog_get(f"N({n})")
+
+
+def _routes(arrows, terms):
+    """One relation (coefficient, dotted path) on the given arrows."""
+    vertices = sorted({v for _, s, t in arrows for v in (s, t)})
+    relation = Relation(tuple((Fraction(c), tuple(p.split(".")))
+                              for c, p in terms))
+    return Presentation(
+        Quiver(tuple(vertices), tuple(Arrow(*a) for a in arrows)),
+        (relation,))
+
+
+def three_term():
+    """Three parallel routes 1 -> 5 in one relation of three terms."""
+    return _routes([("a1", "1", "2"), ("b1", "2", "5"), ("a2", "1", "3"),
+                    ("b2", "3", "5"), ("a3", "1", "4"), ("b3", "4", "5")],
+                   [(1, "a1.b1"), (-2, "a2.b2"), (Fraction(1, 3), "a3.b3")])
+
+
+def weighted_square():
+    """A square whose two routes agree up to the factor 2/3."""
+    return _routes([("a", "1", "2"), ("b", "2", "4"), ("c", "1", "3"),
+                    ("d", "3", "4")], [(1, "a.b"), (Fraction(-2, 3), "c.d")])
+
+
+def tensor_all(*factors):
+    product = factors[0]
+    for f in factors[1:]:
+        product = tensor_product(product, f)
+    return product
 
 
 class TestTensorProduct:
@@ -165,3 +209,46 @@ class TestNaming:
         assert tensor_vertex("1", "1") in t.quiver.vertices
         names = {a.name for a in t.quiver.arrows}
         assert "a1@1" in names and "1@a1" in names
+
+
+# sha256 of repr(dimension_table(p).pairs) for the grid products that the
+# grid-dims benchmark times, under these names; a change to the ideal that
+# moves any basis path changes a hash
+GRID_TABLES = (
+    ("A(6)^2", lambda: tensor_all(line(6), line(6)),
+     "3e524d7ed805c4c066714c25a6d640dba45feec3e76bccd0f9c6192f69515c57"),
+    ("A(6)*A(7)", lambda: tensor_all(line(6), line(7)),
+     "6b843b06ca2200dee61e38dfa663106e6a1e0469ffbf7c40504dd6d17982e787"),
+    ("N(3)^3*A(2)", lambda: tensor_all(nn(3), nn(3), nn(3), line(2)),
+     "7be2e9180162255c81b94b85be944cf14bac40fe1956ea9c7d0ff1bc8ca901fc"),
+    ("N(4)^2*N(3)", lambda: tensor_all(nn(4), nn(4), nn(3)),
+     "1d96092db3e809a08669777c704809428d940b87a148ca7990b9ea35a9934dee"),
+    ("three-term*A(4)*A(3)", lambda: tensor_all(three_term(), line(4),
+                                                line(3)),
+     "56f12514c714c33de1a7f652ca2bab1049d443086c969f831995e6854f39cd6f"),
+    ("three-term^2*A(3)", lambda: tensor_all(three_term(), three_term(),
+                                             line(3)),
+     "6b7edb345f8b26469ddcaabe8447c3f5b277fd8e8061917556da368b58c8f8d4"),
+    ("weighted-square^2*A(3)", lambda: tensor_all(
+        weighted_square(), weighted_square(), line(3)),
+     "4ab54af7e35eac64991aa4274147445bac23e70e885d9edb59e9601037996843"),
+)
+
+
+class TestGridTables:
+    @pytest.mark.parametrize("label, build, digest", GRID_TABLES,
+                             ids=[label for label, _, _ in GRID_TABLES])
+    def test_table_bytes_pinned(self, label, build, digest):
+        pairs = dimension_table(build()).pairs
+        assert hashlib.sha256(repr(pairs).encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("build", [
+        lambda: tensor_all(three_term(), line(3)),
+        lambda: tensor_all(weighted_square(), line(3)),
+        lambda: tensor_all(nn(3), nn(3)),
+    ], ids=["three-term*A(3)", "weighted-square*A(3)", "N(3)^2"])
+    def test_table_matches_full_elimination(self, build):
+        product = build()
+        spaces, _ = elimination_ideal_spaces(product)
+        assert dimension_table(product).pairs == \
+            elimination_bases(product, spaces)
