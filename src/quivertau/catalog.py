@@ -5,13 +5,16 @@ obstructions or finite cases, plus witness frames: marked vertex sets
 inside specific tensor products whose induced quotients certify infinite
 verdicts.  Frame type labels are recorded data; the structural parts of a
 frame are re-verified, the labels are not re-derived.
+
+Quotient search takes its vertex maps from ``presentation.embeddings``,
+the one quiver-map search, and an isomorphism is a quotient witness that
+kills nothing between algebras of equal dimension.
 """
 
 from __future__ import annotations
 
 import itertools
 import re
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -22,7 +25,7 @@ from .presentation import (
     QuivertauError,
     Relation,
     SizeLimitError,
-    all_paths,
+    dimension_table,
     embeddings,
     quotient,
     surviving_relations,
@@ -180,63 +183,7 @@ def catalog_ids():
 
 
 # ---------------------------------------------------------------------------
-# quiver isomorphism with ideal transport
-
-
-def _vertex_signatures(vertices, mult):
-    """Per vertex: sorted out- and in-multiplicities, from the arrow
-    counts per (source, target)."""
-    outs = {v: [] for v in vertices}
-    ins = {v: [] for v in vertices}
-    for (s, t), m in mult.items():
-        outs[s].append(m)
-        ins[t].append(m)
-    return {v: (tuple(sorted(outs[v])), tuple(sorted(ins[v])))
-            for v in vertices}
-
-
-def _vertex_maps(q1, q2):
-    """All quiver-compatible vertex bijections, in deterministic order:
-    q1's vertices are mapped in declaration order, each trying q2's
-    vertices in theirs, by backtracking with an explicit stack."""
-    if len(q1.vertices) != len(q2.vertices) or \
-            len(q1.arrows) != len(q2.arrows):
-        return
-    m1, m2 = q1.index.mult, q2.index.mult
-    sig1 = _vertex_signatures(q1.vertices, m1)
-    sig2 = _vertex_signatures(q2.vertices, m2)
-    order = q1.vertices
-    if not order:
-        yield {}
-        return
-    used = set()
-    vmap = {}
-    frames = [iter(q2.vertices)]  # frames[i] tries images for order[i]
-    while frames:
-        idx = len(frames) - 1
-        u = order[idx]
-        if u in vmap:
-            used.discard(vmap.pop(u))
-        for w in frames[-1]:
-            if w in used or sig1[u] != sig2[w]:
-                continue
-            for prev in order[:idx]:
-                pw = vmap[prev]
-                if m1.get((u, prev), 0) != m2.get((w, pw), 0) or \
-                        m1.get((prev, u), 0) != m2.get((pw, w), 0) or \
-                        m1.get((u, u), 0) != m2.get((w, w), 0):
-                    break
-            else:
-                break
-        else:
-            frames.pop()
-            continue
-        vmap[u] = w
-        used.add(w)
-        if idx + 1 == len(order):
-            yield dict(vmap)
-        else:
-            frames.append(iter(q2.vertices))
+# quotient witness search; an isomorphism is a bijective quotient witness
 
 
 def _arrow_maps(q1, q2, vmap):
@@ -291,50 +238,6 @@ def _transported_relation_vectors(pres, amap):
     return out
 
 
-def _ideals_equal(pres1, amap, pres2):
-    """Does transporting pres1's ideal along amap give exactly pres2's?"""
-    ideal2 = pres2.ideal
-    vectors = _transported_relation_vectors(pres1, amap)
-    if not all(ideal2.contains(vec) for vec in vectors):
-        return False
-    # equality needs matching ranks pairwise
-    transported = Presentation(
-        pres2.quiver,
-        tuple(Relation(tuple((c, p) for p, c in sorted(v.items())))
-              for v in vectors))
-    # the transported ideal inside pres2's quiver
-    ideal1 = transported.ideal
-    return all(ideal1.rank(pair) == ideal2.rank(pair)
-               for pair in all_paths(pres2.quiver))
-
-
-@dataclass(frozen=True)
-class Isomorphism:
-    vertex_map: tuple[tuple[str, str], ...]
-    arrow_map: tuple[tuple[str, str], ...]
-
-    def to_payload(self):
-        return {"vertices": dict(self.vertex_map),
-                "arrows": dict(self.arrow_map)}
-
-
-def is_iso(p1, p2, size_limit=20):
-    """Quiver isomorphism carrying the first ideal onto the second, if any."""
-    if len(p1.quiver.vertices) > size_limit or \
-            len(p2.quiver.vertices) > size_limit:
-        raise SizeLimitError("isomorphism search limit exceeded")
-    for vmap in _vertex_maps(p1.quiver, p2.quiver):
-        for amap in _arrow_maps(p1.quiver, p2.quiver, vmap):
-            if _ideals_equal(p1, amap, p2):
-                return Isomorphism(tuple(sorted(vmap.items())),
-                                   tuple(sorted(amap.items())))
-    return None
-
-
-# ---------------------------------------------------------------------------
-# quotient witness search
-
-
 @dataclass(frozen=True)
 class QuotientWitness:
     killed_vertices: tuple[str, ...]
@@ -352,89 +255,137 @@ class QuotientWitness:
         }
 
 
+def is_iso(p1, p2, size_limit=20):
+    """Quiver isomorphism carrying the first ideal onto the second, as a
+    quotient witness that kills nothing, or None.
+
+    With equal vertex and arrow counts, a witness of ``has_quotient`` kills
+    nothing, so it is a quiver isomorphism φ with φ(I₁) ⊆ I₂ and gives a
+    surjection A₁ → A₂; equal dimensions make that surjection bijective,
+    that is φ(I₁) = I₂.  Conversely an isomorphism is such a witness.  With
+    equal dimensions containment and equality agree for every map, so the
+    witness is the first isomorphism in the search order of
+    ``has_quotient``: vertex maps in lexicographic order of the images of
+    p1's vertices, then ``_arrow_maps`` order.
+    """
+    q1, q2 = p1.quiver, p2.quiver
+    if len(q1.vertices) > size_limit or len(q2.vertices) > size_limit:
+        raise SizeLimitError("isomorphism search limit exceeded")
+    if len(q1.vertices) != len(q2.vertices) or \
+            len(q1.arrows) != len(q2.arrows):
+        return None
+    w = has_quotient(p1, p2, size_limit)
+    if w is not None and \
+            dimension_table(p1).total == dimension_table(p2).total:
+        return w
+    return None
+
+
 def has_quotient(pres, target, size_limit=16):
     """First witness that ``target`` is a quotient of ``pres``, or None.
 
-    The search kills vertex sets, then arrow sets among the surviving
-    arrows, then tries vertex maps of the surviving subquiver onto the
-    target quiver, then arrow maps over each; every level runs in
-    lexicographic combination order over declaration order, and the first
-    map whose induced relations land inside the target ideal is the
-    witness.  Containment suffices because additional admissible
-    relations may always be imposed.
+    A witness kills a set of vertices and then a set of the arrows among
+    the kept ones, and maps what survives isomorphically onto the target
+    quiver so that every surviving relation lands inside the target ideal.
+    Containment suffices because additional admissible relations may
+    always be imposed.  The kept vertex sets are tried in reverse
+    lexicographic order of their positions, which is lexicographic order
+    of the killed sets; within a set the witness is the least candidate by
+    the key (killed arrows as a tuple of indices into the induced arrows
+    in declaration order, the images' positions in ``target.quiver``
+    listed along the kept vertices, ``_arrow_maps`` order).  This is the
+    order of a search that kills vertex sets, then arrow sets, then tries
+    vertex maps and arrow maps, each level in lexicographic order.
 
-    Two prunes drop no witness.  Only the kept vertex sets that
-    ``_host_sets`` returns are tried, still in the order of their killed
-    sets.  The inverse of a witness's vertex map sends the target's
-    vertices injectively into the kept set, and the witness's surviving
-    arrows are a subset of the arrows the kept set induces, so no arrow
-    count of the target exceeds the count between the image vertices: a
-    kept set that admits no such injection holds no witness.  For the
-    same reason the kept set induces at least as many arrows as the
-    target has, so the number of arrows to kill is never negative.  Each
-    arrow set is then compared with the target by the multiset of
-    per-vertex degree signatures (sorted out- and in-multiplicities): a
-    vertex map must send every vertex to one with the same signature, so
-    ``_vertex_maps`` yields nothing when the multisets differ.  Only arrow
-    sets that pass get a sub-presentation, with the term filter of
-    ``quotient``: a relation term dies if and only if it uses a dead
-    arrow.  Candidate maps are checked against ``target.ideal``, which the
-    target builds on first use and keeps, so repeated searches for one
-    target share it.
+    The vertex maps come from ``embeddings(q, tq)``.  The inverse of a
+    witness's vertex map sends tq's vertices injectively into the kept set
+    without any arrow count of tq exceeding q's count between the images,
+    so it is an embedding, and a kept set that is no embedding's image
+    holds no witness.  Twin expansion loses no map: tq's vertices fall
+    into twin classes, read from the ``twin`` field of its embedding plan,
+    and every permutation of a class is an automorphism of tq, so
+    permuting the images within classes turns an embedding into another
+    one.  Of the embeddings that differ only so, ``embeddings`` yields
+    exactly one, the one with each class's images increasing, so
+    expanding each yielded map over all permutations of its classes gives
+    every embedding once.  Given a vertex bijection, the surviving arrows
+    between two kept vertices must number as many as the target has
+    between their images: the surplus parallel arrows of each (source,
+    target) pair are killed, chosen by ``combinations``.  Candidates are
+    checked against ``target.ideal``, which the target builds on first use
+    and keeps, so repeated searches for one target share it.
     """
     if len(pres.quiver.vertices) > size_limit:
         raise SizeLimitError("quotient search limit exceeded")
     q, tq = pres.quiver, target.quiver
     if len(q.vertices) < len(tq.vertices):
         return None
-    wanted = sorted(_vertex_signatures(tq.vertices, tq.index.mult).values())
-    for kept in _host_sets(q, tq):
-        vertices = tuple(q.vertices[i] for i in kept)
+    by_image = {}
+    for emb in embeddings(q, tq):
+        by_image.setdefault(tuple(sorted(emb)), []).append(emb)
+    plan, steps = tq.index.embedding_plan
+    root = []  # per step, the first step of its twin class
+    for step in plan:
+        root.append(len(root) if step[5] is None else root[step[5]])
+    classes = {}
+    for k, i in enumerate(steps):
+        classes.setdefault(root[i], []).append(k)
+    classes = [c for c in classes.values() if len(c) > 1]
+    twins = [k for c in classes for k in c]
+    count = tq.index.mult.get
+    for kept in sorted(by_image, reverse=True):
         on = set(kept)
         killed_vs = tuple(v for i, v in enumerate(q.vertices) if i not in on)
         gone = set(killed_vs)
         arrows = tuple(a for a in q.arrows
                        if a.source not in gone and a.target not in gone)
-        na = len(arrows) - len(tq.arrows)  # arrows to kill
-        ends = [(a.source, a.target) for a in arrows]
-        mult = Counter(ends)
-        for killed in itertools.combinations(range(len(arrows)), na):
-            kept_mult = dict(mult)
-            for i in killed:
-                kept_mult[ends[i]] -= 1
-            kept_mult = {st: m for st, m in kept_mult.items() if m}
-            if sorted(_vertex_signatures(vertices, kept_mult).values()) \
-                    != wanted:
-                continue
-            killed_as = tuple(arrows[i].name for i in killed)
-            dead = {a.name for a in q.arrows
-                    if a.source in gone or a.target in gone}
-            dead.update(killed_as)
-            sub = Presentation(
-                Quiver(vertices,
-                       tuple(a for a in arrows if a.name not in dead)),
-                surviving_relations(pres.relations, dead))
-            for vmap in _vertex_maps(sub.quiver, tq):
-                for amap in _arrow_maps(sub.quiver, tq, vmap):
-                    vectors = _transported_relation_vectors(sub, amap)
-                    if all(target.ideal.contains(vec) for vec in vectors):
-                        return QuotientWitness(
-                            killed_vs, killed_as,
-                            tuple(sorted(vmap.items())),
-                            tuple(sorted(amap.items())))
+        cut = {a.name for a in q.arrows} - {a.name for a in arrows}
+        parallel = {}  # (source, target) -> indices into arrows
+        for i, a in enumerate(arrows):
+            parallel.setdefault((a.source, a.target), []).append(i)
+        candidates = []
+        for emb in by_image[kept]:
+            for perms in itertools.product(
+                    *(itertools.permutations(emb[k] for k in c)
+                      for c in classes)):
+                image = list(emb)
+                for k, p in zip(twins, itertools.chain(*perms)):
+                    image[k] = p
+                at = {p: k for k, p in enumerate(image)}
+                vkey = tuple(at[p] for p in kept)
+                vmap = {q.vertices[p]: tq.vertices[k] for p, k in at.items()}
+                for parts in itertools.product(*(
+                        itertools.combinations(
+                            idx, len(idx) - count((vmap[s], vmap[t]), 0))
+                        for (s, t), idx in parallel.items())):
+                    killed = tuple(sorted(itertools.chain(*parts)))
+                    candidates.append((killed, vkey, vmap))
+        candidates.sort(key=lambda c: c[:2])
+        sub_of = None
+        for killed, _, vmap in candidates:
+            if killed != sub_of:
+                sub_of = killed
+                killed_as = tuple(arrows[i].name for i in killed)
+                dead = cut.union(killed_as)
+                sub = Presentation(
+                    Quiver(tuple(q.vertices[i] for i in kept),
+                           tuple(a for a in arrows if a.name not in dead)),
+                    surviving_relations(pres.relations, dead))
+            for amap in _arrow_maps(sub.quiver, tq, vmap):
+                vectors = _transported_relation_vectors(sub, amap)
+                if all(target.ideal.contains(vec) for vec in vectors):
+                    return QuotientWitness(
+                        killed_vs, killed_as,
+                        tuple(sorted(vmap.items())),
+                        tuple(sorted(amap.items())))
     return None
 
 
-def _host_sets(q, tq):
-    """Position tuples of the vertex sets of q that can hold tq's quiver:
-    the distinct images of ``embeddings(q, tq)``, in reverse lexicographic
-    order."""
-    return sorted({tuple(sorted(image)) for image in embeddings(q, tq)},
-                  reverse=True)
-
-
 def verify_quotient_witness(pres, target, witness):
-    """Re-run the containment check for a stored quotient witness."""
+    """Re-check a stored quotient witness: the vertex map is a bijection
+    onto the target's vertices, the arrow map a bijection from the
+    surviving arrows onto the target's arrows that agrees with it on both
+    ends, and every surviving relation lands inside the target ideal."""
     sub = quotient(pres, witness.killed_vertices, witness.killed_arrows)
     vmap = dict(witness.vertex_map)
     amap = dict(witness.arrow_map)
@@ -442,12 +393,13 @@ def verify_quotient_witness(pres, target, witness):
         return False
     if sorted(vmap.values()) != sorted(target.quiver.vertices):
         return False
+    if sorted(amap) != sorted(a.name for a in sub.quiver.arrows):
+        return False
+    if sorted(amap.values()) != sorted(a.name for a in target.quiver.arrows):
+        return False
     for a in sub.quiver.arrows:
-        if a.name not in amap:
-            return False
-        b = target.quiver.index.by_name.get(amap[a.name])
-        if b is None or vmap[a.source] != b.source or \
-                vmap[a.target] != b.target:
+        b = target.quiver.index.by_name[amap[a.name]]
+        if vmap[a.source] != b.source or vmap[a.target] != b.target:
             return False
     vectors = _transported_relation_vectors(sub, amap)
     return all(target.ideal.contains(vec) for vec in vectors)

@@ -15,6 +15,7 @@ from quivertau.presentation import (
     Quiver,
     Relation,
     all_paths,
+    embeddings,
     path_key,
     path_source,
     path_target,
@@ -140,6 +141,14 @@ def elimination_bases(pres, spaces):
             if basis:
                 pairs.append(((i, j), tuple(basis)))
     return tuple(pairs)
+
+
+def embedding_images(q, tq):
+    """The distinct vertex sets of q that ``embeddings(q, tq)`` maps onto,
+    as position tuples in reverse lexicographic order: the kept sets that
+    quotient search tries, in its order."""
+    return sorted({tuple(sorted(image)) for image in embeddings(q, tq)},
+                  reverse=True)
 
 
 @pytest.fixture

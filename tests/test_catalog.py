@@ -6,14 +6,14 @@ import time
 
 import pytest
 
-from conftest import line, mono
+from conftest import embedding_images, line, mono
 
 from quivertau.catalog import (
     BadParameterError,
+    QuotientWitness,
     UnknownFrameError,
     UnknownIdError,
     _arrow_maps,
-    _host_sets,
     catalog_get,
     catalog_ids,
     frame_ids,
@@ -187,6 +187,46 @@ def _kronecker(n):
                                  for i in range(n))), ())
 
 
+class TestVerifyQuotientWitness:
+    """Forged witnesses: each map agrees with the quivers arrow by arrow
+    and no relation is violated, but the arrow map is no bijection from the
+    surviving arrows onto the target's."""
+
+    @staticmethod
+    def _witness(vertex_map, arrow_map, killed_vertices=(),
+                 killed_arrows=()):
+        return QuotientWitness(killed_vertices, killed_arrows,
+                               tuple(sorted(vertex_map.items())),
+                               tuple(sorted(arrow_map.items())))
+
+    def test_genuine_witness_verifies(self):
+        b51, b1 = catalog_get("B5_1"), catalog_get("B1")
+        assert verify_quotient_witness(b51, b1, has_quotient(b51, b1))
+
+    def test_non_injective_arrow_map(self):
+        a2 = parse_presentation("vertex 1\nvertex 2\narrow c : 1 -> 2\n")
+        k2 = parse_presentation("vertex 1\nvertex 2\n"
+                                "arrow a : 1 -> 2\narrow b : 1 -> 2\n")
+        forged = self._witness({"1": "1", "2": "2"}, {"a": "c", "b": "c"})
+        assert not verify_quotient_witness(k2, a2, forged)
+
+    def test_key_outside_the_surviving_arrows(self):
+        b51, b1 = catalog_get("B5_1"), catalog_get("B1")
+        w = has_quotient(b51, b1)
+        assert "δ" in w.killed_arrows or "5" in w.killed_vertices
+        forged = self._witness(dict(w.vertex_map),
+                               {**dict(w.arrow_map), "δ": "α"},
+                               w.killed_vertices, w.killed_arrows)
+        assert not verify_quotient_witness(b51, b1, forged)
+
+    def test_arrow_map_not_onto_the_target_arrows(self):
+        a2 = parse_presentation("vertex 1\nvertex 2\narrow c : 1 -> 2\n")
+        k2 = parse_presentation("vertex 1\nvertex 2\n"
+                                "arrow a : 1 -> 2\narrow b : 1 -> 2\n")
+        forged = self._witness({"1": "1", "2": "2"}, {"c": "a"})
+        assert not verify_quotient_witness(a2, k2, forged)
+
+
 class TestParallelArrows:
     def test_arrow_maps_keep_product_order(self):
         # two parallel pools and a single arrow between them
@@ -220,10 +260,10 @@ class TestHostSets:
         loop = Quiver(("x",), (Arrow("m", "x", "x"),))
         two_loops = Quiver(("x",), (Arrow("m", "x", "x"),
                                     Arrow("n", "x", "x")))
-        assert _host_sets(q, loop) == [(0,)]
-        assert _host_sets(q, two_loops) == []
-        assert _host_sets(q, _kronecker(2).quiver) == [(0, 1)]
-        assert _host_sets(q, _kronecker(3).quiver) == []
+        assert embedding_images(q, loop) == [(0,)]
+        assert embedding_images(q, two_loops) == []
+        assert embedding_images(q, _kronecker(2).quiver) == [(0, 1)]
+        assert embedding_images(q, _kronecker(3).quiver) == []
 
     def test_isolated_target_vertices_are_not_permuted(self):
         # seven interchangeable vertices: each of the C(12, 7) sets is
@@ -231,7 +271,7 @@ class TestHostSets:
         source = catalog_get(f"A(12,{'+' * 11})")
         target = Presentation(Quiver(tuple("abcdefg"), ()), ())
         start = time.perf_counter()
-        assert len(_host_sets(source.quiver, target.quiver)) == 792
+        assert len(embedding_images(source.quiver, target.quiver)) == 792
         w = has_quotient(source, target)
         assert time.perf_counter() - start < 2.0
         assert w.killed_vertices == tuple(str(i) for i in range(1, 6))

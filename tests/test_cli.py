@@ -139,6 +139,25 @@ class TestOtherCommands:
                            "--target", "catalog:LNak4")
         assert code == 0 and "no quotient witness" in out
 
+    def test_envelope_isomorphism_limit(self, capsys):
+        # the isomorphism search decides up to 20 vertices on either side,
+        # past the quotient search's default limit of 16
+        code, out, _ = run(capsys, "envelope", "catalog:N(20)")
+        assert code == 0 and out.startswith("status: finite\n")
+        code, out, err = run(capsys, "envelope", "catalog:N(21)")
+        assert code == 2 and out == ""
+        assert err == "qt: input error: isomorphism search limit exceeded\n"
+
+    def test_quotient_search_limit(self, capsys):
+        source = "catalog:N(17)"
+        code, out, err = run(capsys, "quotient-search", source,
+                             "--target", N3)
+        assert code == 2 and out == ""
+        assert err == "qt: input error: quotient search limit exceeded\n"
+        code, out, _ = run(capsys, "quotient-search", source,
+                           "--target", N3, "--iso-limit", "17")
+        assert code == 0 and out.startswith("killed vertices: ")
+
     def test_catalog_list_and_show(self, capsys):
         code, out, _ = run(capsys, "catalog", "list")
         assert code == 0 and "B1" in out and "a4n3:+-+" in out

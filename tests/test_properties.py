@@ -12,17 +12,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import elimination_bases, elimination_ideal_spaces
+from conftest import (
+    elimination_bases,
+    elimination_ideal_spaces,
+    embedding_images,
+)
 from quivertau.catalog import (
     QuotientWitness,
     _arrow_maps,
-    _host_sets,
     _transported_relation_vectors,
-    _vertex_maps,
     catalog_get,
     catalog_ids,
     frame_ids,
     has_quotient,
+    is_iso,
     verify_quotient_witness,
     witness_frame,
 )
@@ -311,6 +314,63 @@ def test_tensor_dimension_swap_and_opposite(pa, pb):
 # quotient search against the search that rebuilds every candidate
 
 
+def _vertex_signatures(vertices, mult):
+    """Per vertex: sorted out- and in-multiplicities, from the arrow
+    counts per (source, target)."""
+    outs = {v: [] for v in vertices}
+    ins = {v: [] for v in vertices}
+    for (s, t), m in mult.items():
+        outs[s].append(m)
+        ins[t].append(m)
+    return {v: (tuple(sorted(outs[v])), tuple(sorted(ins[v])))
+            for v in vertices}
+
+
+def _vertex_maps(q1, q2):
+    """Reference: all quiver-compatible vertex bijections, in
+    deterministic order: q1's vertices are mapped in declaration order,
+    each trying q2's vertices in theirs, by backtracking with an explicit
+    stack."""
+    if len(q1.vertices) != len(q2.vertices) or \
+            len(q1.arrows) != len(q2.arrows):
+        return
+    m1, m2 = q1.index.mult, q2.index.mult
+    sig1 = _vertex_signatures(q1.vertices, m1)
+    sig2 = _vertex_signatures(q2.vertices, m2)
+    order = q1.vertices
+    if not order:
+        yield {}
+        return
+    used = set()
+    vmap = {}
+    frames = [iter(q2.vertices)]  # frames[i] tries images for order[i]
+    while frames:
+        idx = len(frames) - 1
+        u = order[idx]
+        if u in vmap:
+            used.discard(vmap.pop(u))
+        for w in frames[-1]:
+            if w in used or sig1[u] != sig2[w]:
+                continue
+            for prev in order[:idx]:
+                pw = vmap[prev]
+                if m1.get((u, prev), 0) != m2.get((w, pw), 0) or \
+                        m1.get((prev, u), 0) != m2.get((pw, w), 0) or \
+                        m1.get((u, u), 0) != m2.get((w, w), 0):
+                    break
+            else:
+                break
+        else:
+            frames.pop()
+            continue
+        vmap[u] = w
+        used.add(w)
+        if idx + 1 == len(order):
+            yield dict(vmap)
+        else:
+            frames.append(iter(q2.vertices))
+
+
 def _reference_has_quotient(pres, target):
     """Reference: kill vertex sets, then arrow sets, rebuilding each
     candidate with ``quotient`` and the target ideal per candidate map."""
@@ -459,11 +519,70 @@ def _sets_with_vertex_maps(q, tq):
 def test_host_sets_are_the_injection_images(pres):
     for q in (pres.quiver, opposite(pres).quiver):
         for target in QUOTIENT_TARGETS:
-            hosts = _host_sets(q, target.quiver)
+            hosts = embedding_images(q, target.quiver)
             assert all(a > b for a, b in zip(hosts, hosts[1:]))
             assert hosts == _injection_images(q, target.quiver)[::-1]
             assert set(_sets_with_vertex_maps(q, target.quiver)) \
                 <= set(hosts)
+
+
+# ---------------------------------------------------------------------------
+# isomorphism against vertex maps with ideal equality by ranks
+
+
+def _reference_is_iso(p1, p2):
+    """Reference: the first vertex map and arrow map under which p1's
+    relations land inside p2's ideal and span an ideal of the same rank as
+    p2's on every pair of vertices, as (vertex map, arrow map) items."""
+    for vmap in _vertex_maps(p1.quiver, p2.quiver):
+        for amap in _arrow_maps(p1.quiver, p2.quiver, vmap):
+            vectors = _transported_relation_vectors(p1, amap)
+            if not all(p2.ideal.contains(vec) for vec in vectors):
+                continue
+            transported = Presentation(
+                p2.quiver,
+                tuple(Relation(tuple((c, p) for p, c in sorted(v.items())))
+                      for v in vectors))
+            if all(transported.ideal.rank(pair) == p2.ideal.rank(pair)
+                   for pair in all_paths(p2.quiver)):
+                return (tuple(sorted(vmap.items())),
+                        tuple(sorted(amap.items())))
+    return None
+
+
+def _renamed(pres, rnd):
+    """pres with fresh vertex and arrow names, its vertices, arrows and
+    relations declared in shuffled order."""
+    q = pres.quiver
+    vname = dict(zip(q.vertices, rnd.sample(
+        [f"w{i}" for i in range(len(q.vertices))], len(q.vertices))))
+    aname = dict(zip((a.name for a in q.arrows), rnd.sample(
+        [f"r{i}" for i in range(len(q.arrows))], len(q.arrows))))
+    vertices = [vname[v] for v in q.vertices]
+    arrows = [Arrow(aname[a.name], vname[a.source], vname[a.target])
+              for a in q.arrows]
+    relations = [Relation(tuple((c, tuple(aname[n] for n in path))
+                                for c, path in rel.terms))
+                 for rel in pres.relations]
+    for part in (vertices, arrows, relations):
+        rnd.shuffle(part)
+    return Presentation(Quiver(tuple(vertices), tuple(arrows)),
+                        tuple(relations))
+
+
+@QUOTIENT
+@given(quotient_sources(), st.randoms(use_true_random=False))
+def test_is_iso_matches_reference(pres, rnd):
+    renamed = _renamed(pres, rnd)
+    for other in (renamed, opposite(pres)) + QUOTIENT_TARGETS:
+        for p1, p2 in ((pres, other), (other, pres)):
+            found = is_iso(p1, p2)
+            expected = _reference_is_iso(p1, p2)
+            assert (found is None) == (expected is None)
+            if found is not None:
+                assert found.killed_vertices == found.killed_arrows == ()
+                assert (found.vertex_map, found.arrow_map) == expected
+    assert is_iso(pres, renamed) is not None
 
 
 def _scanning_word_ok(by_name, zero_paths, letters):
