@@ -13,6 +13,7 @@ kills nothing between algebras of equal dimension.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import re
 from dataclasses import dataclass
@@ -29,6 +30,7 @@ from .presentation import (
     embeddings,
     quotient,
     surviving_relations,
+    twin_classes,
     validate_presentation,
 )
 from .sepgraph import GraphType, classify_graph, euclidean_size, underlying_graph
@@ -286,34 +288,32 @@ def has_quotient(pres, target, size_limit=16):
 
     A witness kills a set of vertices and then a set of the arrows among
     the kept ones, and maps what survives isomorphically onto the target
-    quiver so that every surviving relation lands inside the target ideal.
-    Containment suffices because additional admissible relations may
-    always be imposed.  The kept vertex sets are tried in reverse
-    lexicographic order of their positions, which is lexicographic order
-    of the killed sets; within a set the witness is the least candidate by
-    the key (killed arrows as a tuple of indices into the induced arrows
-    in declaration order, the images' positions in ``target.quiver``
-    listed along the kept vertices, ``_arrow_maps`` order).  This is the
-    order of a search that kills vertex sets, then arrow sets, then tries
-    vertex maps and arrow maps, each level in lexicographic order.
+    quiver so that every surviving relation lands inside the target ideal
+    (containment suffices: more admissible relations may always be
+    imposed).  Kept vertex sets are tried in reverse lexicographic order
+    of their positions, that is lexicographic order of the killed sets;
+    within a set the witness is the least candidate by the key (killed
+    arrows as indices into the induced arrows in declaration order, the
+    images' positions in ``target.quiver`` along the kept vertices,
+    ``_arrow_maps`` order): the order of a search that kills vertex sets,
+    then arrow sets, then tries vertex maps and arrow maps, each level in
+    lexicographic order.
 
-    The vertex maps come from ``embeddings(q, tq)``.  The inverse of a
-    witness's vertex map sends tq's vertices injectively into the kept set
-    without any arrow count of tq exceeding q's count between the images,
-    so it is an embedding, and a kept set that is no embedding's image
-    holds no witness.  Twin expansion loses no map: tq's vertices fall
-    into twin classes, read from the ``twin`` field of its embedding plan,
-    and every permutation of a class is an automorphism of tq, so
-    permuting the images within classes turns an embedding into another
-    one.  Of the embeddings that differ only so, ``embeddings`` yields
-    exactly one, the one with each class's images increasing, so
-    expanding each yielded map over all permutations of its classes gives
-    every embedding once.  Given a vertex bijection, the surviving arrows
-    between two kept vertices must number as many as the target has
-    between their images: the surplus parallel arrows of each (source,
-    target) pair are killed, chosen by ``combinations``.  Candidates are
-    checked against ``target.ideal``, which the target builds on first use
-    and keeps, so repeated searches for one target share it.
+    The inverse of a witness's vertex map sends tq's vertices injectively
+    into the kept set with no arrow count of tq above q's count between
+    the images, so it is one of ``embeddings(q, tq)``, and a set that is
+    no embedding's image holds no witness.  Twin expansion loses no map:
+    every permutation of a class of ``twin_classes(tq)`` is an
+    automorphism of tq, so it turns an embedding into another, and of the
+    embeddings that differ only so ``embeddings`` yields one.  Each
+    bijection kills the surplus parallel arrows of each (source, target)
+    pair, in every choice; an automorphism keeps arrow counts, so the
+    choices are the same for all twin permutations of an embedding.
+    Candidates come lazily in key order: the embeddings' streams of
+    ``_kill_choices`` are merged, and for one killed tuple their streams
+    of ``_twin_orders``, so the first witness costs only the candidates
+    before it.  ``target.ideal`` is built on first use and kept, so
+    repeated searches for one target share it.
     """
     if len(pres.quiver.vertices) > size_limit:
         raise SizeLimitError("quotient search limit exceeded")
@@ -323,15 +323,7 @@ def has_quotient(pres, target, size_limit=16):
     by_image = {}
     for emb in embeddings(q, tq):
         by_image.setdefault(tuple(sorted(emb)), []).append(emb)
-    plan, steps = tq.index.embedding_plan
-    root = []  # per step, the first step of its twin class
-    for step in plan:
-        root.append(len(root) if step[5] is None else root[step[5]])
-    classes = {}
-    for k, i in enumerate(steps):
-        classes.setdefault(root[i], []).append(k)
-    classes = [c for c in classes.values() if len(c) > 1]
-    twins = [k for c in classes for k in c]
+    class_of = {k: c for c in twin_classes(tq) for k in c}
     count = tq.index.mult.get
     for kept in sorted(by_image, reverse=True):
         on = set(kept)
@@ -343,42 +335,79 @@ def has_quotient(pres, target, size_limit=16):
         parallel = {}  # (source, target) -> indices into arrows
         for i, a in enumerate(arrows):
             parallel.setdefault((a.source, a.target), []).append(i)
-        candidates = []
-        for emb in by_image[kept]:
-            for perms in itertools.product(
-                    *(itertools.permutations(emb[k] for k in c)
-                      for c in classes)):
-                image = list(emb)
-                for k, p in zip(twins, itertools.chain(*perms)):
-                    image[k] = p
-                at = {p: k for k, p in enumerate(image)}
-                vkey = tuple(at[p] for p in kept)
-                vmap = {q.vertices[p]: tq.vertices[k] for p, k in at.items()}
-                for parts in itertools.product(*(
-                        itertools.combinations(
-                            idx, len(idx) - count((vmap[s], vmap[t]), 0))
-                        for (s, t), idx in parallel.items())):
-                    killed = tuple(sorted(itertools.chain(*parts)))
-                    candidates.append((killed, vkey, vmap))
-        candidates.sort(key=lambda c: c[:2])
-        sub_of = None
-        for killed, _, vmap in candidates:
-            if killed != sub_of:
-                sub_of = killed
-                killed_as = tuple(arrows[i].name for i in killed)
-                dead = cut.union(killed_as)
-                sub = Presentation(
-                    Quiver(tuple(q.vertices[i] for i in kept),
-                           tuple(a for a in arrows if a.name not in dead)),
-                    surviving_relations(pres.relations, dead))
-            for amap in _arrow_maps(sub.quiver, tq, vmap):
-                vectors = _transported_relation_vectors(sub, amap)
-                if all(target.ideal.contains(vec) for vec in vectors):
-                    return QuotientWitness(
-                        killed_vs, killed_as,
-                        tuple(sorted(vmap.items())),
-                        tuple(sorted(amap.items())))
+        keys, kills = [], []
+        for e, emb in enumerate(by_image[kept]):
+            at = {p: k for k, p in enumerate(emb)}
+            keys.append(tuple(at[p] for p in kept))
+            vmap = {q.vertices[p]: tq.vertices[k] for p, k in at.items()}
+            surplus = [(idx, n) for (s, t), idx in parallel.items()
+                       if (n := len(idx) - count((vmap[s], vmap[t]), 0))]
+            kills.append(zip(_kill_choices(surplus), itertools.repeat(e)))
+        for killed, group in itertools.groupby(heapq.merge(*kills),
+                                               key=lambda c: c[0]):
+            killed_as = tuple(arrows[i].name for i in killed)
+            dead = cut.union(killed_as)
+            sub = Presentation(
+                Quiver(tuple(q.vertices[i] for i in kept),
+                       tuple(a for a in arrows if a.name not in dead)),
+                surviving_relations(pres.relations, dead))
+            for vkey in heapq.merge(*(_twin_orders(keys[e], class_of)
+                                      for _, e in group)):
+                vmap = {q.vertices[p]: tq.vertices[k]
+                        for p, k in zip(kept, vkey)}
+                for amap in _arrow_maps(sub.quiver, tq, vmap):
+                    vectors = _transported_relation_vectors(sub, amap)
+                    if all(target.ideal.contains(vec) for vec in vectors):
+                        return QuotientWitness(
+                            killed_vs, killed_as,
+                            tuple(sorted(vmap.items())),
+                            tuple(sorted(amap.items())))
     return None
+
+
+def _kill_choices(surplus):
+    """The increasing tuples that take n indices from each group of
+    ``surplus``, a list of (increasing indices, n) over disjoint groups,
+    in lexicographic order.  Tuples of one length are in that order
+    exactly when their indicator vectors decrease, so a depth-first walk
+    over the indices that kills an index before keeping it yields them in
+    order; an index is kept only if the later ones of its group can still
+    meet its group's need, so every walk ends in a choice."""
+    slots = sorted((i, g) for g, (idx, _) in enumerate(surplus) for i in idx)
+    later = [len(surplus[g][0]) - surplus[g][0].index(i) - 1
+             for i, g in slots]
+    stack = [(0, (), tuple(need for _, need in surplus))]
+    while stack:
+        j, killed, need = stack.pop()
+        if j == len(slots):
+            yield killed
+            continue
+        i, g = slots[j]
+        if later[j] >= need[g]:
+            stack.append((j + 1, killed, need))
+        if need[g]:
+            stack.append((j + 1, killed + (i,),
+                          need[:g] + (need[g] - 1,) + need[g + 1:]))
+
+
+def _twin_orders(key, class_of):
+    """The vertex-map keys that permute the entries of ``key`` within the
+    classes of ``class_of`` (target position -> its twin class), in
+    lexicographic order: a depth-first walk along the key that gives each
+    twin entry the unused members of its class in increasing order."""
+    slots = [j for j, k in enumerate(key) if k in class_of]
+    stack = [()]
+    while stack:
+        chosen = stack.pop()
+        if len(chosen) == len(slots):
+            out = list(key)
+            for j, k in zip(slots, chosen):
+                out[j] = k
+            yield tuple(out)
+            continue
+        for k in reversed(class_of[key[slots[len(chosen)]]]):
+            if k not in chosen:
+                stack.append(chosen + (k,))
 
 
 def verify_quotient_witness(pres, target, witness):

@@ -999,6 +999,23 @@ def _embedding_plan(vertices, mult):
     return plan, tuple(step[v] for v in vertices)
 
 
+def twin_classes(tq):
+    """The twin classes of tq with more than one vertex, as increasing
+    tuples of positions in ``tq.vertices``, read from the ``twin`` field
+    of its embedding plan: every permutation of a class is an automorphism
+    of tq, and of the maps that differ only by permuting the images within
+    classes, ``embeddings`` yields exactly one."""
+    plan, steps = tq.index.embedding_plan
+    first = []  # per step, the first placed step of its class
+    for step in plan:
+        twin = step[5]
+        first.append(len(first) if twin is None else first[twin])
+    classes = {}
+    for k, i in enumerate(steps):
+        classes.setdefault(first[i], []).append(k)
+    return tuple(tuple(c) for c in classes.values() if len(c) > 1)
+
+
 # ---------------------------------------------------------------------------
 # structural operations
 

@@ -2,6 +2,7 @@
 
 import gc
 import itertools
+import random
 import time
 
 import pytest
@@ -14,6 +15,8 @@ from quivertau.catalog import (
     UnknownFrameError,
     UnknownIdError,
     _arrow_maps,
+    _kill_choices,
+    _twin_orders,
     catalog_get,
     catalog_ids,
     frame_ids,
@@ -32,6 +35,7 @@ from quivertau.presentation import (
     parse_presentation,
     presentations_equal,
     structural_profile,
+    twin_classes,
     validate_presentation,
 )
 from quivertau.tensor import rad_square_quotient, tensor_product
@@ -251,6 +255,66 @@ class TestParallelArrows:
         assert w is not None and w.arrow_map == identity
         assert iso is not None and iso.arrow_map == identity
 
+    def test_twenty_parallel_arrows_onto_ten_return_at_once(self):
+        # C(20, 10) = 184,756 choices of arrows to kill; the first passes
+        start = time.perf_counter()
+        w = has_quotient(_kronecker(20), _kronecker(10))
+        assert time.perf_counter() - start < 2.0
+        assert w.killed_arrows == tuple(f"k{i:02d}" for i in range(10))
+        assert verify_quotient_witness(_kronecker(20), _kronecker(10), w)
+
+
+class TestCandidateOrder:
+    """The two lazy candidate streams of ``has_quotient`` against sorted
+    brute-force lists."""
+
+    def test_kill_choices_are_the_sorted_products(self):
+        rng = random.Random(5)
+        for _ in range(200):
+            rest = list(range(rng.randint(0, 9)))
+            rng.shuffle(rest)
+            surplus = []
+            while rest:
+                k = rng.randint(1, len(rest))
+                group, rest = sorted(rest[:k]), rest[k:]
+                surplus.append((group, rng.randint(1, len(group))))
+            expected = sorted(
+                tuple(sorted(itertools.chain(*parts)))
+                for parts in itertools.product(
+                    *(itertools.combinations(g, need) for g, need in surplus)))
+            assert list(_kill_choices(surplus)) == expected
+
+    def test_twin_orders_are_the_sorted_permutations(self):
+        rng = random.Random(5)
+        for _ in range(200):
+            m = rng.randint(1, 7)
+            key, rest = list(range(m)), list(range(m))
+            rng.shuffle(key)
+            rng.shuffle(rest)
+            classes = []
+            while rest:
+                k = rng.randint(1, len(rest))
+                classes.append(tuple(sorted(rest[:k])))
+                rest = rest[k:]
+            class_of = {k: c for c in classes if len(c) > 1 for k in c}
+            expected = set()
+            for perms in itertools.product(
+                    *(itertools.permutations(c) for c in classes)):
+                sigma = {}
+                for c, perm in zip(classes, perms):
+                    sigma.update(zip(c, perm))
+                expected.add(tuple(sigma[k] for k in key))
+            assert list(_twin_orders(tuple(key), class_of)) == \
+                sorted(expected)
+
+    def test_twin_classes(self):
+        star = Quiver(("c", "x", "y", "z", "w"), (
+            Arrow("a", "c", "x"), Arrow("b", "c", "y"), Arrow("d", "c", "z"),
+            Arrow("e", "w", "c")))
+        assert twin_classes(star) == ((1, 2, 3),)
+        assert twin_classes(_kronecker(2).quiver) == ()
+        assert twin_classes(Quiver(tuple("abc"), ())) == ((0, 1, 2),)
+
 
 class TestHostSets:
     def test_loops_and_parallel_arrows_are_counted(self):
@@ -276,6 +340,23 @@ class TestHostSets:
         assert time.perf_counter() - start < 2.0
         assert w.killed_vertices == tuple(str(i) for i in range(1, 6))
         assert verify_quotient_witness(source, target, w)
+
+    def test_many_isolated_target_vertices_return_at_once(self):
+        # 10! and 12! orderings of one image set; candidates come lazily,
+        # so the first, which passes, is the only one built
+        source = catalog_get(f"A(16,{'+' * 15})")
+        target = Presentation(Quiver(tuple(f"v{i}" for i in range(10)), ()),
+                              ())
+        twelve = Presentation(Quiver(tuple(f"v{i}" for i in range(12)), ()),
+                              ())
+        start = time.perf_counter()
+        w = has_quotient(source, target)
+        iso = is_iso(twelve, twelve)
+        assert time.perf_counter() - start < 2.0
+        assert w.killed_vertices == tuple(str(i) for i in range(1, 7))
+        assert verify_quotient_witness(source, target, w)
+        assert iso.vertex_map == tuple((v, v) for v in sorted(
+            twelve.quiver.vertices))
 
 
 class TestFrames:
