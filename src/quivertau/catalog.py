@@ -286,34 +286,31 @@ def is_iso(p1, p2, size_limit=20):
 def has_quotient(pres, target, size_limit=16):
     """First witness that ``target`` is a quotient of ``pres``, or None.
 
-    A witness kills a set of vertices and then a set of the arrows among
-    the kept ones, and maps what survives isomorphically onto the target
-    quiver so that every surviving relation lands inside the target ideal
+    A witness kills a set of vertices, then a set of the arrows among the
+    kept ones, and maps what survives isomorphically onto the target
+    quiver so that every surviving relation lands inside ``target.ideal``
     (containment suffices: more admissible relations may always be
-    imposed).  Kept vertex sets are tried in reverse lexicographic order
-    of their positions, that is lexicographic order of the killed sets;
+    imposed).  Kept sets are tried in reverse lexicographic order of
+    their positions, which is lexicographic order of the killed sets;
     within a set the witness is the least candidate by the key (killed
     arrows as indices into the induced arrows in declaration order, the
     images' positions in ``target.quiver`` along the kept vertices,
-    ``_arrow_maps`` order): the order of a search that kills vertex sets,
-    then arrow sets, then tries vertex maps and arrow maps, each level in
-    lexicographic order.
+    ``_arrow_maps`` order), as in a search over killed vertex sets, arrow
+    sets, vertex maps and arrow maps, each in lexicographic order.
 
     The inverse of a witness's vertex map sends tq's vertices injectively
     into the kept set with no arrow count of tq above q's count between
-    the images, so it is one of ``embeddings(q, tq)``, and a set that is
-    no embedding's image holds no witness.  Twin expansion loses no map:
-    every permutation of a class of ``twin_classes(tq)`` is an
-    automorphism of tq, so it turns an embedding into another, and of the
-    embeddings that differ only so ``embeddings`` yields one.  Each
+    the images, so it is one of ``embeddings(q, tq)``.  Twin expansion
+    loses no map: a permutation within a class of ``twin_classes(tq)`` is
+    an automorphism of tq, so it turns an embedding into another, and of
+    the embeddings that differ only so ``embeddings`` yields one.  Each
     bijection kills the surplus parallel arrows of each (source, target)
-    pair, in every choice; an automorphism keeps arrow counts, so the
-    choices are the same for all twin permutations of an embedding.
-    Candidates come lazily in key order: the embeddings' streams of
-    ``_kill_choices`` are merged, and for one killed tuple their streams
-    of ``_twin_orders``, so the first witness costs only the candidates
-    before it.  ``target.ideal`` is built on first use and kept, so
-    repeated searches for one target share it.
+    pair, in every choice, and the choices are the same for all twin
+    permutations of an embedding, since an automorphism keeps arrow
+    counts.  Candidates come lazily in key order: the embeddings' streams
+    of ``_kill_choices`` are merged, and for one killed tuple their
+    streams of ``_twin_orders``, so the first witness costs only the
+    candidates before it.
     """
     if len(pres.quiver.vertices) > size_limit:
         raise SizeLimitError("quotient search limit exceeded")

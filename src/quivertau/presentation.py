@@ -910,7 +910,7 @@ def embeddings(q, tq):
         if i == len(plan):
             yield tuple(image[j] for j in steps)
             continue
-        anchor, forward, n_out, n_in, loops, twin, checks = plan[i]
+        anchor, forward, n_out, n_in, loops, twin, later, checks = plan[i]
         if anchor is None:
             pool = range(n)
         else:
@@ -918,7 +918,8 @@ def embeddings(q, tq):
         floor = -1 if twin is None else image[twin]
         for c in pool:
             if used >> c & 1 or c < floor or len(succ[c]) < n_out or \
-                    len(pred[c]) < n_in or mult.get((c, c), 0) < loops:
+                    len(pred[c]) < n_in or mult.get((c, c), 0) < loops or \
+                    later and n - 1 - c - (used >> c + 1).bit_count() < later:
                 continue
             for j, to, back in checks:
                 if mult.get((c, image[j]), 0) < to or \
@@ -932,7 +933,7 @@ def _embedding_plan(vertices, mult):
     """One step per vertex of a quiver tq, given by its vertices and arrow
     counts, in the order ``embeddings`` maps them, and the step of each
     vertex in ``vertices`` order.  A step is
-    (anchor, forward, n_out, n_in, loops, twin, checks).
+    (anchor, forward, n_out, n_in, loops, twin, later, checks).
 
     The next vertex is the one with the most arrows to the vertices
     already placed, then with the most distinct neighbours, so each
@@ -949,6 +950,9 @@ def _embedding_plan(vertices, mult):
     which every permutation is an automorphism, each image set is also
     reached with every class in increasing order.  Without this, a target
     with k isolated vertices would be mapped k! times onto every set.
+    ``later`` counts the members of its class placed after it: they need
+    that many free images above its own, so a smaller margin is a dead
+    end, and k isolated vertices mapped onto k take one path, not 2^k.
     """
     count = mult.get
     n_out = dict.fromkeys(vertices, 0)
@@ -990,8 +994,9 @@ def _embedding_plan(vertices, mult):
         for j, w in enumerate(order):
             if swaps(u, w):
                 twin = j
+        later = sum(swaps(u, w) for w in rest)
         plan.append((anchor, forward, n_out[u], n_in[u], count((u, u), 0),
-                     twin, tuple(checks)))
+                     twin, later, tuple(checks)))
         step[u] = len(order)
         order.append(u)
         for w in nbrs[u]:
@@ -1000,16 +1005,14 @@ def _embedding_plan(vertices, mult):
 
 
 def twin_classes(tq):
-    """The twin classes of tq with more than one vertex, as increasing
-    tuples of positions in ``tq.vertices``, read from the ``twin`` field
-    of its embedding plan: every permutation of a class is an automorphism
-    of tq, and of the maps that differ only by permuting the images within
-    classes, ``embeddings`` yields exactly one."""
+    """tq's twin classes of two or more vertices, as increasing tuples of
+    positions in ``tq.vertices``, read from its embedding plan: each
+    permutation within a class is an automorphism of tq, and ``embeddings``
+    yields one of the maps that differ only by such permutations."""
     plan, steps = tq.index.embedding_plan
     first = []  # per step, the first placed step of its class
     for step in plan:
-        twin = step[5]
-        first.append(len(first) if twin is None else first[twin])
+        first.append(len(first) if step[5] is None else first[step[5]])
     classes = {}
     for k, i in enumerate(steps):
         classes.setdefault(first[i], []).append(k)

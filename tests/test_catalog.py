@@ -342,21 +342,23 @@ class TestHostSets:
         assert verify_quotient_witness(source, target, w)
 
     def test_many_isolated_target_vertices_return_at_once(self):
-        # 10! and 12! orderings of one image set; candidates come lazily,
-        # so the first, which passes, is the only one built
+        # 10! and 20! orderings of one image set; candidates come lazily,
+        # so the first, which passes, is the only one built, and the
+        # twenty vertices (the isomorphism limit) are embedded along one
+        # path, not 2^20
         source = catalog_get(f"A(16,{'+' * 15})")
         target = Presentation(Quiver(tuple(f"v{i}" for i in range(10)), ()),
                               ())
-        twelve = Presentation(Quiver(tuple(f"v{i}" for i in range(12)), ()),
+        twenty = Presentation(Quiver(tuple(f"v{i}" for i in range(20)), ()),
                               ())
         start = time.perf_counter()
         w = has_quotient(source, target)
-        iso = is_iso(twelve, twelve)
+        iso = is_iso(twenty, twenty)
         assert time.perf_counter() - start < 2.0
         assert w.killed_vertices == tuple(str(i) for i in range(1, 7))
         assert verify_quotient_witness(source, target, w)
         assert iso.vertex_map == tuple((v, v) for v in sorted(
-            twelve.quiver.vertices))
+            twenty.quiver.vertices))
 
 
 class TestFrames:
