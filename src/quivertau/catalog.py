@@ -397,10 +397,8 @@ def _twin_orders(key, class_of):
     while stack:
         chosen = stack.pop()
         if len(chosen) == len(slots):
-            out = list(key)
-            for j, k in zip(slots, chosen):
-                out[j] = k
-            yield tuple(out)
+            fill = dict(zip(slots, chosen))
+            yield tuple(fill.get(j, k) for j, k in enumerate(key))
             continue
         for k in reversed(class_of[key[slots[len(chosen)]]]):
             if k not in chosen:

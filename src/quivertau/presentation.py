@@ -14,7 +14,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import chain, count
+from itertools import chain, combinations, count
 
 from .linalg import SparseSpace
 
@@ -975,6 +975,11 @@ def _embedding_plan(vertices, mult):
                 count((x, u), 0) == count((x, w), 0)
                 for x in nbrs[u] if x != w)
 
+    mates = {v: [] for v in vertices}  # the vertices each one swaps with
+    for u, w in combinations(vertices, 2):
+        if swaps(u, w):
+            mates[u].append(w)
+            mates[w].append(u)
     links = dict.fromkeys(vertices, 0)  # arrows to the placed vertices
     step = {}
     order = []
@@ -990,11 +995,8 @@ def _embedding_plan(vertices, mult):
                 if anchor is None or step[w] < anchor:
                     anchor = step[w]
         forward = anchor is not None and (order[anchor], u) in mult
-        twin = None
-        for j, w in enumerate(order):
-            if swaps(u, w):
-                twin = j
-        later = sum(swaps(u, w) for w in rest)
+        twin = max((step[w] for w in mates[u] if w in step), default=None)
+        later = sum(w not in step for w in mates[u])
         plan.append((anchor, forward, n_out[u], n_in[u], count((u, u), 0),
                      twin, later, tuple(checks)))
         step[u] = len(order)
