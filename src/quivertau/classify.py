@@ -16,7 +16,9 @@ from .presentation import (
     NOT_SIMPLY_CONNECTED,
     NotSimplyConnectedError,
     dimension_table,
+    find_oriented_cycle,
     homology_rank,
+    line_orientation,
     opposite,
     require_valid,
     structural_profile,
@@ -25,7 +27,6 @@ from .sepgraph import (
     adachi_decide,
     classify_graph,
     cycle_witness,
-    find_oriented_cycle,
     separated_quiver,
     underlying_graph,
 )
@@ -64,30 +65,10 @@ def opposite_class(eps_class):
 
 
 def line_class(quiver):
-    """Canonical orientation class for path-shaped quivers, else None."""
-    report = classify_graph(underlying_graph(quiver))
-    if len(report.components) != 1 or report.components[0][1].tag != "A":
-        return None
-    n = len(quiver.vertices)
-    if n == 1:
-        return ""
-    out, inc = quiver.index.out, quiver.index.inc
-
-    def steps(v):
-        return [(a.target, "+") for a in out[v]] + \
-            [(a.source, "-") for a in inc[v]]
-
-    end = next(v for v in quiver.vertices if len(steps(v)) == 1)
-    eps = []
-    prev, at = None, end
-    while True:
-        nxts = [(w, d) for w, d in steps(at) if w != prev]
-        if not nxts:
-            break
-        w, d = nxts[0]
-        eps.append(d)
-        prev, at = at, w
-    return orientation_class("".join(eps))
+    """Canonical orientation class of a path-shaped quiver, else None:
+    ``orientation_class`` of its ``line_orientation`` word."""
+    word = line_orientation(quiver)
+    return None if word is None else orientation_class(word)
 
 
 _A3_FRAME_KEYS = {
@@ -226,19 +207,17 @@ def classify_tensor(pa, pb):
 
     # R2: multiple arrows
     for pres, name in ((pa, "A"), (pb, "B")):
-        seen = {}
-        for a in pres.quiver.arrows:
-            key = (a.source, a.target)
-            if key in seen:
-                return vd.verdict(
-                    vd.INFINITE, "multiple-arrows",
-                    "a factor whose quiver has parallel arrows makes the "
-                    "product infinite",
-                    witness={"kind": "structural", "factor": name,
-                             "arrows": [seen[key], a.name],
-                             "from": a.source, "to": a.target},
-                    trace=(*trace, f"multiple-arrows: {name}"))
-            seen[key] = a.name
+        pair = pres.quiver.first_parallel_pair()
+        if pair is not None:
+            earlier, later = pair
+            return vd.verdict(
+                vd.INFINITE, "multiple-arrows",
+                "a factor whose quiver has parallel arrows makes the "
+                "product infinite",
+                witness={"kind": "structural", "factor": name,
+                         "arrows": [earlier.name, later.name],
+                         "from": later.source, "to": later.target},
+                trace=(*trace, f"multiple-arrows: {name}"))
     trace.append("multiple-arrows: no")
 
     # R3: non-Schurian factor (the product is Schurian iff both are)

@@ -2,16 +2,15 @@
 
 Vectors are dicts mapping a hashable key to a nonzero rational (an int or
 a Fraction).  A subspace is kept as a reduced row basis, one row per pivot
-key.  Keys carry a total order, their own or one supplied by the caller,
-so that pivot selection, and hence the surviving quotient basis, is
-deterministic.
+key.  Keys are ordered by their own total order, so that pivot selection,
+and hence the surviving quotient basis, is deterministic.
 
 Zero paths and two-term relations never come here: the relation ideal
 (``presentation.PathIdeal``) settles them with a weighted union-find.
 ``SparseSpace`` serves the normal forms of relations with three or more
 terms, keyed by integer path ids; the cycle space of the homology proxy,
 keyed by arrow names; and the tests, whose full-elimination reference
-ideal, keyed by paths in ``path_key`` order, checks the union-find.
+ideal, keyed by ``path_key`` tuples, checks the union-find.
 """
 
 from __future__ import annotations
@@ -22,19 +21,17 @@ from fractions import Fraction
 class SparseSpace:
     """Row space in reduced echelon form with deterministic pivot order.
 
-    ``key_order(k)`` must give a total order on keys, and None orders the
-    keys themselves; elimination always pivots on the largest key of a
-    row, so the smallest keys survive as representatives of the quotient.
+    Elimination always pivots on the largest key of a row, so the smallest
+    keys survive as representatives of the quotient.
     """
 
-    def __init__(self, key_order=None):
-        self.key_order = key_order
+    def __init__(self):
         self.rows = {}  # pivot key -> reduced row (dict key->Fraction)
 
     def _reduce(self, vec):
         """Reduce vec against the current rows; returns a new dict."""
         vec = dict(vec)
-        for pivot in sorted(vec, key=self.key_order, reverse=True):
+        for pivot in sorted(vec, reverse=True):
             if pivot not in vec:
                 continue
             row = self.rows.get(pivot)
@@ -54,7 +51,7 @@ class SparseSpace:
         vec = self._reduce(vec)
         if not vec:
             return False
-        pivot = max(vec, key=self.key_order)
+        pivot = max(vec)
         inv = Fraction(1) / vec[pivot]
         row = {k: c * inv for k, c in vec.items()}
         # keep existing rows reduced against the new pivot
@@ -76,6 +73,3 @@ class SparseSpace:
     @property
     def rank(self):
         return len(self.rows)
-
-    def pivots(self):
-        return set(self.rows)

@@ -95,11 +95,12 @@ class QuiverIndex:
     ``by_name`` maps arrow names to arrows, ``out`` and ``inc`` map every
     vertex to its outgoing and incoming arrows in declaration order, and
     ``mult`` counts the arrows from each source to each target.
-    ``acyclic`` and ``connected`` answer ``Quiver.is_acyclic`` and
-    ``Quiver.is_connected``, and ``embedding_plan`` is the search plan
-    with which ``embeddings`` maps this quiver into others.  Slots keep
-    the many indexes that caches hold small; the index refers to the
-    quiver's tuples, not to the quiver, so it makes no reference cycle.
+    ``acyclic`` and ``connected`` answer ``Quiver.is_acyclic`` (no loop
+    and no ``oriented_cycle``) and ``Quiver.is_connected``, and
+    ``embedding_plan`` is the search plan with which ``embeddings`` maps
+    this quiver into others.  Slots keep the many indexes that caches
+    hold small; the index refers to the quiver's tuples, not to the
+    quiver, so it makes no reference cycle.
     """
 
     __slots__ = ("_vertices", "_arrows", "_by_name", "_out", "_inc", "_mult",
@@ -138,7 +139,8 @@ class QuiverIndex:
     @property
     def acyclic(self):
         if self._acyclic is None:
-            self._acyclic = self._find_no_cycle()
+            loop = any(a.source == a.target for a in self._arrows)
+            self._acyclic = not loop and self.oriented_cycle() is None
         return self._acyclic
 
     @property
@@ -159,34 +161,30 @@ class QuiverIndex:
             groups[end(a)].append(a)
         return {v: tuple(arrows) for v, arrows in groups.items()}
 
-    def _find_no_cycle(self):
+    def oriented_cycle(self):
+        """A simple oriented cycle of length >= 2, as a vertex list, or
+        None; loops do not count.  Depth-first with an explicit stack."""
         out = self.out
-        state = {v: 0 for v in self._vertices}  # 0 new, 1 open, 2 done
-
-        def visit(v):
-            stack = [(v, iter(out[v]))]
-            state[v] = 1
-            while stack:
-                u, it = stack[-1]
-                advanced = False
-                for a in it:
+        color = {v: 0 for v in self._vertices}  # 0 new, 1 on path, 2 done
+        for root in self._vertices:
+            if color[root] != 0:
+                continue
+            color[root] = 1
+            path, todo = [root], [iter(out[root])]
+            while todo:
+                for a in todo[-1]:
                     w = a.target
-                    if state[w] == 1:
-                        return False
-                    if state[w] == 0:
-                        state[w] = 1
-                        stack.append((w, iter(out[w])))
-                        advanced = True
+                    if color[w] == 0:
+                        color[w] = 1
+                        path.append(w)
+                        todo.append(iter(out[w]))
                         break
-                if not advanced:
-                    state[u] = 2
-                    stack.pop()
-            return True
-
-        for v in self._vertices:
-            if state[v] == 0 and not visit(v):
-                return False
-        return True
+                    if color[w] == 1 and w != path[-1]:  # a loop is no cycle
+                        return path[path.index(w):]
+                else:
+                    color[path.pop()] = 2
+                    todo.pop()
+        return None
 
     def _find_one_component(self):
         root = {v: v for v in self._vertices}  # union-find over the arrows
@@ -220,13 +218,17 @@ class Quiver:
         return self.index.connected
 
     def has_multiple_arrows(self):
-        seen = set()
+        return self.first_parallel_pair() is not None
+
+    def first_parallel_pair(self):
+        """The first arrow, in declaration order, that repeats an earlier
+        arrow's (source, target), with that earlier arrow; else None."""
+        seen = {}
         for a in self.arrows:
-            key = (a.source, a.target)
-            if key in seen:
-                return True
-            seen.add(key)
-        return False
+            earlier = seen.setdefault((a.source, a.target), a)
+            if earlier is not a:
+                return earlier, a
+        return None
 
     def has_loop(self):
         return any(a.source == a.target for a in self.arrows)
@@ -1087,23 +1089,41 @@ def quotient(pres, killed_vertices=(), killed_arrows=(), extra_relations=()):
 # profile and simply-connectedness proxy
 
 
-def _is_linear_nakayama(quiver):
-    """True when the quiver is the linearly oriented line 1 -> 2 -> ... -> n."""
+def find_oriented_cycle(quiver):
+    """A simple oriented cycle of length >= 2, as a vertex list, or None.
+
+    Loops do not count; ``Quiver.is_acyclic`` reads the same search."""
+    return quiver.index.oriented_cycle()
+
+
+def line_orientation(quiver):
+    """The orientation word of a path-shaped quiver, else None.
+
+    The quiver is a path when it is connected, has n - 1 arrows and no
+    vertex touches more than two of them (n - 1 arrows that connect n
+    vertices leave no room for a loop or a parallel pair).  The word is
+    read from its first end in vertex order, one letter per arrow: ``+``
+    where the arrow points away from that end, ``-`` where it points
+    back.  A single vertex gives ``''``.  The neighbour map is built here,
+    not on the quiver's index, which caches keep alive.
+    """
     n = len(quiver.vertices)
-    if len(quiver.arrows) != n - 1:
-        return False
-    targets = {a.target for a in quiver.arrows}
-    sources = [v for v in quiver.vertices if v not in targets]
-    if len(sources) != 1:
-        return False
-    # n - 1 steps along single out-arrows that end at a sink cannot revisit
-    # a vertex, so they run through every vertex and every arrow
-    out = quiver.index.out
-    at, seen = sources[0], 1
-    while seen < n and len(out[at]) == 1:
-        at = out[at][0].target
-        seen += 1
-    return seen == n and not out[at]
+    if len(quiver.arrows) != n - 1 or not quiver.is_connected():
+        return None
+    steps = {v: [] for v in quiver.vertices}
+    for a in quiver.arrows:
+        steps[a.source].append((a.target, "+"))
+        steps[a.target].append((a.source, "-"))
+    if any(len(s) > 2 for s in steps.values()):
+        return None
+    word = []
+    prev, at = None, next(v for v in quiver.vertices if len(steps[v]) < 2)
+    for _ in range(n - 1):
+        step = steps[at]  # one step at the first end, two further on
+        w, letter = step[1] if step[0][0] == prev else step[0]
+        word.append(letter)
+        prev, at = at, w
+    return "".join(word)
 
 
 def structural_profile(pres):
@@ -1111,8 +1131,8 @@ def structural_profile(pres):
     q = pres.quiver
     acyclic = q.is_acyclic()
     connected = q.is_connected()
-    tree = connected and len(q.arrows) == len(q.vertices) - 1 \
-        and not q.has_multiple_arrows() and not q.has_loop()
+    tree = connected and len(q.arrows) == len(q.vertices) - 1
+    line = line_orientation(q)
     rsz = None
     schurian = None
     if acyclic:
@@ -1126,7 +1146,7 @@ def structural_profile(pres):
         is_tree=tree,
         is_local=len(q.vertices) == 1,
         is_hereditary=len(pres.relations) == 0,
-        is_linear_nakayama=_is_linear_nakayama(q),
+        is_linear_nakayama=line is not None and len(set(line)) <= 1,
         is_radical_square_zero=rsz,
         is_schurian=schurian,
         has_multiple_arrows=q.has_multiple_arrows(),
@@ -1145,8 +1165,7 @@ def homology_rank(pres):
     if not q.is_connected():
         raise DisconnectedError("homology proxy needs a connected quiver")
     cycle_rank = len(q.arrows) - len(q.vertices) + 1
-    is_tree = cycle_rank == 0 and not q.has_loop()
-    if is_tree:
+    if cycle_rank == 0:  # a tree
         return 0, SIMPLY_CONNECTED
 
     def edge_vector(path):

@@ -40,6 +40,7 @@ from .presentation import (
     UnsupportedLoopError,
     dimension_table,
     embeddings,
+    find_oriented_cycle,
     require_valid,
 )
 from .tensor import rad_square_quotient, tensor_product, tensor_vertex
@@ -559,35 +560,6 @@ def adachi_decide(pres, mode="witness-search", naive_limit=12):
 
 # ---------------------------------------------------------------------------
 # cycle witness for self-tensor products
-
-
-def find_oriented_cycle(quiver):
-    """A simple oriented cycle of length >= 2, as a vertex list, or None."""
-    out = quiver.index.out
-
-    def successors(v):  # loops do not count
-        return (a.target for a in out[v] if a.target != v)
-
-    color = {v: 0 for v in quiver.vertices}  # 0 new, 1 on path, 2 done
-    for root in quiver.vertices:
-        if color[root] != 0:
-            continue
-        color[root] = 1
-        path, path_pos, todo = [root], {root: 0}, [successors(root)]
-        while todo:
-            for w in todo[-1]:
-                if color[w] == 1:
-                    return path[path_pos[w]:]
-                if color[w] == 0:
-                    color[w] = 1
-                    path_pos[w] = len(path)
-                    path.append(w)
-                    todo.append(successors(w))
-                    break
-            else:
-                color[path.pop()] = 2
-                todo.pop()
-    return None
 
 
 def cycle_witness(pres):

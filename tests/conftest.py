@@ -93,6 +93,17 @@ def seeded(seed=20240817):
 # the relation ideal by full elimination, the union-find's oracle
 
 
+class PathSpace(SparseSpace):
+    """SparseSpace over paths, stored under ``path_key(p)`` so that the
+    keys' own order is ``path_key`` order."""
+
+    def add(self, vec):
+        return super().add({path_key(p): c for p, c in vec.items()})
+
+    def contains(self, vec):
+        return super().contains({path_key(p): c for p, c in vec.items()})
+
+
 def elimination_ideal_spaces(pres):
     """Reference: every padded relation through SparseSpace elimination.
 
@@ -122,7 +133,7 @@ def elimination_ideal_spaces(pres):
                     continue
                 pair = (lsrc, rtgt)
                 if pair not in spaces:
-                    spaces[pair] = SparseSpace(path_key)
+                    spaces[pair] = PathSpace()
                 spaces[pair].add(vec)
                 padded.setdefault(pair, []).append(vec)
     return spaces, padded
@@ -135,9 +146,9 @@ def elimination_bases(pres, spaces):
     pairs = []
     for i in q.vertices:
         for j in q.vertices:
-            pivots = spaces[(i, j)].pivots() if (i, j) in spaces else set()
+            pivots = spaces[(i, j)].rows if (i, j) in spaces else {}
             basis = ([()] if i == j else []) + [
-                p for p in paths.get((i, j), ()) if p not in pivots]
+                p for p in paths.get((i, j), ()) if path_key(p) not in pivots]
             if basis:
                 pairs.append(((i, j), tuple(basis)))
     return tuple(pairs)

@@ -440,7 +440,7 @@ class TestProfile:
 
     def test_acyclic_and_connected_answered_once(self, b1, monkeypatch):
         searches = []
-        for name in ("_find_no_cycle", "_find_one_component"):
+        for name in ("oriented_cycle", "_find_one_component"):
             def counted(index, name=name, search=getattr(QuiverIndex, name)):
                 searches.append(name)
                 return search(index)
@@ -452,7 +452,7 @@ class TestProfile:
             dimension_table(pres)
             require_valid(pres, require_acyclic=True)
             homology_rank(pres)
-        assert sorted(searches) == ["_find_no_cycle", "_find_one_component"]
+        assert sorted(searches) == ["_find_one_component", "oriented_cycle"]
 
 
 class TestQuotient:

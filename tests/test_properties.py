@@ -1,12 +1,15 @@
-"""Property tests on random loop-free quivers with at most 9 vertices,
+"""Property tests on random quivers with at most 9 vertices,
 the union-find ideal against full Gaussian elimination, quotient search
-against the search that rebuilds every candidate, and the band search's
-string predicate against the one that scans every zero path."""
+against the search that rebuilds every candidate, the band search's
+string predicate against the one that scans every zero path, and the line
+reader and oriented-cycle search against the separate walks they
+replaced."""
 
 import importlib.util
 import itertools
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -16,7 +19,9 @@ from conftest import (
     elimination_bases,
     elimination_ideal_spaces,
     embedding_images,
+    line,
 )
+from quivertau import classify
 from quivertau.catalog import (
     QuotientWitness,
     _arrow_maps,
@@ -29,6 +34,7 @@ from quivertau.catalog import (
     verify_quotient_witness,
     witness_frame,
 )
+from quivertau.classify import classify_tensor, line_class, orientation_class
 from quivertau.presentation import (
     Arrow,
     Presentation,
@@ -37,13 +43,16 @@ from quivertau.presentation import (
     Relation,
     all_paths,
     dimension_table,
+    find_oriented_cycle,
     ideal_membership_spaces,
     opposite,
     parse_presentation,
     path_key,
     quotient,
     serialize_presentation,
+    structural_profile,
 )
+from quivertau.sepgraph import classify_graph, underlying_graph
 from quivertau.strings import _word_ok
 from quivertau.tensor import tensor_pair_dims, tensor_product
 
@@ -633,3 +642,142 @@ def test_word_ok_matches_scanning_reference(runs, zero_paths):
     lengths = sorted({len(zp) for zp in zero_set})
     assert _word_ok(WORD_ARROWS, zero_set, lengths, letters) == \
         _scanning_word_ok(WORD_ARROWS, tuple(zero_paths), letters)
+
+
+# ---------------------------------------------------------------------------
+# the line reader and the oriented-cycle search against separate walks
+
+
+def _reference_is_linear_nakayama(quiver):
+    """Reference: the walk from the one source along single out-arrows."""
+    n = len(quiver.vertices)
+    if len(quiver.arrows) != n - 1:
+        return False
+    targets = {a.target for a in quiver.arrows}
+    sources = [v for v in quiver.vertices if v not in targets]
+    if len(sources) != 1:
+        return False
+    out = quiver.index.out
+    at, seen = sources[0], 1
+    while seen < n and len(out[at]) == 1:
+        at = out[at][0].target
+        seen += 1
+    return seen == n and not out[at]
+
+
+def _reference_line_class(quiver):
+    """Reference: type A by the Dynkin classifier, then a walk from the
+    first end over out- and in-arrows."""
+    report = classify_graph(underlying_graph(quiver))
+    if len(report.components) != 1 or report.components[0][1].tag != "A":
+        return None
+    if len(quiver.vertices) == 1:
+        return ""
+    out, inc = quiver.index.out, quiver.index.inc
+
+    def steps(v):
+        return [(a.target, "+") for a in out[v]] + \
+            [(a.source, "-") for a in inc[v]]
+
+    end = next(v for v in quiver.vertices if len(steps(v)) == 1)
+    eps = []
+    prev, at = None, end
+    while True:
+        nxts = [(w, d) for w, d in steps(at) if w != prev]
+        if not nxts:
+            break
+        w, d = nxts[0]
+        eps.append(d)
+        prev, at = at, w
+    return orientation_class("".join(eps))
+
+
+def _reference_no_cycle(quiver):
+    """Reference: three-colour depth-first search in which a loop, too,
+    closes a cycle."""
+    out = {v: [a.target for a in quiver.arrows if a.source == v]
+           for v in quiver.vertices}
+    state = {v: 0 for v in quiver.vertices}  # 0 new, 1 open, 2 done
+    for root in quiver.vertices:
+        if state[root]:
+            continue
+        state[root] = 1
+        stack = [(root, iter(out[root]))]
+        while stack:
+            u, it = stack[-1]
+            for w in it:
+                if state[w] == 1:
+                    return False
+                if state[w] == 0:
+                    state[w] = 1
+                    stack.append((w, iter(out[w])))
+                    break
+            else:
+                state[u] = 2
+                stack.pop()
+    return True
+
+
+def _reference_parallel_witness(quiver):
+    """Reference: rule R2's scan, keeping each (source, target) pair's
+    first arrow name; the witness's arrows, from and to, or None."""
+    seen = {}
+    for a in quiver.arrows:
+        key = (a.source, a.target)
+        if key in seen:
+            return [seen[key], a.name], a.source, a.target
+        seen[key] = a.name
+    return None
+
+
+@st.composite
+def shaped_quivers(draw):
+    """Quivers on 1 to 7 vertices with loops, parallel and antiparallel
+    arrows and several components; a third start from a line and a third
+    from a tree through the vertices in a random order, which the extra
+    arrows may spoil."""
+    n = draw(st.integers(1, 7))
+    vertices = tuple(draw(st.permutations(NAMES))[:n])
+    ends = []
+    base = draw(st.sampled_from(("none", "line", "tree")))
+    if base != "none":
+        order = draw(st.permutations(vertices))
+        for k in range(1, n):
+            v = order[k - 1 if base == "line" else draw(st.integers(0, k - 1))]
+            ends.append((v, order[k]) if draw(st.booleans())
+                        else (order[k], v))
+    pairs = st.tuples(st.sampled_from(vertices), st.sampled_from(vertices))
+    ends += draw(st.lists(pairs, max_size=n))
+    ends = draw(st.permutations(ends))
+    return Quiver(vertices, tuple(Arrow(f"a{k}", s, t)
+                                  for k, (s, t) in enumerate(ends)))
+
+
+@settings(max_examples=600, deadline=None, derandomize=True, database=None)
+@given(shaped_quivers())
+def test_shape_readers_match_references(q):
+    # acyclicity first: the profile enumerates paths on acyclic quivers
+    assert q.is_acyclic() == _reference_no_cycle(q)
+    assert structural_profile(Presentation(q, ())).is_linear_nakayama \
+        == _reference_is_linear_nakayama(q)
+    assert line_class(q) == _reference_line_class(q)
+    loop_free = Quiver(q.vertices, tuple(a for a in q.arrows
+                                         if a.source != a.target))
+    cycle = find_oriented_cycle(q)
+    assert (cycle is None) == _reference_no_cycle(loop_free)
+    if cycle is not None:
+        assert len(cycle) == len(set(cycle)) >= 2
+        edges = {(a.source, a.target) for a in q.arrows}
+        assert all((v, w) in edges
+                   for v, w in zip(cycle, cycle[1:] + cycle[:1]))
+    expected = _reference_parallel_witness(q)
+    assert q.has_multiple_arrows() == (expected is not None)
+    if expected is not None and len(q.vertices) >= 2:
+        # R2 comes before any rule that needs an acyclic factor, so with
+        # the input gate lifted it reads any quiver
+        with mock.patch.object(classify, "_gate", lambda pres, who: None):
+            verdict = classify_tensor(Presentation(q, ()), line(2))
+        witness = verdict.certificate.witness
+        assert verdict.certificate.rule == "multiple-arrows"
+        assert (witness["factor"], witness["arrows"], witness["from"],
+                witness["to"]) == ("A", *expected)
