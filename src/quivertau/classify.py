@@ -15,7 +15,6 @@ from .presentation import (
     InvariantViolationError,
     NOT_SIMPLY_CONNECTED,
     NotSimplyConnectedError,
-    dimension_table,
     find_oriented_cycle,
     homology_rank,
     line_orientation,
@@ -223,8 +222,9 @@ def classify_tensor(pa, pb):
     # R3: non-Schurian factor (the product is Schurian iff both are)
     for prof, pres, name in ((prof_a, pa, "A"), (prof_b, pb, "B")):
         if prof.is_schurian is False:
-            bad = next(pair for pair, paths
-                       in dimension_table(pres).pairs if len(paths) >= 2)
+            vs = pres.quiver.vertices
+            bad = next((i, j) for i in vs for j in vs
+                       if len(pres.ideal.basis((i, j))) >= 2)
             return vd.verdict(
                 vd.INFINITE, "non-schurian",
                 "a non-Schurian factor makes the product non-Schurian, "

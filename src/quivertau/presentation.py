@@ -287,6 +287,7 @@ class DimensionTable:
 
 @dataclass(frozen=True)
 class Profile:
+    """Structural flags; the ideal-based ones are None on cyclic quivers."""
     simple_count: int
     is_acyclic: bool
     is_connected: bool
@@ -871,6 +872,29 @@ def path_is_zero(pres, path):
     return pres.ideal.contains({path: 1})
 
 
+def zero_pair_test(pres):
+    """A test of two composable arrow names a, b: is a.b zero?  A zero
+    relation says so without building the ideal; any other pair is read
+    from ``pres.ideal``, or is nonzero on a cyclic quiver (no ideal)."""
+    zero = {rel.terms[0][1] for rel in pres.relations
+            if rel.is_monomial() and rel.terms[0][0] != 0}
+    acyclic = pres.quiver.is_acyclic()
+    return lambda a, b: (a, b) in zero or (
+        acyclic and pres.ideal.contains({(a, b): 1}))
+
+
+def is_rad_square_zero(pres):
+    """Is every composable arrow pair zero?  On an acyclic quiver that is
+    rad^2 = 0, as terms have length >= 2 (``validate_presentation``): a
+    longer path holds a pair, and if every basis path has length <= 1 then
+    a.b = sum c_k a_k mod I over arrows a_k, so every c_k = 0 as I lies in
+    R^2.  A zero relation lies in I: reading it off the relations is exact.
+    """
+    zero, out = zero_pair_test(pres), pres.quiver.index.out
+    return all(zero(a.name, b.name)
+               for a in pres.quiver.arrows for b in out[a.target])
+
+
 # ---------------------------------------------------------------------------
 # quiver embeddings
 
@@ -1127,18 +1151,17 @@ def line_orientation(quiver):
 
 
 def structural_profile(pres):
-    """Structural flags; dimension-based flags are None on cyclic quivers."""
+    """Structural flags; ideal-based flags are None on cyclic quivers."""
     q = pres.quiver
     acyclic = q.is_acyclic()
     connected = q.is_connected()
     tree = connected and len(q.arrows) == len(q.vertices) - 1
     line = line_orientation(q)
-    rsz = None
-    schurian = None
+    rsz = schurian = None
     if acyclic:
-        table = dimension_table(pres)
-        rsz = all(len(p) <= 1 for _, paths in table.pairs for p in paths)
-        schurian = all(len(paths) <= 1 for _, paths in table.pairs)
+        rsz = is_rad_square_zero(pres)
+        schurian = all(len(pres.ideal.basis(pair)) <= 1
+                       for pair in all_paths(q))
     return Profile(
         simple_count=len(q.vertices),
         is_acyclic=acyclic,

@@ -38,12 +38,12 @@ from .presentation import (
     Quiver,
     SizeLimitError,
     UnsupportedLoopError,
-    dimension_table,
     embeddings,
     find_oriented_cycle,
+    is_rad_square_zero,
     require_valid,
 )
-from .tensor import rad_square_quotient, tensor_product, tensor_vertex
+from .tensor import tensor_product, tensor_vertex
 
 
 @dataclass(frozen=True)
@@ -274,18 +274,6 @@ def is_single_subquiver(quiver, ssq):
 
 # ---------------------------------------------------------------------------
 # the finiteness criterion for radical-square-zero presentations
-
-
-def is_rad_square_zero(pres):
-    """Semantic check on acyclic quivers, syntactic on cyclic ones."""
-    if pres.quiver.is_acyclic():
-        table = dimension_table(pres)
-        return all(len(p) <= 1 for _, paths in table.pairs for p in paths)
-    monomial_squares = {rel.terms[0][1] for rel in pres.relations
-                        if rel.is_monomial() and len(rel.terms[0][1]) == 2}
-    out = pres.quiver.index.out
-    return all((a.name, b.name) in monomial_squares
-               for a in pres.quiver.arrows for b in out[a.target])
 
 
 def _assignment_bad(quiver, sides):
@@ -575,8 +563,7 @@ def cycle_witness(pres):
         raise NoOrientedCycleError(
             "no oriented cycle of length >= 2 (loops do not count)")
     n = len(cyc)
-    ambient = tensor_product(rad_square_quotient(pres),
-                             rad_square_quotient(pres)).quiver
+    ambient = tensor_product(pres, pres).quiver  # relations play no part
     sides = {}
     for k in range(n):
         sides[tensor_vertex(cyc[k % n], cyc[(-k) % n])] = 0

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .catalog import BadParameterError
-from .presentation import QuivertauError
+from .presentation import CyclicQuiverError, QuivertauError, zero_pair_test
 
 
 class NotStringAlgebraError(QuivertauError):
@@ -46,6 +46,8 @@ class StringWord:
 def special_biserial_check(pres):
     """Degree and composition-uniqueness conditions for special biseriality."""
     q = pres.quiver
+    if not q.is_acyclic():  # bands need an admissible ideal, unchecked here
+        raise CyclicQuiverError("path enumeration needs an acyclic quiver")
     out, inc = q.index.out, q.index.inc
     violations = []
     for v in q.vertices:
@@ -53,12 +55,10 @@ def special_biserial_check(pres):
             violations.append(f"vertex {v}: more than 2 outgoing arrows")
         if len(inc[v]) > 2:
             violations.append(f"vertex {v}: more than 2 incoming arrows")
-    ideal = pres.ideal
+    zero = zero_pair_test(pres)
     for b in q.arrows:
-        befores = [a.name for a in inc[b.source]
-                   if not ideal.contains({(a.name, b.name): 1})]
-        afters = [c.name for c in out[b.target]
-                  if not ideal.contains({(b.name, c.name): 1})]
+        befores = [a.name for a in inc[b.source] if not zero(a.name, b.name)]
+        afters = [c.name for c in out[b.target] if not zero(b.name, c.name)]
         if len(befores) > 1:
             violations.append(
                 f"arrow {b.name}: several nonzero left compositions")

@@ -38,8 +38,8 @@ from quivertau.presentation import (
     parse_presentation,
     quotient,
 )
-from quivertau.sepgraph import is_single_subquiver
-from quivertau.strings import special_biserial_check
+from quivertau.sepgraph import adachi_decide, is_single_subquiver
+from quivertau.strings import band_search, special_biserial_check
 from quivertau.tensor import rad_square_quotient, tensor_product
 
 C = catalog_get
@@ -143,6 +143,13 @@ class TestTensorRules:
         v = classify_tensor(NON_SCHURIAN_SC, C("N(3)"))
         assert v.status == "infinite"
         assert v.certificate.rule == "non-schurian"
+        # the first pair, in vertex order, with two basis paths
+        assert v.certificate.witness == {"kind": "structural",
+                                         "factor": "A", "pair": ["1", "4"]}
+        v = classify_tensor(C("N(3)"), opposite(NON_SCHURIAN_SC))
+        assert v.certificate.rule == "non-schurian"
+        assert v.certificate.witness == {"kind": "structural",
+                                         "factor": "B", "pair": ["4", "1"]}
 
     def test_hereditary_pair_finite_boundary(self):
         assert classify_tensor(C("A(2,+)"), C("A(4,+-+)")).status == "finite"
@@ -476,7 +483,9 @@ class TestIdealOwnership:
         gc.collect()
         assert ref() is None
 
-    def test_catalog_targets_keep_their_ideals(self, monkeypatch):
+    @staticmethod
+    def _ideal_builds(monkeypatch):
+        """The list of presentations whose ideal is built from now on."""
         built = []
         build = presentation.ideal_membership_spaces
 
@@ -490,6 +499,10 @@ class TestIdealOwnership:
                     getattr(module, "ideal_membership_spaces", None) is build:
                 monkeypatch.setattr(module, "ideal_membership_spaces",
                                     counting)
+        return built
+
+    def test_catalog_targets_keep_their_ideals(self, monkeypatch):
+        built = self._ideal_builds(monkeypatch)
         pa, pb = C("A(3,+-)"), C("LNak4")
         first = classify_tensor(pa, pb)
         built.clear()
@@ -497,3 +510,12 @@ class TestIdealOwnership:
         targets = [C(f"A(3,{omega})") for omega in ("++", "+-", "-+", "--")]
         assert not [p for p in built if p in targets]
         assert pa.ideal is pa.ideal
+
+    def test_rad_square_quotient_needs_no_ideal(self, monkeypatch):
+        # every composition of the grid is a zero relation
+        line5 = C("A(5,++++)")
+        grid = rad_square_quotient(tensor_product(line5, line5))
+        built = self._ideal_builds(monkeypatch)
+        assert adachi_decide(grid).status == "finite"
+        assert band_search(grid) is None
+        assert built == []

@@ -27,6 +27,7 @@ from quivertau.presentation import (
     dimension_table,
     homology_rank,
     ideal_membership_spaces,
+    is_rad_square_zero,
     opposite,
     parse_presentation,
     path_is_zero,
@@ -36,6 +37,7 @@ from quivertau.presentation import (
     serialize_presentation,
     structural_profile,
     validate_presentation,
+    zero_pair_test,
 )
 
 B1_TEXT = """\
@@ -437,6 +439,26 @@ class TestProfile:
         assert prof.is_acyclic is False
         assert prof.is_radical_square_zero is None
         assert prof.is_schurian is None
+
+    def test_rad_square_zero_through_the_ideal(self):
+        # a.b is zero only because it equals c.d, which is a zero relation
+        square = ("vertex 1\nvertex 2\nvertex 3\nvertex 4\n"
+                  "arrow a : 1 -> 2\narrow b : 2 -> 4\n"
+                  "arrow c : 1 -> 3\narrow d : 3 -> 4\n"
+                  "relation 1*a.b - 1*c.d\n")
+        pres = parse_presentation(square + "zero c.d\n")
+        assert zero_pair_test(pres)("a", "b")
+        assert is_rad_square_zero(pres)
+        assert structural_profile(pres).is_radical_square_zero is True
+        commuting = parse_presentation(square)
+        assert not zero_pair_test(commuting)("a", "b")
+        assert not is_rad_square_zero(commuting)
+        assert structural_profile(commuting).is_radical_square_zero is False
+        # a zero relation needs a nonzero coefficient, as in the ideal
+        vanishing = Presentation(commuting.quiver, (
+            Relation(((Fraction(0), ("a", "b")),)),))
+        assert not zero_pair_test(vanishing)("a", "b")
+        assert not vanishing.ideal.contains({("a", "b"): 1})
 
     def test_acyclic_and_connected_answered_once(self, b1, monkeypatch):
         searches = []

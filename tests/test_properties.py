@@ -1,8 +1,9 @@
 """Property tests on random quivers with at most 9 vertices,
 the union-find ideal against full Gaussian elimination, quotient search
 against the search that rebuilds every candidate, the band search's
-string predicate against the one that scans every zero path, and the line
+string predicate against the one that scans every zero path, the line
 reader and oriented-cycle search against the separate walks they
+replaced, and the zero-composition readers against the table scans they
 replaced."""
 
 import importlib.util
@@ -37,6 +38,7 @@ from quivertau.catalog import (
 from quivertau.classify import classify_tensor, line_class, orientation_class
 from quivertau.presentation import (
     Arrow,
+    CyclicQuiverError,
     Presentation,
     Quiver,
     QuivertauError,
@@ -45,15 +47,21 @@ from quivertau.presentation import (
     dimension_table,
     find_oriented_cycle,
     ideal_membership_spaces,
+    is_rad_square_zero,
     opposite,
     parse_presentation,
     path_key,
     quotient,
     serialize_presentation,
     structural_profile,
+    zero_pair_test,
 )
 from quivertau.sepgraph import classify_graph, underlying_graph
-from quivertau.strings import _word_ok
+from quivertau.strings import (
+    SpecialBiserialReport,
+    _word_ok,
+    special_biserial_check,
+)
 from quivertau.tensor import tensor_pair_dims, tensor_product
 
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True,
@@ -781,3 +789,144 @@ def test_shape_readers_match_references(q):
         assert verdict.certificate.rule == "multiple-arrows"
         assert (witness["factor"], witness["arrows"], witness["from"],
                 witness["to"]) == ("A", *expected)
+
+
+def _reference_is_rad_square_zero(pres):
+    """Reference: a dimension-table scan on an acyclic quiver, the
+    length-2 zero relations on a cyclic one."""
+    if pres.quiver.is_acyclic():
+        table = dimension_table(pres)
+        return all(len(p) <= 1 for _, paths in table.pairs for p in paths)
+    monomial_squares = {rel.terms[0][1] for rel in pres.relations
+                        if rel.is_monomial() and len(rel.terms[0][1]) == 2}
+    out = pres.quiver.index.out
+    return all((a.name, b.name) in monomial_squares
+               for a in pres.quiver.arrows for b in out[a.target])
+
+
+def _reference_profile_flags(pres):
+    """Reference: the profile's rad^2 = 0 and Schurian flags read off the
+    dimension table."""
+    table = dimension_table(pres)
+    return (all(len(p) <= 1 for _, paths in table.pairs for p in paths),
+            all(len(paths) <= 1 for _, paths in table.pairs))
+
+
+def _reference_special_biserial_check(pres):
+    """Reference: the check asking ``pres.ideal`` about every pair."""
+    q = pres.quiver
+    out, inc = q.index.out, q.index.inc
+    violations = []
+    for v in q.vertices:
+        if len(out[v]) > 2:
+            violations.append(f"vertex {v}: more than 2 outgoing arrows")
+        if len(inc[v]) > 2:
+            violations.append(f"vertex {v}: more than 2 incoming arrows")
+    ideal = pres.ideal
+    for b in q.arrows:
+        befores = [a.name for a in inc[b.source]
+                   if not ideal.contains({(a.name, b.name): 1})]
+        afters = [c.name for c in out[b.target]
+                  if not ideal.contains({(b.name, c.name): 1})]
+        if len(befores) > 1:
+            violations.append(
+                f"arrow {b.name}: several nonzero left compositions")
+        if len(afters) > 1:
+            violations.append(
+                f"arrow {b.name}: several nonzero right compositions")
+    return SpecialBiserialReport(not violations, tuple(violations))
+
+
+def _compositions(q):
+    return [(a.name, b.name) for a in q.arrows for b in q.index.out[a.target]]
+
+
+def _with_zero_pairs(draw, pres):
+    """The presentation with zero relations added on drawn compositions,
+    all of them in about a third of the draws."""
+    pairs = _compositions(pres.quiver)
+    if not draw(st.integers(0, 2)):
+        picked = pairs
+    else:
+        picked = [p for p in pairs if draw(st.booleans())]
+    return Presentation(pres.quiver, pres.relations + tuple(
+        Relation(((draw(COEFFS), p),)) for p in picked))
+
+
+def _without_parallel_arrows(pres):
+    """The presentation on the first arrow of each (source, target) pair,
+    with the relations that use only those arrows."""
+    q, seen = pres.quiver, {}
+    for a in q.arrows:
+        seen.setdefault((a.source, a.target), a)
+    kept = {a.name for a in seen.values()}
+    return Presentation(
+        Quiver(q.vertices, tuple(seen.values())),
+        tuple(rel for rel in pres.relations
+              if all(set(p) <= kept for p in rel.paths())))
+
+
+@PROPERTY
+@given(ideal_presentations(), st.data())
+def test_zero_composition_readers_match_references(pres, data):
+    simple = _without_parallel_arrows(pres)
+    for p in (pres, _with_zero_pairs(data.draw, pres), simple,
+              _with_zero_pairs(data.draw, simple)):
+        zero = zero_pair_test(p)
+        assert [zero(a, b) for a, b in _compositions(p.quiver)] == \
+            [p.ideal.contains({pair: 1}) for pair in _compositions(p.quiver)]
+        assert is_rad_square_zero(p) == _reference_is_rad_square_zero(p)
+        prof = structural_profile(p)
+        assert (prof.is_radical_square_zero, prof.is_schurian) == \
+            _reference_profile_flags(p)
+        assert special_biserial_check(p) == \
+            _reference_special_biserial_check(p)
+        if prof.is_schurian or p.quiver.has_multiple_arrows():
+            continue
+        # R3, the first rule to read the ideal, with the input gate lifted
+        with mock.patch.object(classify, "_gate", lambda pres, who: None):
+            witness = classify_tensor(p, line(2)).certificate.witness
+        assert witness["pair"] == list(next(
+            pair for pair, paths in dimension_table(p).pairs
+            if len(paths) >= 2))
+
+
+@st.composite
+def cyclic_presentations(draw):
+    """A quiver on 1 to 6 vertices with an oriented cycle or a loop, zero
+    relations on drawn compositions and one binomial relation, between two
+    parallel compositions where there are some."""
+    n = draw(st.integers(1, 6))
+    vertices = tuple(draw(st.permutations(NAMES))[:n])
+    cycle = draw(st.permutations(vertices))[:draw(st.integers(1, n))]
+    ends = list(zip(cycle, cycle[1:] + cycle[:1]))
+    pairs = st.tuples(st.sampled_from(vertices), st.sampled_from(vertices))
+    ends += draw(st.lists(pairs, max_size=n))
+    q = Quiver(vertices, tuple(Arrow(f"a{k}", s, t)
+                               for k, (s, t) in enumerate(ends)))
+    pres = _with_zero_pairs(draw, Presentation(q, ()))
+    by_name = q.index.by_name
+    comps = _compositions(q)
+    first = draw(st.sampled_from(comps))
+    parallel = [p for p in comps if p != first
+                and by_name[p[0]].source == by_name[first[0]].source
+                and by_name[p[1]].target == by_name[first[1]].target]
+    second = draw(st.sampled_from(parallel)) if parallel else first
+    binomial = Relation(((draw(COEFFS), first), (draw(COEFFS), second)))
+    return Presentation(q, pres.relations + (binomial,))
+
+
+@PROPERTY
+@given(cyclic_presentations())
+def test_zero_compositions_on_cyclic_quivers(pres):
+    zero = zero_pair_test(pres)
+    squares = {rel.terms[0][1] for rel in pres.relations
+               if rel.is_monomial()}
+    assert [zero(a, b) for a, b in _compositions(pres.quiver)] == \
+        [pair in squares for pair in _compositions(pres.quiver)]
+    assert is_rad_square_zero(pres) == _reference_is_rad_square_zero(pres)
+    prof = structural_profile(pres)
+    assert (prof.is_radical_square_zero, prof.is_schurian) == (None, None)
+    with pytest.raises(CyclicQuiverError,
+                       match="^path enumeration needs an acyclic quiver$"):
+        special_biserial_check(pres)

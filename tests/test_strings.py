@@ -7,6 +7,7 @@ from conftest import line, mono
 from quivertau.catalog import BadParameterError, catalog_get
 from quivertau.presentation import (
     Arrow,
+    CyclicQuiverError,
     Presentation,
     Quiver,
     parse_presentation,
@@ -46,6 +47,17 @@ class TestSpecialBiserial:
         report = special_biserial_check(p)
         assert not report.ok
         assert any("right compositions" in v for v in report.violations)
+
+    def test_cyclic_quiver_refused(self):
+        # every composition is a zero relation, so no ideal would be needed;
+        # the refusal stays because admissibility is not checked here
+        c3 = parse_presentation(
+            "vertex 1\nvertex 2\nvertex 3\narrow a : 1 -> 2\n"
+            "arrow b : 2 -> 3\narrow c : 3 -> 1\n"
+            "zero a.b\nzero b.c\nzero c.a\n")
+        with pytest.raises(CyclicQuiverError,
+                           match="^path enumeration needs an acyclic quiver$"):
+            special_biserial_check(c3)
 
 
 class TestBandSearch:
