@@ -29,7 +29,6 @@ from .presentation import (
     dimension_table,
     embeddings,
     quotient,
-    surviving_relations,
     twin_classes,
     validate_presentation,
 )
@@ -196,11 +195,11 @@ def _arrow_maps(q1, q2, vmap):
     first map costs nothing however many parallel arrows there are."""
 
     def names(quiver, s, t):
-        return [a.name for a in quiver.index.out[s] if a.target == t]
+        return [a.name for a in quiver.out[s] if a.target == t]
 
     amap = {}
     pools = []  # pairs with parallel arrows; the others have one bijection
-    for s, t in sorted(q1.index.mult):
+    for s, t in sorted(q1.mult):
         names1 = names(q1, s, t)
         names2 = names(q2, vmap[s], vmap[t])
         if len(names1) != len(names2):
@@ -321,14 +320,13 @@ def has_quotient(pres, target, size_limit=16):
     for emb in embeddings(q, tq):
         by_image.setdefault(tuple(sorted(emb)), []).append(emb)
     class_of = {k: c for c in twin_classes(tq) for k in c}
-    count = tq.index.mult.get
+    count = tq.mult.get
     for kept in sorted(by_image, reverse=True):
         on = set(kept)
         killed_vs = tuple(v for i, v in enumerate(q.vertices) if i not in on)
         gone = set(killed_vs)
         arrows = tuple(a for a in q.arrows
                        if a.source not in gone and a.target not in gone)
-        cut = {a.name for a in q.arrows} - {a.name for a in arrows}
         parallel = {}  # (source, target) -> indices into arrows
         for i, a in enumerate(arrows):
             parallel.setdefault((a.source, a.target), []).append(i)
@@ -343,11 +341,7 @@ def has_quotient(pres, target, size_limit=16):
         for killed, group in itertools.groupby(heapq.merge(*kills),
                                                key=lambda c: c[0]):
             killed_as = tuple(arrows[i].name for i in killed)
-            dead = cut.union(killed_as)
-            sub = Presentation(
-                Quiver(tuple(q.vertices[i] for i in kept),
-                       tuple(a for a in arrows if a.name not in dead)),
-                surviving_relations(pres.relations, dead))
+            sub = quotient(pres, killed_vs, killed_as)
             for vkey in heapq.merge(*(_twin_orders(keys[e], class_of)
                                       for _, e in group)):
                 vmap = {q.vertices[p]: tq.vertices[k]
@@ -422,7 +416,7 @@ def verify_quotient_witness(pres, target, witness):
     if sorted(amap.values()) != sorted(a.name for a in target.quiver.arrows):
         return False
     for a in sub.quiver.arrows:
-        b = target.quiver.index.by_name[amap[a.name]]
+        b = target.quiver.by_name[amap[a.name]]
         if vmap[a.source] != b.source or vmap[a.target] != b.target:
             return False
     vectors = _transported_relation_vectors(sub, amap)

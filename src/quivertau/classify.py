@@ -592,10 +592,15 @@ def classify_self_tensor(pres):
 
 
 def classify_triple(pa, pb, pc):
-    """Finiteness of a threefold tensor product."""
+    """Finiteness of a threefold tensor product.  Every factor's quiver
+    must be acyclic, as for ``classify_tensor``: a one-vertex factor with
+    a loop would otherwise be dropped as local."""
     factors = [pa, pb, pc]
     for pres in factors:
         require_valid(pres)
+        if not pres.quiver.is_acyclic():
+            raise CyclicQuiverError(
+                "classify_triple: every factor's quiver must be acyclic")
     locals_ = [len(p.quiver.vertices) == 1 for p in factors]
     nonlocal_factors = [p for p, loc in zip(factors, locals_) if not loc]
     if len(nonlocal_factors) == 3:

@@ -89,105 +89,51 @@ class Arrow:
     target: str
 
 
-class QuiverIndex:
-    """Read-only lookups on one quiver, each built on first use.
+@dataclass(frozen=True)
+class Quiver:
+    """Finite directed multigraph. Vertex ids and arrow names are unique.
 
+    Its lookups are built on first use and cached on the quiver:
     ``by_name`` maps arrow names to arrows, ``out`` and ``inc`` map every
-    vertex to its outgoing and incoming arrows in declaration order, and
-    ``mult`` counts the arrows from each source to each target.
-    ``acyclic`` and ``connected`` answer ``Quiver.is_acyclic`` (no loop
-    and no ``oriented_cycle``) and ``Quiver.is_connected``, and
+    vertex to its outgoing and incoming arrows in declaration order,
+    ``mult`` counts the arrows from each source to each target, and
     ``embedding_plan`` is the search plan with which ``embeddings`` maps
-    this quiver into others.  Slots keep the many indexes that caches
-    hold small; the index refers to the quiver's tuples, not to the
-    quiver, so it makes no reference cycle.
+    this quiver into others.  ``is_acyclic`` (no loop and no
+    ``find_oriented_cycle``) and ``is_connected`` are answered once too.
+    The cached values hold arrows and tuples, never the quiver, so they
+    make no reference cycle.
     """
 
-    __slots__ = ("_vertices", "_arrows", "_by_name", "_out", "_inc", "_mult",
-                 "_acyclic", "_connected", "_embedding_plan")
+    vertices: tuple[str, ...]
+    arrows: tuple[Arrow, ...]
 
-    def __init__(self, vertices, arrows):
-        self._vertices = vertices
-        self._arrows = arrows
-        self._by_name = self._out = self._inc = self._mult = None
-        self._acyclic = self._connected = self._embedding_plan = None
-
-    @property
+    @cached_property
     def by_name(self):
-        if self._by_name is None:
-            self._by_name = {a.name: a for a in self._arrows}
-        return self._by_name
+        return {a.name: a for a in self.arrows}
 
-    @property
+    @cached_property
     def out(self):
-        if self._out is None:
-            self._out = self._group_by(lambda a: a.source)
-        return self._out
+        return self._group_by(lambda a: a.source)
 
-    @property
+    @cached_property
     def inc(self):
-        if self._inc is None:
-            self._inc = self._group_by(lambda a: a.target)
-        return self._inc
+        return self._group_by(lambda a: a.target)
 
-    @property
+    @cached_property
     def mult(self):
-        if self._mult is None:
-            self._mult = Counter((a.source, a.target) for a in self._arrows)
-        return self._mult
+        return Counter((a.source, a.target) for a in self.arrows)
 
-    @property
-    def acyclic(self):
-        if self._acyclic is None:
-            loop = any(a.source == a.target for a in self._arrows)
-            self._acyclic = not loop and self.oriented_cycle() is None
-        return self._acyclic
-
-    @property
-    def connected(self):
-        if self._connected is None:
-            self._connected = self._find_one_component()
-        return self._connected
-
-    @property
+    @cached_property
     def embedding_plan(self):
-        if self._embedding_plan is None:
-            self._embedding_plan = _embedding_plan(self._vertices, self.mult)
-        return self._embedding_plan
+        return _embedding_plan(self.vertices, self.mult)
 
-    def _group_by(self, end):
-        groups = {v: [] for v in self._vertices}
-        for a in self._arrows:
-            groups[end(a)].append(a)
-        return {v: tuple(arrows) for v, arrows in groups.items()}
+    @cached_property
+    def _acyclic(self):
+        return not self.has_loop() and find_oriented_cycle(self) is None
 
-    def oriented_cycle(self):
-        """A simple oriented cycle of length >= 2, as a vertex list, or
-        None; loops do not count.  Depth-first with an explicit stack."""
-        out = self.out
-        color = {v: 0 for v in self._vertices}  # 0 new, 1 on path, 2 done
-        for root in self._vertices:
-            if color[root] != 0:
-                continue
-            color[root] = 1
-            path, todo = [root], [iter(out[root])]
-            while todo:
-                for a in todo[-1]:
-                    w = a.target
-                    if color[w] == 0:
-                        color[w] = 1
-                        path.append(w)
-                        todo.append(iter(out[w]))
-                        break
-                    if color[w] == 1 and w != path[-1]:  # a loop is no cycle
-                        return path[path.index(w):]
-                else:
-                    color[path.pop()] = 2
-                    todo.pop()
-        return None
-
-    def _find_one_component(self):
-        root = {v: v for v in self._vertices}  # union-find over the arrows
+    @cached_property
+    def _connected(self):
+        root = {v: v for v in self.vertices}  # union-find over the arrows
 
         def find(v):
             while root[v] != v:
@@ -195,27 +141,21 @@ class QuiverIndex:
                 v = root[v]
             return v
 
-        for a in self._arrows:
+        for a in self.arrows:
             root[find(a.source)] = find(a.target)
-        return len({find(v) for v in self._vertices}) <= 1
+        return len({find(v) for v in self.vertices}) <= 1
 
-
-@dataclass(frozen=True)
-class Quiver:
-    """Finite directed multigraph. Vertex ids and arrow names are unique."""
-
-    vertices: tuple[str, ...]
-    arrows: tuple[Arrow, ...]
-
-    @cached_property
-    def index(self):
-        return QuiverIndex(self.vertices, self.arrows)
+    def _group_by(self, end):
+        groups = {v: [] for v in self.vertices}
+        for a in self.arrows:
+            groups[end(a)].append(a)
+        return {v: tuple(arrows) for v, arrows in groups.items()}
 
     def is_acyclic(self):
-        return self.index.acyclic
+        return self._acyclic
 
     def is_connected(self):
-        return self.index.connected
+        return self._connected
 
     def has_multiple_arrows(self):
         return self.first_parallel_pair() is not None
@@ -232,6 +172,32 @@ class Quiver:
 
     def has_loop(self):
         return any(a.source == a.target for a in self.arrows)
+
+
+def find_oriented_cycle(quiver):
+    """A simple oriented cycle of length >= 2, as a vertex list, or None;
+    loops do not count.  Depth-first with an explicit stack."""
+    out = quiver.out
+    color = {v: 0 for v in quiver.vertices}  # 0 new, 1 on path, 2 done
+    for root in quiver.vertices:
+        if color[root] != 0:
+            continue
+        color[root] = 1
+        path, todo = [root], [iter(out[root])]
+        while todo:
+            for a in todo[-1]:
+                w = a.target
+                if color[w] == 0:
+                    color[w] = 1
+                    path.append(w)
+                    todo.append(iter(out[w]))
+                    break
+                if color[w] == 1 and w != path[-1]:  # a loop is no cycle
+                    return path[path.index(w):]
+            else:
+                color[path.pop()] = 2
+                todo.pop()
+    return None
 
 
 @dataclass(frozen=True)
@@ -307,7 +273,7 @@ def path_key(path):
 
 def _arrow(quiver, name):
     try:
-        return quiver.index.by_name[name]
+        return quiver.by_name[name]
     except KeyError:
         raise UnknownArrowError(name) from None
 
@@ -321,7 +287,7 @@ def path_target(quiver, path):
 
 
 def path_is_composable(quiver, path):
-    by_name = quiver.index.by_name
+    by_name = quiver.by_name
     for x, y in zip(path, path[1:]):
         if x not in by_name or y not in by_name:
             return False
@@ -476,7 +442,7 @@ def serialize_presentation(pres):
     return "\n".join(lines) + "\n"
 
 
-def validate_presentation(pres, require_acyclic=False):
+def validate_presentation(pres):
     """Structural checks; returns a list of Violation records."""
     out = []
     q = pres.quiver
@@ -495,10 +461,7 @@ def validate_presentation(pres, require_acyclic=False):
     if not q.is_connected():
         out.append(Violation("Disconnected", "quiver",
                              "underlying graph is not connected"))
-    if require_acyclic and not q.is_acyclic():
-        out.append(Violation("CyclicQuiver", "quiver",
-                             "oriented cycle present"))
-    by_name = q.index.by_name
+    by_name = q.by_name
     for idx, rel in enumerate(pres.relations):
         where = f"relation {idx}"
         if not rel.terms:
@@ -525,17 +488,14 @@ def validate_presentation(pres, require_acyclic=False):
     return out
 
 
-def require_valid(pres, require_acyclic=False):
+def require_valid(pres):
     """Raise the typed error for the violations ``validate_presentation``
     finds, with a message such as ``EmptyQuiver (quiver): no vertices``
     (several joined by ``; ``) and the list kept as ``.violations``."""
-    violations = validate_presentation(pres, require_acyclic=require_acyclic)
+    violations = validate_presentation(pres)
     if violations:
-        codes = {v.code for v in violations}
-        if codes == {"Disconnected"}:
+        if {v.code for v in violations} == {"Disconnected"}:
             error = DisconnectedError
-        elif "CyclicQuiver" in codes:
-            error = CyclicQuiverError
         else:
             error = QuivertauError
         exc = error("; ".join(f"{v.code} ({v.where}): {v.detail}"
@@ -556,7 +516,7 @@ PATH_LETTER_BUDGET = 16_000_000
 def _check_path_budget(quiver):
     """Count the letters of all paths of an acyclic quiver without building
     any path, and raise SizeLimitError when they pass the budget."""
-    out = quiver.index.out
+    out = quiver.out
     below = {}  # vertex -> (paths starting there, their total letters)
     total = 0
     for v in quiver.vertices:
@@ -595,7 +555,7 @@ def all_paths(quiver):
     if not quiver.is_acyclic():
         raise CyclicQuiverError("path enumeration needs an acyclic quiver")
     _check_path_budget(quiver)
-    out = quiver.index.out
+    out = quiver.out
     grouped = {}
     for v in quiver.vertices:
         # depth-first, children in arrow order: pop a path, then push its
@@ -872,12 +832,18 @@ def path_is_zero(pres, path):
     return pres.ideal.contains({path: 1})
 
 
+def zero_relation_paths(pres):
+    """The paths of the zero relations: monomial relations with a nonzero
+    coefficient, each of which puts its path in the ideal."""
+    return frozenset(rel.terms[0][1] for rel in pres.relations
+                     if rel.is_monomial() and rel.terms[0][0] != 0)
+
+
 def zero_pair_test(pres):
     """A test of two composable arrow names a, b: is a.b zero?  A zero
     relation says so without building the ideal; any other pair is read
     from ``pres.ideal``, or is nonzero on a cyclic quiver (no ideal)."""
-    zero = {rel.terms[0][1] for rel in pres.relations
-            if rel.is_monomial() and rel.terms[0][0] != 0}
+    zero = zero_relation_paths(pres)
     acyclic = pres.quiver.is_acyclic()
     return lambda a, b: (a, b) in zero or (
         acyclic and pres.ideal.contains({(a, b): 1}))
@@ -890,7 +856,7 @@ def is_rad_square_zero(pres):
     a.b = sum c_k a_k mod I over arrows a_k, so every c_k = 0 as I lies in
     R^2.  A zero relation lies in I: reading it off the relations is exact.
     """
-    zero, out = zero_pair_test(pres), pres.quiver.index.out
+    zero, out = zero_pair_test(pres), pres.quiver.out
     return all(zero(a.name, b.name)
                for a in pres.quiver.arrows for b in out[a.target])
 
@@ -905,7 +871,7 @@ def embeddings(q, tq):
     image vertices; each map is a tuple of q positions in ``tq.vertices``
     order.  Of maps that differ only by swapping the images of twins (see
     ``_embedding_plan``), one is yielded.  The plan is built once per tq
-    and kept on its index.
+    and cached on it.
 
     The maps are found by a depth-first search with an explicit stack,
     over tq's vertices in the order of ``_embedding_plan``.  A vertex with
@@ -917,8 +883,8 @@ def embeddings(q, tq):
     """
     n = len(q.vertices)
     pos = {v: i for i, v in enumerate(q.vertices)}
-    # counted here rather than read from q.index.mult, which would then be
-    # kept on every source quiver that a cache holds
+    # counted here rather than read from q.mult, which would then stay
+    # cached on every source quiver that a cache holds
     mult = {}
     for a in q.arrows:
         st = pos[a.source], pos[a.target]
@@ -928,7 +894,7 @@ def embeddings(q, tq):
     for s, t in mult:
         succ[s].append(t)
         pred[t].append(s)
-    plan, steps = tq.index.embedding_plan
+    plan, steps = tq.embedding_plan
     stack = [((), 0)]  # images of the first steps, and their bit mask
     while stack:
         image, used = stack.pop()
@@ -1037,7 +1003,7 @@ def twin_classes(tq):
     positions in ``tq.vertices``, read from its embedding plan: each
     permutation within a class is an automorphism of tq, and ``embeddings``
     yields one of the maps that differ only by such permutations."""
-    plan, steps = tq.index.embedding_plan
+    plan, steps = tq.embedding_plan
     first = []  # per step, the first placed step of its class
     for step in plan:
         first.append(len(first) if step[5] is None else first[step[5]])
@@ -1062,18 +1028,6 @@ def opposite(pres):
     return Presentation(Quiver(q.vertices, arrows), rels)
 
 
-def surviving_relations(relations, dead_arrows):
-    """Relations re-imaged once the named arrows die: a term dies if and
-    only if it uses a dead arrow, and a relation with no term left goes."""
-    out = []
-    for rel in relations:
-        terms = tuple((c, p) for c, p in rel.terms
-                      if not any(n in dead_arrows for n in p))
-        if terms:
-            out.append(Relation(terms))
-    return tuple(out)
-
-
 def quotient(pres, killed_vertices=(), killed_arrows=(), extra_relations=()):
     """Kill vertices/arrows and add relations; relations are re-imaged.
 
@@ -1082,22 +1036,25 @@ def quotient(pres, killed_vertices=(), killed_arrows=(), extra_relations=()):
     """
     q = pres.quiver
     killed_vertices = set(killed_vertices)
-    killed_arrows = set(killed_arrows)
     vset = set(q.vertices)
     for v in killed_vertices:
         if v not in vset:
             raise UnknownVertexError(v)
-    by_name = q.index.by_name
-    for a in killed_arrows:
-        if a not in by_name:
-            raise UnknownArrowError(a)
     dead_arrows = set(killed_arrows)
+    for a in dead_arrows:
+        if a not in q.by_name:
+            raise UnknownArrowError(a)
     for a in q.arrows:
         if a.source in killed_vertices or a.target in killed_vertices:
             dead_arrows.add(a.name)
     vertices = tuple(v for v in q.vertices if v not in killed_vertices)
     arrows = tuple(a for a in q.arrows if a.name not in dead_arrows)
-    rels = list(surviving_relations(pres.relations, dead_arrows))
+    rels = []
+    for rel in pres.relations:
+        terms = tuple((c, p) for c, p in rel.terms
+                      if not any(n in dead_arrows for n in p))
+        if terms:
+            rels.append(Relation(terms))
     surviving = Quiver(vertices, arrows)
     for rel in extra_relations:
         for coeff, path in rel.terms:
@@ -1113,13 +1070,6 @@ def quotient(pres, killed_vertices=(), killed_arrows=(), extra_relations=()):
 # profile and simply-connectedness proxy
 
 
-def find_oriented_cycle(quiver):
-    """A simple oriented cycle of length >= 2, as a vertex list, or None.
-
-    Loops do not count; ``Quiver.is_acyclic`` reads the same search."""
-    return quiver.index.oriented_cycle()
-
-
 def line_orientation(quiver):
     """The orientation word of a path-shaped quiver, else None.
 
@@ -1129,7 +1079,7 @@ def line_orientation(quiver):
     read from its first end in vertex order, one letter per arrow: ``+``
     where the arrow points away from that end, ``-`` where it points
     back.  A single vertex gives ``''``.  The neighbour map is built here,
-    not on the quiver's index, which caches keep alive.
+    not cached on the quiver, which caches keep alive.
     """
     n = len(quiver.vertices)
     if len(quiver.arrows) != n - 1 or not quiver.is_connected():

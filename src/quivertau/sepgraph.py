@@ -279,7 +279,7 @@ def is_single_subquiver(quiver, ssq):
 def _assignment_bad(quiver, sides):
     """Does the single subquiver given by {vertex: side} contain a
     non-Dynkin component?  Works on the induced bipartite multigraph."""
-    out, mult = quiver.index.out, quiver.index.mult
+    out, mult = quiver.out, quiver.mult
     zeros = [i for i, s in sides.items() if s == 0]
     edges = []  # (source, target) with side 0 -> side 1
     deg = {}
@@ -341,9 +341,9 @@ def _assignment_bad(quiver, sides):
 def _neighbors(quiver, sides, x):
     v, s = x
     if s == 0:
-        return [(a.target, 1) for a in quiver.index.out[v]
+        return [(a.target, 1) for a in quiver.out[v]
                 if sides.get(a.target) == 1]
-    return [(a.source, 0) for a in quiver.index.inc[v]
+    return [(a.source, 0) for a in quiver.inc[v]
             if sides.get(a.source) == 0]
 
 
@@ -475,15 +475,14 @@ def _witness_search_decide(quiver):
             x = parent[x]
         return x
 
-    for v, w in quiver.index.mult:
+    for v, w in quiver.mult:
         parent[find(2 * pos[v])] = find(2 * pos[w] + 1)
     largest = max(Counter(map(find, range(len(parent)))).values(),
                   default=0)
     for size in range(2, min(len(vertices), largest) + 1):
         best = None
         for pattern in _patterns_of_size(size):
-            sides = [0 if pattern.index.out[p] else 1
-                     for p in pattern.vertices]
+            sides = [0 if pattern.out[p] else 1 for p in pattern.vertices]
             for image in embeddings(quiver, pattern):
                 key = tuple(sorted(zip((vertices[i] for i in image), sides)))
                 if best is None or key < best:

@@ -11,7 +11,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .catalog import BadParameterError
-from .presentation import CyclicQuiverError, QuivertauError, zero_pair_test
+from .presentation import (
+    CyclicQuiverError,
+    QuivertauError,
+    zero_pair_test,
+    zero_relation_paths,
+)
 
 
 class NotStringAlgebraError(QuivertauError):
@@ -48,7 +53,7 @@ def special_biserial_check(pres):
     q = pres.quiver
     if not q.is_acyclic():  # bands need an admissible ideal, unchecked here
         raise CyclicQuiverError("path enumeration needs an acyclic quiver")
-    out, inc = q.index.out, q.index.inc
+    out, inc = q.out, q.inc
     violations = []
     for v in q.vertices:
         if len(out[v]) > 2:
@@ -135,14 +140,14 @@ def _first_band(pres, length_bound):
     """First band met by a depth-first walk from each vertex in turn,
     trying letters by name, direct before inverse."""
     q = pres.quiver
-    by_name = q.index.by_name
-    zero_paths = frozenset(rel.terms[0][1] for rel in pres.relations)
+    by_name = q.by_name
+    zero_paths = zero_relation_paths(pres)
     zero_lengths = sorted({len(zp) for zp in zero_paths})
     # a string stays a string after one more letter unless its last
     # junction or a zero path ending in the new letter breaks it
     window = max([2, *zero_lengths])
-    moves = {v: sorted([(a.name, True) for a in q.index.out[v]]
-                       + [(a.name, False) for a in q.index.inc[v]],
+    moves = {v: sorted([(a.name, True) for a in q.out[v]]
+                       + [(a.name, False) for a in q.inc[v]],
                        key=lambda l: (l[0], not l[1]))
              for v in q.vertices}
     for start in q.vertices:

@@ -103,7 +103,7 @@ def rad_square_quotient(pres):
     """
     q = pres.quiver
     relations = tuple(Relation(((Fraction(1), (a.name, b.name)),))
-                      for a in q.arrows for b in q.index.out[a.target])
+                      for a in q.arrows for b in q.out[a.target])
     return Presentation(q, relations)
 
 

@@ -447,6 +447,15 @@ class TestTriple:
         one = C("N(1)")
         assert classify_triple(one, one, one).status == "finite"
 
+    def test_cyclic_factor_rejected(self):
+        # k[x] has one vertex, yet it is no local finite-dimensional factor:
+        # dropping it gave finite verdicts, k[x,y,z] among them
+        kx = Presentation(Quiver(("1",), (Arrow("x", "1", "1"),)), ())
+        for factors in [(kx, C("A(2,+)"), C("A(4,+-+)")), (kx, kx, kx),
+                        (C("N(1)"), C("N(1)"), cycle_presentation(3))]:
+            with pytest.raises(CyclicQuiverError, match="acyclic"):
+                classify_triple(*factors)
+
 
 class TestEmptyQuiver:
     """An empty quiver is an input error at every classify entry point,

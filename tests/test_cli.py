@@ -106,6 +106,14 @@ class TestOtherCommands:
                            "catalog:A(2,+)", "catalog:A(2,+)")
         assert code == 0 and "infinite" in out
 
+    def test_triple_looped_factor_exit_2(self, capsys, tmp_path):
+        path = tmp_path / "loop.quiver"
+        path.write_text("vertex 1\narrow x : 1 -> 1\n", encoding="utf-8")
+        code, out, err = run(capsys, "triple", str(path), "catalog:A(2,+)",
+                             "catalog:A(4,+-+)")
+        assert code == 2 and out == ""
+        assert err.startswith("qt: input error: ") and "acyclic" in err
+
     def test_tensor_roundtrip(self, capsys, tmp_path):
         code, out, _ = run(capsys, "tensor", "catalog:A(2,+)", N3)
         assert code == 0

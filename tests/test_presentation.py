@@ -5,7 +5,7 @@ from fractions import Fraction
 
 from conftest import line, mono, random_tree_quiver, seeded
 
-from quivertau import linalg
+from quivertau import linalg, presentation
 
 from quivertau.presentation import (
     LIKELY_SIMPLY_CONNECTED,
@@ -17,7 +17,6 @@ from quivertau.presentation import (
     ParseError,
     Presentation,
     Quiver,
-    QuiverIndex,
     QuivertauError,
     Relation,
     SizeLimitError,
@@ -38,6 +37,7 @@ from quivertau.presentation import (
     structural_profile,
     validate_presentation,
     zero_pair_test,
+    zero_relation_paths,
 )
 
 B1_TEXT = """\
@@ -166,14 +166,6 @@ class TestValidation:
                                        (Fraction(1), ("a", "c")))),))
         codes = [v.code for v in validate_presentation(p)]
         assert "NonParallelRelation" in codes
-
-    def test_cyclic_flagged_on_request(self):
-        q = Quiver(("1", "2"), (Arrow("a", "1", "2"), Arrow("b", "2", "1")))
-        p = Presentation(q, ())
-        assert validate_presentation(p) == []
-        codes = [v.code for v in validate_presentation(
-            p, require_acyclic=True)]
-        assert "CyclicQuiver" in codes
 
 
 class TestDimensions:
@@ -396,7 +388,7 @@ class TestOpposite:
     def test_b1_relation_reversed(self, b1):
         op = opposite(b1)
         assert op.relations[0].terms == ((Fraction(1), ("β", "γ")),)
-        assert op.quiver.index.by_name["β"] == Arrow("β", "2", "3")
+        assert op.quiver.by_name["β"] == Arrow("β", "2", "3")
 
     def test_transposed_dimensions(self, b1):
         rng = seeded(11)
@@ -459,22 +451,36 @@ class TestProfile:
             Relation(((Fraction(0), ("a", "b")),)),))
         assert not zero_pair_test(vanishing)("a", "b")
         assert not vanishing.ideal.contains({("a", "b"): 1})
+        assert zero_relation_paths(vanishing) == frozenset()
+        assert zero_relation_paths(pres) == {("c", "d")}
 
     def test_acyclic_and_connected_answered_once(self, b1, monkeypatch):
+        # the quiver's two searches: the cached connectivity answer, and
+        # the oriented-cycle search behind the cached acyclicity answer
         searches = []
-        for name in ("oriented_cycle", "_find_one_component"):
-            def counted(index, name=name, search=getattr(QuiverIndex, name)):
-                searches.append(name)
-                return search(index)
-            monkeypatch.setattr(QuiverIndex, name, counted)
+        connected = Quiver.__dict__["_connected"]
+        search = connected.func
+
+        def counted_components(quiver):
+            searches.append("components")
+            return search(quiver)
+
+        def counted_cycles(quiver, search=presentation.find_oriented_cycle):
+            searches.append("cycles")
+            return search(quiver)
+
+        monkeypatch.setattr(connected, "func", counted_components)
+        monkeypatch.setattr(presentation, "find_oriented_cycle",
+                            counted_cycles)
         pres = Presentation(Quiver(b1.quiver.vertices, b1.quiver.arrows),
                             b1.relations)
         for _ in range(2):
             structural_profile(pres)
             dimension_table(pres)
-            require_valid(pres, require_acyclic=True)
+            require_valid(pres)
             homology_rank(pres)
-        assert sorted(searches) == ["_find_one_component", "oriented_cycle"]
+            assert pres.quiver.is_acyclic() and pres.quiver.is_connected()
+        assert sorted(searches) == ["components", "cycles"]
 
 
 class TestQuotient:

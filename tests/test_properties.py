@@ -107,15 +107,15 @@ def _recursive_all_paths(quiver):
 @PROPERTY
 @given(quivers())
 def test_index_matches_naive_scan(q):
-    idx = q.index
-    assert idx.by_name == {a.name: a for a in q.arrows}
-    assert list(idx.out) == list(q.vertices) == list(idx.inc)
+    assert q.by_name == {a.name: a for a in q.arrows}
+    assert list(q.out) == list(q.vertices) == list(q.inc)
     for v in q.vertices:
-        assert idx.out[v] == tuple(a for a in q.arrows if a.source == v)
-        assert idx.inc[v] == tuple(a for a in q.arrows if a.target == v)
+        assert q.out[v] == tuple(a for a in q.arrows if a.source == v)
+        assert q.inc[v] == tuple(a for a in q.arrows if a.target == v)
     pairs = [(a.source, a.target) for a in q.arrows]
-    assert idx.mult == {p: pairs.count(p) for p in pairs}
-    assert q.index is idx
+    assert q.mult == {p: pairs.count(p) for p in pairs}
+    for lookup in ("by_name", "out", "inc", "mult", "embedding_plan"):
+        assert getattr(q, lookup) is getattr(q, lookup)  # built once
 
 
 @PROPERTY
@@ -351,7 +351,7 @@ def _vertex_maps(q1, q2):
     if len(q1.vertices) != len(q2.vertices) or \
             len(q1.arrows) != len(q2.arrows):
         return
-    m1, m2 = q1.index.mult, q2.index.mult
+    m1, m2 = q1.mult, q2.mult
     sig1 = _vertex_signatures(q1.vertices, m1)
     sig2 = _vertex_signatures(q2.vertices, m2)
     order = q1.vertices
@@ -468,7 +468,7 @@ def quotient_sources(draw):
     relations = [Relation(((Fraction(1), z),)) for z in draw(st.lists(
         st.sampled_from(long_paths), max_size=2, unique=True))] \
         if long_paths else []
-    if "d" in q.index.by_name:
+    if "d" in q.by_name:
         c1, c2 = draw(st.sampled_from(
             ((1, -1), (1, 2), (1, None), (None, None))))
         if c1 is not None:
@@ -498,8 +498,8 @@ def _injection_images(q, tq):
     """Reference: every vertex set of q, as positions in lexicographic
     order, onto which some bijection from tq's vertices keeps each arrow
     count of tq at most q's count between the images."""
-    counts = q.index.mult
-    wanted = tq.index.mult.items()
+    counts = q.mult
+    wanted = tq.mult.items()
     images = []
     for kept in itertools.combinations(range(len(q.vertices)),
                                        len(tq.vertices)):
@@ -665,7 +665,7 @@ def _reference_is_linear_nakayama(quiver):
     sources = [v for v in quiver.vertices if v not in targets]
     if len(sources) != 1:
         return False
-    out = quiver.index.out
+    out = quiver.out
     at, seen = sources[0], 1
     while seen < n and len(out[at]) == 1:
         at = out[at][0].target
@@ -681,7 +681,7 @@ def _reference_line_class(quiver):
         return None
     if len(quiver.vertices) == 1:
         return ""
-    out, inc = quiver.index.out, quiver.index.inc
+    out, inc = quiver.out, quiver.inc
 
     def steps(v):
         return [(a.target, "+") for a in out[v]] + \
@@ -799,7 +799,7 @@ def _reference_is_rad_square_zero(pres):
         return all(len(p) <= 1 for _, paths in table.pairs for p in paths)
     monomial_squares = {rel.terms[0][1] for rel in pres.relations
                         if rel.is_monomial() and len(rel.terms[0][1]) == 2}
-    out = pres.quiver.index.out
+    out = pres.quiver.out
     return all((a.name, b.name) in monomial_squares
                for a in pres.quiver.arrows for b in out[a.target])
 
@@ -815,7 +815,7 @@ def _reference_profile_flags(pres):
 def _reference_special_biserial_check(pres):
     """Reference: the check asking ``pres.ideal`` about every pair."""
     q = pres.quiver
-    out, inc = q.index.out, q.index.inc
+    out, inc = q.out, q.inc
     violations = []
     for v in q.vertices:
         if len(out[v]) > 2:
@@ -838,7 +838,7 @@ def _reference_special_biserial_check(pres):
 
 
 def _compositions(q):
-    return [(a.name, b.name) for a in q.arrows for b in q.index.out[a.target]]
+    return [(a.name, b.name) for a in q.arrows for b in q.out[a.target]]
 
 
 def _with_zero_pairs(draw, pres):
@@ -905,7 +905,7 @@ def cyclic_presentations(draw):
     q = Quiver(vertices, tuple(Arrow(f"a{k}", s, t)
                                for k, (s, t) in enumerate(ends)))
     pres = _with_zero_pairs(draw, Presentation(q, ()))
-    by_name = q.index.by_name
+    by_name = q.by_name
     comps = _compositions(q)
     first = draw(st.sampled_from(comps))
     parallel = [p for p in comps if p != first

@@ -214,7 +214,7 @@ def _choice_key(sides):
 def _sides(pattern):
     """Side of each pattern vertex, in vertex order: 0 for the vertices
     that arrows leave."""
-    return [0 if pattern.index.out[p] else 1 for p in pattern.vertices]
+    return [0 if pattern.out[p] else 1 for p in pattern.vertices]
 
 
 def _embedded_choices(quiver, pattern):

@@ -1,6 +1,7 @@
 """Special biserial recognition and band search."""
 
 import pytest
+from fractions import Fraction
 
 from conftest import line, mono
 
@@ -10,6 +11,7 @@ from quivertau.presentation import (
     CyclicQuiverError,
     Presentation,
     Quiver,
+    Relation,
     parse_presentation,
 )
 from quivertau.sepgraph import adachi_decide
@@ -129,6 +131,17 @@ class TestBandSearch:
             "relation 1*a.b - 1*c.d\n")
         with pytest.raises(NotStringAlgebraError):
             band_search(comm)
+
+    def test_vanishing_zero_relation_is_no_zero_path(self):
+        # 0*a.b puts nothing in the ideal, so it must not block the band
+        # that the triangle has without relations
+        triangle = parse_presentation(
+            "vertex 1\nvertex 2\nvertex 3\n"
+            "arrow a : 1 -> 2\narrow b : 2 -> 3\narrow c : 1 -> 3\n")
+        vanishing = Presentation(triangle.quiver, (
+            Relation(((Fraction(0), ("a", "b")),)),))
+        assert str(band_search(triangle)) == "a-.c.b-"
+        assert str(band_search(vanishing)) == "a-.c.b-"
 
     def test_longer_zero_paths_respected(self):
         # zero length-3 path: the straight-through band is blocked
