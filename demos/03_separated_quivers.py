@@ -7,6 +7,7 @@ copy per original vertex) is a disjoint union of Dynkin graphs.
 """
 
 from quivertau import (
+    SingleSubquiver,
     adachi_decide,
     catalog_get,
     classify_graph,
@@ -18,6 +19,7 @@ from quivertau import (
     underlying_graph,
 )
 from quivertau.presentation import Arrow, Presentation, Quiver
+from quivertau.sepgraph import is_single_subquiver
 
 n5 = catalog_get("N(5)")
 sep = separated_quiver(n5.quiver)
@@ -48,15 +50,21 @@ arrow b : 2 -> s
 arrow c : 3 -> s
 arrow d : 4 -> s
 """)
-verdict = adachi_decide(rad_square_quotient(star), mode="naive")
+verdict = adachi_decide(rad_square_quotient(star))
 print("\nfour sources into one sink:", verdict.status,
       verdict.certificate.witness["component_types"])
 
-# Both decision modes return the same minimal witness; naive enumerates,
-# witness-search embeds Euclidean shapes directly.
-v2 = adachi_decide(rad_square_quotient(star), mode="witness-search")
-print("  naive and witness-search witnesses equal:",
-      verdict.certificate.witness == v2.certificate.witness)
+# The witness re-checks without the search that found it: it is a single
+# subquiver of the separated quiver, and its underlying graph is not a
+# disjoint union of Dynkin graphs.
+payload = verdict.certificate.witness
+ssq = SingleSubquiver(
+    tuple((v, side) for v, side in payload["vertices"]),
+    tuple((tuple(src), tuple(tgt), name)
+          for src, tgt, name in payload["arrows"]))
+print("  witness is a single subquiver:",
+      is_single_subquiver(star.quiver, ssq))
+print("  witness is Dynkin:", classify_graph(ssq.underlying()).all_dynkin())
 
 # An oriented cycle in a quiver forces an infinite tensor square.  The
 # witness zig-zags along two anti-diagonals of the doubled grid.

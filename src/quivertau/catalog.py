@@ -52,17 +52,20 @@ class MalformedFrameError(QuivertauError):
     pass
 
 
-def _line_quiver(n, eps, arrow_prefix="a"):
-    if len(eps) != n - 1 or any(c not in "+-" for c in eps):
-        raise BadParameterError(f"orientation {eps!r} needs length {n - 1}")
-    vertices = tuple(str(i) for i in range(1, n + 1))
-    arrows = []
-    for i, c in enumerate(eps, start=1):
-        if c == "+":
-            arrows.append(Arrow(f"{arrow_prefix}{i}", str(i), str(i + 1)))
-        else:
-            arrows.append(Arrow(f"{arrow_prefix}{i}", str(i + 1), str(i)))
-    return Quiver(vertices, tuple(arrows))
+def _oriented_quiver(n, edges, eps):
+    """Quiver on the vertices 1..n with arrow a<i> along the i-th edge
+    (u, v): u -> v for '+' in eps, v -> u for '-'."""
+    if len(eps) != len(edges) or any(c not in "+-" for c in eps):
+        raise BadParameterError(
+            f"orientation {eps!r} needs length {len(edges)}")
+    arrows = tuple(Arrow(f"a{i}", *((u, v) if c == "+" else (v, u)))
+                   for i, ((u, v), c) in enumerate(zip(edges, eps), start=1))
+    return Quiver(tuple(str(i) for i in range(1, n + 1)), arrows)
+
+
+def _line_quiver(n, eps):
+    return _oriented_quiver(n, [(str(i), str(i + 1)) for i in range(1, n)],
+                            eps)
 
 
 def _n_algebra(n):
@@ -83,18 +86,9 @@ def _a_algebra(n, eps):
 def _d_algebra(n, eps):
     if n < 4:
         raise BadParameterError("D(n,eps) needs n >= 4")
-    if len(eps) != n - 1 or any(c not in "+-" for c in eps):
-        raise BadParameterError(f"orientation {eps!r} needs length {n - 1}")
-    vertices = tuple(str(i) for i in range(1, n + 1))
     edges = [("1", "3"), ("2", "3")] + [(str(i), str(i + 1))
                                         for i in range(3, n)]
-    arrows = []
-    for i, ((u, v), c) in enumerate(zip(edges, eps), start=1):
-        if c == "+":
-            arrows.append(Arrow(f"a{i}", u, v))
-        else:
-            arrows.append(Arrow(f"a{i}", v, u))
-    return Presentation(Quiver(vertices, tuple(arrows)), ())
+    return Presentation(_oriented_quiver(n, edges, eps), ())
 
 
 def _mono(*paths):
@@ -434,7 +428,6 @@ class WitnessFrame:
     marked: tuple[str, ...]
     claimed_type: GraphType
     claim_kind: str  # hereditary-surjection | concealed-quotient
-    extra_killed_arrows: tuple[str, ...] = ()
     note: str = ""
 
     def ambient(self):
@@ -608,7 +601,7 @@ def verify_witness(frame):
     killed = tuple(v for v in ambient.quiver.vertices if v not in marked)
     notes = []
     try:
-        induced = quotient(ambient, killed, frame.extra_killed_arrows)
+        induced = quotient(ambient, killed)
         violations = [v for v in validate_presentation(induced)
                       if v.code != "Disconnected"]
         quotient_ok = not violations

@@ -99,6 +99,16 @@ def _a3a3_frame(ca, cb):
     return None, None
 
 
+def _a3_quotient(pres):
+    """The first A(3,ω) in the order ++, +-, -+, -- that is a quotient of
+    pres, as (quotient witness, ω), or (None, None)."""
+    for omega in ("++", "+-", "-+", "--"):
+        qw = has_quotient(pres, _TARGETS[f"A(3,{omega})"])
+        if qw is not None:
+            return qw, omega
+    return None, None
+
+
 def _rewrap(inner, trace_prefix, rule=None, statement=None):
     """Re-emit an inner verdict, optionally under a new rule and statement,
     with its trace behind ``trace_prefix``."""
@@ -345,15 +355,13 @@ def _three_line_branch(hered, other, other_prof, trace):
             trace=(*trace, "line3-times-rad-square-zero-line"))
     witness = None
     ch = line_class(hered.quiver)
-    for omega in ("++", "+-", "-+", "--"):
-        qw = has_quotient(other, _TARGETS[f"A(3,{omega})"])
-        if qw is not None:
-            frame_id, bridge = _a3a3_frame(ch, orientation_class(omega))
-            if frame_id:
-                witness = _frame_payload(
-                    frame_id, bridge,
-                    quotients=((qw, f"A(3,{omega})", "non-hereditary"),))
-            break
+    qw, omega = _a3_quotient(other)
+    if qw is not None:
+        frame_id, bridge = _a3a3_frame(ch, orientation_class(omega))
+        if frame_id:
+            witness = _frame_payload(
+                frame_id, bridge,
+                quotients=((qw, f"A(3,{omega})", "non-hereditary"),))
     return vd.verdict(
         vd.INFINITE, "line3-factor",
         "a 3-line against a non-hereditary factor other than a "
@@ -422,12 +430,10 @@ def _both_non_hereditary(pa, prof_a, pb, prof_b, trace):
         quots = []
         omegas = []
         for pres, tag in ((pa, "A"), (pb, "B")):
-            for omega in ("++", "+-", "-+", "--"):
-                qw = has_quotient(pres, _TARGETS[f"A(3,{omega})"])
-                if qw is not None:
-                    quots.append((qw, f"A(3,{omega})", tag))
-                    omegas.append(orientation_class(omega))
-                    break
+            qw, omega = _a3_quotient(pres)
+            if qw is not None:
+                quots.append((qw, f"A(3,{omega})", tag))
+                omegas.append(orientation_class(omega))
         if len(omegas) == 2:
             frame_id, bridge = _a3a3_frame(*omegas)
             if frame_id:

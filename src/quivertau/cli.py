@@ -114,9 +114,7 @@ def _cmd_tensor(args):
 
 
 def _cmd_adachi(args):
-    v = sg.adachi_decide(load_algebra(args.a), mode=args.mode,
-                         naive_limit=args.naive_limit)
-    return _finish_verdict(args, v)
+    return _finish_verdict(args, sg.adachi_decide(load_algebra(args.a)))
 
 
 def _cmd_separated(args):
@@ -276,10 +274,7 @@ def build_parser():
     add("self-tensor", "a", expect=True)
     add("triple", "a", "b", "c", expect=True)
     add("tensor", "a", "b")
-    p = add("adachi", "a", expect=True)
-    p.add_argument("--mode", choices=("naive", "witness-search"),
-                   default="witness-search")
-    p.add_argument("--naive-limit", type=int, default=12)
+    add("adachi", "a", expect=True)
     add("separated", "a")
     add("graph-type", "a")
     add("dim", "a")

@@ -317,7 +317,13 @@ def _parse_term(token, lineno):
     if not m:
         raise ParseError(f"bad relation term {token!r}", lineno)
     num, den, pathtxt = m.groups()
-    coeff = Fraction(int(num), int(den) if den else 1)
+    try:
+        num, den = int(num), int(den) if den else 1
+    except ValueError:  # past the interpreter's integer digit limit
+        raise ParseError("too many digits in relation term", lineno) from None
+    if den == 0:
+        raise ParseError("zero denominator in relation term", lineno)
+    coeff = Fraction(num, den)
     if coeff == 0:
         raise ParseError("zero coefficient in relation term", lineno)
     return coeff, tuple(pathtxt.split("."))
@@ -1165,8 +1171,3 @@ def homology_rank(pres):
     if rank > 0:
         return rank, NOT_SIMPLY_CONNECTED
     return 0, LIKELY_SIMPLY_CONNECTED
-
-
-def presentations_equal(p1, p2):
-    """Equality up to canonical reordering of relations and terms."""
-    return serialize_presentation(p1) == serialize_presentation(p2)

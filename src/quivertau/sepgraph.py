@@ -3,16 +3,15 @@ zero finiteness criterion.
 
 A single subquiver of the separated quiver picks at most one of the two
 copies of each original vertex.  A radical-square-zero algebra is finite
-exactly when every single subquiver is a disjoint union of Dynkin graphs;
-the decision is run either by brute enumeration (``naive``) or by searching
-directly for an embedded Euclidean shape (``witness-search``).
+exactly when every single subquiver is a disjoint union of Dynkin graphs
+(Adachi 2016, "tau-rigid-finite algebras with radical square zero", Proc.
+AMS 144).  The decision searches directly for an embedded Euclidean shape.
 
-Both modes return the smallest, then lexicographically first, bad single
-subquiver, as a {vertex: side} choice.  Naive mode sweeps every choice of
-each size.  Witness-search maps each Euclidean pattern, a quiver whose
-arrows run from its 0-colored to its 1-colored vertices, into the quiver
-with ``embeddings``, in ascending size; at the first size where any
-pattern embeds it returns the lexicographically minimal image, each
+It returns the smallest, then lexicographically first, bad single
+subquiver, as a {vertex: side} choice.  It maps each Euclidean pattern, a
+quiver whose arrows run from its 0-colored to its 1-colored vertices, into
+the quiver with ``embeddings``, in ascending size; at the first size where
+any pattern embeds it returns the lexicographically minimal image, each
 pattern vertex on the side of its color.  That is exact.  Every image is
 a bad choice: its single subquiver contains the pattern's Euclidean graph,
 and a graph with a Euclidean subgraph is not Dynkin.  Conversely, let C be
@@ -20,12 +19,12 @@ a bad choice of minimal size k.  It has a connected non-Dynkin component,
 which contains a Euclidean subgraph E.  The vertex set of E is itself a
 bad choice of size at most k, so E spans all of C, and C is the image of
 the pattern of E's shape and coloring.  So the images at the first size
-are exactly the bad choices of minimal size.
+are exactly the bad choices of minimal size.  The test suite re-checks
+this against a brute sweep over every choice.
 """
 
 from __future__ import annotations
 
-import itertools
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
@@ -36,7 +35,6 @@ from .presentation import (
     NoOrientedCycleError,
     NotRadicalSquareZeroError,
     Quiver,
-    SizeLimitError,
     UnsupportedLoopError,
     embeddings,
     find_oriented_cycle,
@@ -276,126 +274,6 @@ def is_single_subquiver(quiver, ssq):
 # the finiteness criterion for radical-square-zero presentations
 
 
-def _assignment_bad(quiver, sides):
-    """Does the single subquiver given by {vertex: side} contain a
-    non-Dynkin component?  Works on the induced bipartite multigraph."""
-    out, mult = quiver.out, quiver.mult
-    zeros = [i for i, s in sides.items() if s == 0]
-    edges = []  # (source, target) with side 0 -> side 1
-    deg = {}
-    for i in zeros:
-        for a in out[i]:
-            j = a.target
-            if sides.get(j) == 1:
-                if mult[(i, j)] >= 2:
-                    return True
-                edges.append((i, j))
-                deg[(i, 0)] = deg.get((i, 0), 0) + 1
-                deg[(j, 1)] = deg.get((j, 1), 0) + 1
-    if any(d >= 4 for d in deg.values()):
-        return True
-    # union-find over chosen nodes
-    nodes = [(i, s) for i, s in sides.items()]
-    parent = {x: x for x in nodes}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for i, j in edges:
-        a, b = find((i, 0)), find((j, 1))
-        if a != b:
-            parent[a] = b
-    comp_edges = {}
-    comp_nodes = {}
-    comp_branch = {}
-    for x in nodes:
-        r = find(x)
-        comp_nodes[r] = comp_nodes.get(r, 0) + 1
-        if deg.get(x, 0) >= 3:
-            comp_branch[r] = comp_branch.get(r, 0) + 1
-    for i, j in edges:
-        r = find((i, 0))
-        comp_edges[r] = comp_edges.get(r, 0) + 1
-    for r, nn in comp_nodes.items():
-        ee = comp_edges.get(r, 0)
-        if ee >= nn:  # contains a cycle
-            return True
-        if comp_branch.get(r, 0) >= 2:
-            return True
-    # remaining danger: a single degree-3 vertex with non-Dynkin legs
-    for x in nodes:
-        if deg.get(x, 0) != 3:
-            continue
-        legs = _leg_profile(quiver, sides, deg, x)
-        if legs is None:
-            continue  # handled by branch/cycle counts above
-        a, b, c = legs
-        if not (a == 1 and (b == 1 or (b == 2 and c <= 4))):
-            return True
-    return False
-
-
-def _neighbors(quiver, sides, x):
-    v, s = x
-    if s == 0:
-        return [(a.target, 1) for a in quiver.out[v]
-                if sides.get(a.target) == 1]
-    return [(a.source, 0) for a in quiver.inc[v]
-            if sides.get(a.source) == 0]
-
-
-def _leg_profile(quiver, sides, deg, center):
-    """Sorted leg lengths of a degree-3 node inside a tree component."""
-    lengths = []
-    for start in _neighbors(quiver, sides, center):
-        length = 1
-        prev, at = center, start
-        while deg.get(at, 0) == 2:
-            nxts = [w for w in _neighbors(quiver, sides, at) if w != prev]
-            prev, at = at, nxts[0]
-            length += 1
-        if deg.get(at, 0) >= 3:
-            return None
-        lengths.append(length)
-    return sorted(lengths)
-
-
-def _all_choices(quiver, k):
-    """Every single-subquiver choice on exactly k original vertices, as a
-    {vertex: side} dict: the C(n,k)·2^k sweep of naive mode."""
-    for combo in itertools.combinations(quiver.vertices, k):
-        for mask in range(1 << k):
-            yield {combo[t]: (mask >> t) & 1 for t in range(k)}
-
-
-def _naive_decide(quiver, naive_limit):
-    """Brute force: a bad choice extends to a full side assignment, so the
-    2^n full assignments decide the verdict; the minimal witness is then
-    recovered by an ascending-size sweep."""
-    n = len(quiver.vertices)
-    if n > naive_limit:
-        raise SizeLimitError(
-            f"{n} vertices exceeds the naive enumeration limit {naive_limit}")
-    bad = False
-    for mask in range(1 << n):
-        sides = {v: (mask >> i) & 1 for i, v in enumerate(quiver.vertices)}
-        if _assignment_bad(quiver, sides):
-            bad = True
-            break
-    if not bad:
-        return None
-    for k in range(2, n + 1):
-        best = min((tuple(sorted(sides.items()))
-                    for sides in _all_choices(quiver, k)
-                    if _assignment_bad(quiver, sides)), default=None)
-        if best is not None:
-            return induced_single_subquiver(quiver, dict(best))
-    raise AssertionError("bad full assignment but no bad subset")
-
-
 # Euclidean patterns for the direct search, as quivers whose arrows run
 # from the 0-colored to the 1-colored vertices.
 
@@ -451,10 +329,11 @@ def _patterns_of_size(size):
     return tuple(out)
 
 
-def _witness_search_decide(quiver):
-    """The single subquiver of the lexicographically minimal pattern
-    image of the smallest size at which a Euclidean pattern embeds, or
-    None (see the module docstring).
+def minimal_bad_single_subquiver(quiver):
+    """Minimal non-Dynkin single subquiver of the separated quiver, or None:
+    the single subquiver of the lexicographically minimal pattern image of
+    the smallest size at which a Euclidean pattern embeds (see the module
+    docstring).
 
     Sizes stop at the node count of the largest connected component of the
     separated quiver, where a vertex without arrows counts as a component
@@ -464,6 +343,8 @@ def _witness_search_decide(quiver):
     lies inside one component and has as many nodes as the pattern has
     vertices.
     """
+    if quiver.has_loop():
+        raise UnsupportedLoopError("loop arrows are outside the criterion")
     vertices = quiver.vertices
     # union-find over the separated nodes (v, 0) and (w, 1), by position
     pos = {v: i for i, v in enumerate(vertices)}
@@ -492,32 +373,18 @@ def _witness_search_decide(quiver):
     return None
 
 
-def minimal_bad_single_subquiver(quiver, mode="witness-search",
-                                 naive_limit=12):
-    """Minimal non-Dynkin single subquiver of the separated quiver, or None.
-
-    The criterion depends on the quiver alone; both modes return the same
-    smallest (then lexicographically first) witness.
-    """
-    if quiver.has_loop():
-        raise UnsupportedLoopError("loop arrows are outside the criterion")
-    if mode == "naive":
-        return _naive_decide(quiver, naive_limit)
-    if mode == "witness-search":
-        return _witness_search_decide(quiver)
-    raise ValueError(f"unknown mode {mode!r}")
+# The verdict trace names the search that found the witness.
+_TRACE = "separated-quiver-criterion[witness-search]"
 
 
-def adachi_decide(pres, mode="witness-search", naive_limit=12):
+def adachi_decide(pres):
     """Finiteness for a radical-square-zero presentation.
 
     Finite when every single subquiver of the separated quiver is a union
     of Dynkin graphs; infinite verdicts carry the minimal bad single
-    subquiver.  ``naive`` enumerates choices up to ``naive_limit`` original
-    vertices; ``witness-search`` hunts Euclidean shapes directly.  A
-    quiver without vertices raises the error ``require_valid`` gives it;
-    a disconnected one is decided, since the criterion holds
-    componentwise.
+    subquiver, which the Euclidean-pattern search finds.  A quiver without
+    vertices raises the error ``require_valid`` gives it; a disconnected
+    one is decided, since the criterion holds componentwise.
     """
     q = pres.quiver
     if not q.vertices:
@@ -527,14 +394,13 @@ def adachi_decide(pres, mode="witness-search", naive_limit=12):
     if not is_rad_square_zero(pres):
         raise NotRadicalSquareZeroError(
             "the relation ideal does not equal all length-2 paths")
-    witness = minimal_bad_single_subquiver(q, mode=mode,
-                                           naive_limit=naive_limit)
+    witness = minimal_bad_single_subquiver(q)
     if witness is None:
         return vd.verdict(
             vd.FINITE, "separated-quiver-criterion",
             "every single subquiver of the separated quiver is a disjoint "
             "union of Dynkin graphs",
-            trace=(f"separated-quiver-criterion[{mode}]",))
+            trace=(_TRACE,))
     payload = witness.to_payload()
     payload["component_types"] = list(witness.report().tags())
     return vd.verdict(
@@ -542,7 +408,7 @@ def adachi_decide(pres, mode="witness-search", naive_limit=12):
         "a single subquiver of the separated quiver contains a non-Dynkin "
         "component",
         witness=payload,
-        trace=(f"separated-quiver-criterion[{mode}]",))
+        trace=(_TRACE,))
 
 
 # ---------------------------------------------------------------------------

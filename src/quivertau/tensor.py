@@ -17,7 +17,6 @@ from .presentation import (
     Quiver,
     QuivertauError,
     Relation,
-    dimension_table,
     opposite,
 )
 
@@ -105,17 +104,3 @@ def rad_square_quotient(pres):
     relations = tuple(Relation(((Fraction(1), (a.name, b.name)),))
                       for a in q.arrows for b in q.out[a.target])
     return Presentation(q, relations)
-
-
-def tensor_pair_dims(pa, pb):
-    """Per-pair dimension products predicted by the factor tables."""
-    ta = dimension_table(pa)
-    tb = dimension_table(pb)
-    da = ta.as_dict()
-    db = tb.as_dict()
-    out = {}
-    for (i, k), pa_paths in da.items():
-        for (j, l), pb_paths in db.items():
-            out[(tensor_vertex(i, j), tensor_vertex(k, l))] = \
-                len(pa_paths) * len(pb_paths)
-    return out

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import inspect
+import itertools
 import random
 import sys
 
@@ -15,11 +16,15 @@ from quivertau.presentation import (
     Quiver,
     Relation,
     all_paths,
+    dimension_table,
     embeddings,
     path_key,
     path_source,
     path_target,
+    serialize_presentation,
 )
+from quivertau.sepgraph import induced_single_subquiver
+from quivertau.tensor import tensor_vertex
 from fractions import Fraction
 
 
@@ -90,6 +95,25 @@ def seeded(seed=20240817):
     return random.Random(seed)
 
 
+def presentations_equal(p1, p2):
+    """Equality up to canonical reordering of relations and terms."""
+    return serialize_presentation(p1) == serialize_presentation(p2)
+
+
+def tensor_pair_dims(pa, pb):
+    """Per-pair dimension products predicted by the factor tables."""
+    ta = dimension_table(pa)
+    tb = dimension_table(pb)
+    da = ta.as_dict()
+    db = tb.as_dict()
+    out = {}
+    for (i, k), pa_paths in da.items():
+        for (j, l), pb_paths in db.items():
+            out[(tensor_vertex(i, j), tensor_vertex(k, l))] = \
+                len(pa_paths) * len(pb_paths)
+    return out
+
+
 # the relation ideal by full elimination, the union-find's oracle
 
 
@@ -152,6 +176,126 @@ def elimination_bases(pres, spaces):
             if basis:
                 pairs.append(((i, j), tuple(basis)))
     return tuple(pairs)
+
+
+# the separated-quiver criterion by brute sweep, the witness search's oracle
+
+
+def assignment_bad(quiver, sides):
+    """Does the single subquiver given by {vertex: side} contain a
+    non-Dynkin component?  Works on the induced bipartite multigraph."""
+    out, mult = quiver.out, quiver.mult
+    zeros = [i for i, s in sides.items() if s == 0]
+    edges = []  # (source, target) with side 0 -> side 1
+    deg = {}
+    for i in zeros:
+        for a in out[i]:
+            j = a.target
+            if sides.get(j) == 1:
+                if mult[(i, j)] >= 2:
+                    return True
+                edges.append((i, j))
+                deg[(i, 0)] = deg.get((i, 0), 0) + 1
+                deg[(j, 1)] = deg.get((j, 1), 0) + 1
+    if any(d >= 4 for d in deg.values()):
+        return True
+    # union-find over chosen nodes
+    nodes = [(i, s) for i, s in sides.items()]
+    parent = {x: x for x in nodes}
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for i, j in edges:
+        a, b = find((i, 0)), find((j, 1))
+        if a != b:
+            parent[a] = b
+    comp_edges = {}
+    comp_nodes = {}
+    comp_branch = {}
+    for x in nodes:
+        r = find(x)
+        comp_nodes[r] = comp_nodes.get(r, 0) + 1
+        if deg.get(x, 0) >= 3:
+            comp_branch[r] = comp_branch.get(r, 0) + 1
+    for i, j in edges:
+        r = find((i, 0))
+        comp_edges[r] = comp_edges.get(r, 0) + 1
+    for r, nn in comp_nodes.items():
+        ee = comp_edges.get(r, 0)
+        if ee >= nn:  # contains a cycle
+            return True
+        if comp_branch.get(r, 0) >= 2:
+            return True
+    # remaining danger: a single degree-3 vertex with non-Dynkin legs
+    for x in nodes:
+        if deg.get(x, 0) != 3:
+            continue
+        legs = _leg_profile(quiver, sides, deg, x)
+        if legs is None:
+            continue  # handled by branch/cycle counts above
+        a, b, c = legs
+        if not (a == 1 and (b == 1 or (b == 2 and c <= 4))):
+            return True
+    return False
+
+
+def _neighbors(quiver, sides, x):
+    v, s = x
+    if s == 0:
+        return [(a.target, 1) for a in quiver.out[v]
+                if sides.get(a.target) == 1]
+    return [(a.source, 0) for a in quiver.inc[v]
+            if sides.get(a.source) == 0]
+
+
+def _leg_profile(quiver, sides, deg, center):
+    """Sorted leg lengths of a degree-3 node inside a tree component."""
+    lengths = []
+    for start in _neighbors(quiver, sides, center):
+        length = 1
+        prev, at = center, start
+        while deg.get(at, 0) == 2:
+            nxts = [w for w in _neighbors(quiver, sides, at) if w != prev]
+            prev, at = at, nxts[0]
+            length += 1
+        if deg.get(at, 0) >= 3:
+            return None
+        lengths.append(length)
+    return sorted(lengths)
+
+
+def all_choices(quiver, k):
+    """Every single-subquiver choice on exactly k original vertices, as a
+    {vertex: side} dict: the C(n,k)·2^k sweep of the brute oracle."""
+    for combo in itertools.combinations(quiver.vertices, k):
+        for mask in range(1 << k):
+            yield {combo[t]: (mask >> t) & 1 for t in range(k)}
+
+
+def naive_minimal_bad_single_subquiver(quiver):
+    """Brute force: a bad choice extends to a full side assignment, so the
+    2^n full assignments decide the verdict; the minimal witness is then
+    recovered by an ascending-size sweep."""
+    n = len(quiver.vertices)
+    bad = False
+    for mask in range(1 << n):
+        sides = {v: (mask >> i) & 1 for i, v in enumerate(quiver.vertices)}
+        if assignment_bad(quiver, sides):
+            bad = True
+            break
+    if not bad:
+        return None
+    for k in range(2, n + 1):
+        best = min((tuple(sorted(sides.items()))
+                    for sides in all_choices(quiver, k)
+                    if assignment_bad(quiver, sides)), default=None)
+        if best is not None:
+            return induced_single_subquiver(quiver, dict(best))
+    raise AssertionError("bad full assignment but no bad subset")
 
 
 def embedding_images(q, tq):

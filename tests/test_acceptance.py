@@ -10,7 +10,12 @@ from operator import itemgetter
 
 import pytest
 
-from conftest import cycle_presentation, random_quiver, seeded
+from conftest import (
+    cycle_presentation,
+    naive_minimal_bad_single_subquiver,
+    random_quiver,
+    seeded,
+)
 
 from quivertau.catalog import (
     catalog_get,
@@ -248,8 +253,8 @@ def test_criterion_05_adachi_cross_validation():
             print(f"  {len(reps)} classes on {n} vertices, not {classes}")
         for counts in reps:
             q = _quiver_from_cells(n, cells, counts)
-            w1 = minimal_bad_single_subquiver(q, mode="naive")
-            w2 = minimal_bad_single_subquiver(q, mode="witness-search")
+            w1 = naive_minimal_bad_single_subquiver(q)
+            w2 = minimal_bad_single_subquiver(q)
             checked += 1
             if w1 != w2:
                 disagreements += 1
@@ -262,13 +267,14 @@ def test_criterion_05_adachi_cross_validation():
         if pres.quiver.has_loop():
             continue
         q = pres.quiver
-        w1 = minimal_bad_single_subquiver(q, mode="naive")
-        w2 = minimal_bad_single_subquiver(q, mode="witness-search")
+        w1 = naive_minimal_bad_single_subquiver(q)
+        w2 = minimal_bad_single_subquiver(q)
         random_checked += 1
         if w1 != w2:
             disagreements += 1
     elapsed = time.monotonic() - start
-    report(5, f"separated-criterion modes agree on all {checked} classes "
+    report(5, f"separated-criterion search agrees with the brute sweep on "
+           f"all {checked} classes "
            f"up to relabeling (n <= 5 with <= 7 arrows, n = 6 with <= 6) "
            f"and {random_checked} random quivers "
            f"({elapsed:.1f}s)", disagreements == 0)
@@ -435,7 +441,7 @@ def test_criterion_10_bands_match_separated_criterion():
                 continue
             pres = rad_square_quotient(Presentation(q, ()))
             band = band_search(pres, length_bound=4 * n)
-            bad = minimal_bad_single_subquiver(q, mode="witness-search")
+            bad = minimal_bad_single_subquiver(q)
             if _is_tree_quiver(q):
                 checked_equiv += 1
                 if (band is not None) != (bad is not None):

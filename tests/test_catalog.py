@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from conftest import embedding_images, line, mono
+from conftest import embedding_images, line, mono, presentations_equal
 
 from quivertau.catalog import (
     BadParameterError,
@@ -33,7 +33,6 @@ from quivertau.presentation import (
     dimension_table,
     opposite,
     parse_presentation,
-    presentations_equal,
     structural_profile,
     twin_classes,
     validate_presentation,

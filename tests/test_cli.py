@@ -123,8 +123,20 @@ class TestOtherCommands:
 
     def test_adachi(self, capsys):
         code, out, _ = run(capsys, "adachi", "catalog:N(5)",
-                           "--mode", "naive", "--expect", "finite")
+                           "--expect", "finite")
         assert code == 0
+        code, out, err = run(capsys, "adachi", N4, "--format", "json")
+        assert code == 0 and err == ""
+        assert out == (
+            '{"citation": "every single subquiver of the separated quiver '
+            'is a disjoint union of Dynkin graphs", "rule": '
+            '"separated-quiver-criterion", "status": "finite", "trace": '
+            '["separated-quiver-criterion[witness-search]"]}\n')
+
+    def test_adachi_mode_flag_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["adachi", N4, "--mode", "naive"])
+        assert exc.value.code == 1
 
     def test_separated(self, capsys):
         code, out, _ = run(capsys, "separated", N3, "--format", "json")
@@ -196,7 +208,7 @@ class TestOtherCommands:
         def broken(quiver):
             raise InvariantViolationError("two searches disagree")
 
-        monkeypatch.setattr(sepgraph, "_witness_search_decide", broken)
+        monkeypatch.setattr(sepgraph, "minimal_bad_single_subquiver", broken)
         kronecker = tmp_path / "kronecker.quiver"
         kronecker.write_text("vertex 1\nvertex 2\n"
                              "arrow a : 1 -> 2\narrow b : 1 -> 2\n")
@@ -271,6 +283,16 @@ class TestOtherCommands:
         code, out, err = run(capsys, "single", str(path))
         assert code == 2 and out == ""
         assert err == f"qt: input error: {message}\n"
+
+    def test_zero_denominator_exit_2(self, capsys, tmp_path):
+        path = tmp_path / "zero.quiver"
+        path.write_text("vertex 1\nvertex 2\nvertex 3\narrow a : 1 -> 2\n"
+                        "arrow b : 2 -> 3\nrelation 1/0*a.b\n",
+                        encoding="utf-8")
+        code, out, err = run(capsys, "single", str(path))
+        assert code == 2 and out == ""
+        assert err == ("qt: input error: line 6: zero denominator in "
+                       "relation term\n")
 
     def test_adachi_empty_quiver_exit_2(self, capsys, tmp_path):
         empty = tmp_path / "empty.quiver"

@@ -1,9 +1,17 @@
 """Presentation layer: parsing, validation, dimensions, structure."""
 
-import pytest
+import sys
 from fractions import Fraction
 
-from conftest import line, mono, random_tree_quiver, seeded
+import pytest
+
+from conftest import (
+    line,
+    mono,
+    presentations_equal,
+    random_tree_quiver,
+    seeded,
+)
 
 from quivertau import linalg, presentation
 
@@ -30,7 +38,6 @@ from quivertau.presentation import (
     opposite,
     parse_presentation,
     path_is_zero,
-    presentations_equal,
     quotient,
     require_valid,
     serialize_presentation,
@@ -61,6 +68,13 @@ def nn(n):
     return line(n, relations=mono(*(f"a{i}.a{i+1}" for i in range(1, n - 1))))
 
 
+# int() refuses more than 4,300 digits unless the interpreter's limit is
+# lifted (PYTHONINTMAXSTRDIGITS=0) or predates it (before 3.10.7)
+_DIGIT_LIMIT = pytest.mark.skipif(
+    not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+    reason="the interpreter converts integers of any length")
+
+
 class TestParsing:
     def test_smallest_quiver(self):
         p = parse_presentation("vertex 1\nvertex 2\narrow a : 1 -> 2")
@@ -85,6 +99,19 @@ class TestParsing:
             "arrow a : 1 -> 2\narrow b : 2 -> 3\narrow c : 1 -> 2\n"
             "relation 2/3*a.b - 1*c.b\n")
         assert p.relations[0].terms[0][0] == Fraction(2, 3)
+
+    @pytest.mark.parametrize("term, message", [
+        ("1/0*a.b", "zero denominator"),
+        ("0/0*a.b", "zero denominator"),
+        *(pytest.param(term, "too many digits", marks=_DIGIT_LIMIT)
+          for term in ("9" * 5000 + "*a.b", "1/" + "9" * 5000 + "*a.b")),
+    ])
+    def test_bad_coefficient_rejected(self, term, message):
+        text = ("vertex 1\nvertex 2\nvertex 3\narrow a : 1 -> 2\n"
+                f"arrow b : 2 -> 3\nrelation {term}\n")
+        with pytest.raises(ParseError,
+                           match=f"line 6: {message} in relation term"):
+            parse_presentation(text)
 
     def test_unknown_arrow_in_path(self):
         with pytest.raises(ParseError, match="unknown arrow"):

@@ -21,6 +21,7 @@ from conftest import (
     elimination_ideal_spaces,
     embedding_images,
     line,
+    tensor_pair_dims,
 )
 from quivertau import classify
 from quivertau.catalog import (
@@ -62,7 +63,7 @@ from quivertau.strings import (
     _word_ok,
     special_biserial_check,
 )
-from quivertau.tensor import tensor_pair_dims, tensor_product
+from quivertau.tensor import tensor_product
 
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True,
                     database=None)

@@ -6,7 +6,15 @@ from collections import Counter
 
 import pytest
 
-from conftest import cycle_presentation, line, random_quiver, seeded
+from conftest import (
+    all_choices,
+    assignment_bad,
+    cycle_presentation,
+    line,
+    naive_minimal_bad_single_subquiver,
+    random_quiver,
+    seeded,
+)
 
 from quivertau import sepgraph
 from quivertau.catalog import catalog_get
@@ -17,7 +25,6 @@ from quivertau.presentation import (
     Presentation,
     Quiver,
     QuivertauError,
-    SizeLimitError,
     UnsupportedLoopError,
     embeddings,
 )
@@ -128,18 +135,30 @@ class TestSeparatedQuiver:
         assert "A~1" in report.tags()
 
 
+def _oracle_witness(quiver):
+    """The witness payload ``adachi_decide`` should give, from the brute
+    sweep; None when the criterion finds no bad single subquiver."""
+    witness = naive_minimal_bad_single_subquiver(quiver)
+    if witness is None:
+        return None
+    payload = witness.to_payload()
+    payload["component_types"] = list(witness.report().tags())
+    return payload
+
+
 class TestAdachi:
     def test_n5_finite(self):
-        v = adachi_decide(catalog_get("N(5)"), mode="naive")
-        assert v.status == "finite"
+        pres = catalog_get("N(5)")
+        assert naive_minimal_bad_single_subquiver(pres.quiver) is None
+        assert adachi_decide(pres).status == "finite"
 
     def test_kronecker_infinite(self):
         q = Quiver(("1", "2"), (Arrow("a", "1", "2"), Arrow("b", "1", "2")))
         pres = rad_square_quotient(Presentation(q, ()))
-        for mode in ("naive", "witness-search"):
-            v = adachi_decide(pres, mode=mode)
-            assert v.status == "infinite"
-            assert v.certificate.witness["component_types"] == ["A~1"]
+        v = adachi_decide(pres)
+        assert v.status == "infinite"
+        assert v.certificate.witness["component_types"] == ["A~1"]
+        assert v.certificate.witness == _oracle_witness(q)
 
     def test_dtilde4_witness(self):
         # the 2-line times a three-source star, radical square zero
@@ -148,7 +167,7 @@ class TestAdachi:
                    (Arrow("a", "1", "s"), Arrow("b", "2", "s"),
                     Arrow("c", "3", "s"))), ())
         pres = rad_square_quotient(tensor_product(line(2), star))
-        v = adachi_decide(pres, mode="witness-search")
+        v = adachi_decide(pres)
         assert v.status == "infinite"
         assert "D~4" in v.certificate.witness["component_types"]
 
@@ -176,11 +195,6 @@ class TestAdachi:
         pres = rad_square_quotient(Presentation(kronecker, ()))
         assert adachi_decide(pres).status == "infinite"
 
-    def test_naive_limit(self):
-        big = Quiver(tuple(str(i) for i in range(13)), ())
-        with pytest.raises(SizeLimitError):
-            adachi_decide(Presentation(big, ()), mode="naive")
-
     def test_finite_verdict_random_recheck(self):
         # for a finite verdict, random single subquivers stay Dynkin
         rng = seeded(43)
@@ -194,17 +208,16 @@ class TestAdachi:
             assert ssq.report().all_dynkin()
 
     def test_modes_agree_random(self):
+        # the search and the brute oracle give the same witness
         rng = seeded(47)
-        from conftest import random_quiver
         for _ in range(60):
             pres = random_quiver(rng, max_vertices=6)
             if pres.quiver.has_loop():
                 continue
-            pres = rad_square_quotient(pres)
-            v1 = adachi_decide(pres, mode="naive")
-            v2 = adachi_decide(pres, mode="witness-search")
-            assert v1.status == v2.status
-            assert v1.certificate.witness == v2.certificate.witness
+            v = adachi_decide(rad_square_quotient(pres))
+            expected = _oracle_witness(pres.quiver)
+            assert v.status == ("finite" if expected is None else "infinite")
+            assert v.certificate.witness == expected
 
 
 def _choice_key(sides):
@@ -241,8 +254,8 @@ class TestConnectedEnumeration:
             n = len(q.vertices)
             brute = None
             for k in range(2, n + 1):
-                brute = {_choice_key(s) for s in sepgraph._all_choices(q, k)
-                         if sepgraph._assignment_bad(q, s)}
+                brute = {_choice_key(s) for s in all_choices(q, k)
+                         if assignment_bad(q, s)}
                 if brute:
                     break
             witness = sepgraph.minimal_bad_single_subquiver(q)
@@ -361,16 +374,16 @@ class TestPatternEmbedding:
 
     def test_each_pattern_is_its_own_witness(self):
         # the patterns cover every bipartite Euclidean graph on 2..9
-        # vertices, and each is found on itself at its own size (naive
-        # mode rechecks up to 8 vertices; 9 would cost a second)
+        # vertices, and each is found on itself at its own size (the brute
+        # oracle rechecks up to 8 vertices; 9 would cost a second)
         labels = set()
         for size in range(2, 10):
             for pattern in sepgraph._patterns_of_size(size):
                 witness = sepgraph.minimal_bad_single_subquiver(pattern)
                 assert len(witness.vertices) == size
                 if size <= 8:
-                    assert witness == sepgraph.minimal_bad_single_subquiver(
-                        pattern, mode="naive")
+                    assert witness == \
+                        naive_minimal_bad_single_subquiver(pattern)
                 (label,) = witness.report().tags()
                 labels.add(label)
         assert labels == {"A~1", "A~3", "A~5", "A~7", "D~4", "D~5", "D~6",

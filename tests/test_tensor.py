@@ -10,8 +10,10 @@ from conftest import (
     elimination_ideal_spaces,
     line,
     mono,
+    presentations_equal,
     random_tree_quiver,
     seeded,
+    tensor_pair_dims,
 )
 
 from quivertau.catalog import catalog_get, is_iso
@@ -24,13 +26,11 @@ from quivertau.presentation import (
     dimension_table,
     opposite,
     parse_presentation,
-    presentations_equal,
     structural_profile,
 )
 from quivertau.tensor import (
     enveloping,
     rad_square_quotient,
-    tensor_pair_dims,
     tensor_product,
     tensor_vertex,
     triangular_matrix,
