@@ -99,9 +99,10 @@ class Quiver:
     ``mult`` counts the arrows from each source to each target, and
     ``embedding_plan`` is the search plan with which ``embeddings`` maps
     this quiver into others.  ``is_acyclic`` (no loop and no
-    ``find_oriented_cycle``) and ``is_connected`` are answered once too.
-    The cached values hold arrows and tuples, never the quiver, so they
-    make no reference cycle.
+    ``find_oriented_cycle``), ``is_connected`` and the orientation word
+    that ``line_orientation`` reads are answered once too.  The cached
+    values hold arrows, tuples and strings, never the quiver, so they make
+    no reference cycle.
     """
 
     vertices: tuple[str, ...]
@@ -145,6 +146,26 @@ class Quiver:
             root[find(a.source)] = find(a.target)
         return len({find(v) for v in self.vertices}) <= 1
 
+    @cached_property
+    def _line_word(self):
+        n = len(self.vertices)
+        if not self.is_tree():
+            return None
+        steps = {v: [] for v in self.vertices}  # not kept: caches keep quivers
+        for a in self.arrows:
+            steps[a.source].append((a.target, "+"))
+            steps[a.target].append((a.source, "-"))
+        if any(len(s) > 2 for s in steps.values()):
+            return None
+        word = []
+        prev, at = None, next(v for v in self.vertices if len(steps[v]) < 2)
+        for _ in range(n - 1):
+            step = steps[at]  # one step at the first end, two further on
+            w, letter = step[1] if step[0][0] == prev else step[0]
+            word.append(letter)
+            prev, at = at, w
+        return "".join(word)
+
     def _group_by(self, end):
         groups = {v: [] for v in self.vertices}
         for a in self.arrows:
@@ -156,6 +177,10 @@ class Quiver:
 
     def is_connected(self):
         return self._connected
+
+    def is_tree(self):
+        """Connected with n - 1 arrows, so without loops or cycles."""
+        return len(self.arrows) == len(self.vertices) - 1 and self._connected
 
     def has_multiple_arrows(self):
         return self.first_parallel_pair() is not None
@@ -253,7 +278,13 @@ class DimensionTable:
 
 @dataclass(frozen=True)
 class Profile:
-    """Structural flags; the ideal-based ones are None on cyclic quivers."""
+    """Structural flags of a presentation.
+
+    ``is_radical_square_zero`` and ``is_schurian`` (at most one basis path
+    per vertex pair) are None on cyclic quivers.  On a tree both are read
+    without the ideal, and every tree is Schurian (see
+    ``zero_pair_test``)."""
+
     simple_count: int
     is_acyclic: bool
     is_connected: bool
@@ -751,6 +782,10 @@ class PathIdeal:
         return len(self._paths.get(pair, ())) - len(self.basis(pair))
 
 
+def _not_parallel(idx):
+    return QuivertauError(f"relation {idx}: terms are not parallel paths")
+
+
 def ideal_membership_spaces(pres):
     """Build the relation ideal of ``pres``; read it as ``pres.ideal``.
 
@@ -782,8 +817,7 @@ def ideal_membership_spaces(pres):
         hi = lo + len(ab)
         for mid in merged:
             if not lo <= ids.get(mid, -1) < hi:
-                raise QuivertauError(
-                    f"relation {idx}: terms are not parallel paths")
+                raise _not_parallel(idx)
         terms = [(c, mid) for mid, c in merged.items() if c]
         if len(terms) == 1:
             kill = ideal._kill
@@ -845,10 +879,48 @@ def zero_relation_paths(pres):
                      if rel.is_monomial() and rel.terms[0][0] != 0)
 
 
+def _tree_zero_paths(pres):
+    """The paths p of a presentation on a tree whose relations include one
+    with terms summing to a nonzero multiple of p.
+
+    Raises what the ideal build raises when a relation's terms are not
+    parallel paths: on a tree that means they are not all one path of the
+    quiver."""
+    q = pres.quiver
+    zero = set()
+    for idx, rel in enumerate(pres.relations):
+        if not rel.terms:
+            continue
+        path = rel.terms[0][1]
+        path_source(q, path), path_target(q, path)  # as the ideal build
+        if not path_is_composable(q, path) or \
+                any(p != path for _, p in rel.terms):
+            raise _not_parallel(idx)
+        if sum(c for c, _ in rel.terms):
+            zero.add(path)
+    return zero
+
+
 def zero_pair_test(pres):
-    """A test of two composable arrow names a, b: is a.b zero?  A zero
-    relation says so without building the ideal; any other pair is read
-    from ``pres.ideal``, or is nonzero on a cyclic quiver (no ideal)."""
+    """A test of two composable arrow names a, b: is a.b zero?
+
+    On a tree two vertices are joined by at most one path, so every
+    relation is (sum of its coefficients) * p for one path p and the ideal
+    is monomial: it is generated by the paths p with a nonzero sum, and
+    a.b lies in it iff one of them is a subpath of a.b.  That is a.b
+    itself, as terms have length >= 2 (``validate_presentation``); a lone
+    arrow counts too, as in the ideal, when an unvalidated relation names
+    one.  So a tree needs no ideal; its relations are checked here, before
+    the test is returned.  Repeated terms are summed, never read as zero
+    relations: ``1*a.b + 1*a.b`` makes a.b zero, ``1*a.b - 1*a.b`` does
+    not.
+
+    On any other quiver a zero relation says so without building the
+    ideal; any other pair is read from ``pres.ideal``, or is nonzero on a
+    cyclic quiver (no ideal)."""
+    if pres.quiver.is_tree():
+        zero = _tree_zero_paths(pres)
+        return lambda a, b: not zero.isdisjoint(((a, b), (a,), (b,)))
     zero = zero_relation_paths(pres)
     acyclic = pres.quiver.is_acyclic()
     return lambda a, b: (a, b) in zero or (
@@ -1079,49 +1151,32 @@ def quotient(pres, killed_vertices=(), killed_arrows=(), extra_relations=()):
 def line_orientation(quiver):
     """The orientation word of a path-shaped quiver, else None.
 
-    The quiver is a path when it is connected, has n - 1 arrows and no
-    vertex touches more than two of them (n - 1 arrows that connect n
-    vertices leave no room for a loop or a parallel pair).  The word is
-    read from its first end in vertex order, one letter per arrow: ``+``
-    where the arrow points away from that end, ``-`` where it points
-    back.  A single vertex gives ``''``.  The neighbour map is built here,
-    not cached on the quiver, which caches keep alive.
+    The quiver is a path when it is a tree and no vertex touches more than
+    two of its arrows.  The word is read from its first end in vertex
+    order, one letter per arrow: ``+`` where the arrow points away from
+    that end, ``-`` where it points back.  A single vertex gives ``''``.
+    The walk runs once per quiver; its word is cached on the quiver.
     """
-    n = len(quiver.vertices)
-    if len(quiver.arrows) != n - 1 or not quiver.is_connected():
-        return None
-    steps = {v: [] for v in quiver.vertices}
-    for a in quiver.arrows:
-        steps[a.source].append((a.target, "+"))
-        steps[a.target].append((a.source, "-"))
-    if any(len(s) > 2 for s in steps.values()):
-        return None
-    word = []
-    prev, at = None, next(v for v in quiver.vertices if len(steps[v]) < 2)
-    for _ in range(n - 1):
-        step = steps[at]  # one step at the first end, two further on
-        w, letter = step[1] if step[0][0] == prev else step[0]
-        word.append(letter)
-        prev, at = at, w
-    return "".join(word)
+    return quiver._line_word
 
 
 def structural_profile(pres):
-    """Structural flags; ideal-based flags are None on cyclic quivers."""
+    """Structural flags; see ``Profile``.  On a tree rad^2 = 0 is read off
+    the relations (``zero_pair_test``) and the Schurian flag holds without
+    computation, so neither the paths nor the ideal are built."""
     q = pres.quiver
     acyclic = q.is_acyclic()
-    connected = q.is_connected()
-    tree = connected and len(q.arrows) == len(q.vertices) - 1
+    tree = q.is_tree()
     line = line_orientation(q)
     rsz = schurian = None
     if acyclic:
         rsz = is_rad_square_zero(pres)
-        schurian = all(len(pres.ideal.basis(pair)) <= 1
-                       for pair in all_paths(q))
+        schurian = tree or all(len(pres.ideal.basis(pair)) <= 1
+                               for pair in all_paths(q))
     return Profile(
         simple_count=len(q.vertices),
         is_acyclic=acyclic,
-        is_connected=connected,
+        is_connected=q.is_connected(),
         is_tree=tree,
         is_local=len(q.vertices) == 1,
         is_hereditary=len(pres.relations) == 0,

@@ -6,6 +6,7 @@ import inspect
 import itertools
 import random
 import sys
+from operator import itemgetter
 
 import pytest
 
@@ -314,3 +315,76 @@ def shallow_stack():
     sys.setrecursionlimit(len(inspect.stack(0)) + 60)
     yield
     sys.setrecursionlimit(old)
+
+
+def quivers_up_to_iso(n, max_arrows=None, max_degree=None):
+    """Loop-free multiquivers on n labeled vertices, one per class up to
+    vertex relabeling, as arrow-count vectors over the off-diagonal cells
+    (i, j) in row-major order.  ``max_arrows`` bounds the arrow total and
+    ``max_degree`` every in- and out-degree; at least one bound is needed
+    once n > 1.  Returns the lexicographically smallest form of each class,
+    sorted.
+
+    Orderly generation (Read 1978; McKay 1998): the vectors are grown one
+    arrow at a time through their lexicographically largest forms, a new
+    arrow going into a cell at or after the vector's last nonzero cell,
+    and a child is kept only if no relabeling makes it larger.
+
+    Every largest form v != 0 is reached exactly once.  Let k be its last
+    nonzero cell and u = v - e_k.  Suppose a relabeling p had p(u) > u,
+    first differing at position d.  If d >= k, then p(u) agrees with u
+    before d and exceeds it at d, so the entries of p(u) up to d sum to
+    more than u's total, as u is zero after k; but relabeling preserves
+    the total.  So d < k, where v and u agree.  Since p(v) >= p(u)
+    entrywise, p(v) >= v entrywise before d, and v is largest, so p(v)
+    equals v there; then p(v)[d] >= p(u)[d] > u[d] = v[d] makes p(v) > v,
+    a contradiction.  So u is a largest form, and v is its child at cell
+    k >= the last nonzero cell of u.  Conversely a child's last nonzero
+    cell is the one its arrow went into, so its parent is u and no other.
+    Both bounds are relabel-invariant and hold for u whenever they hold
+    for v, so pruning by them loses no class.
+    """
+    cells = [(i, j) for i in range(n) for j in range(n) if i != j]
+    if not cells:
+        return [()]
+    index = {c: k for k, c in enumerate(cells)}
+    # relabeling w by a vertex permutation is one itemgetter call
+    relabelings = [itemgetter(*(index[perm[i], perm[j]] for i, j in cells))
+                   for perm in itertools.permutations(range(n))]
+    out_cells = [[index[i, j] for j in range(n) if j != i] for i in range(n)]
+    in_cells = [[index[i, j] for i in range(n) if i != j] for j in range(n)]
+
+    def within_degree(w, cell):
+        i, j = cells[cell]
+        return (sum(w[c] for c in out_cells[i]) <= max_degree
+                and sum(w[c] for c in in_cells[j]) <= max_degree)
+
+    largest = []
+    level = [((0,) * len(cells), 0)]  # (largest form, last nonzero cell)
+    arrows = 0
+    while level:
+        largest.extend(w for w, _ in level)
+        if arrows == max_arrows:
+            break
+        children = []
+        for w, last in level:
+            for k in range(last, len(cells)):
+                child = w[:k] + (w[k] + 1,) + w[k + 1:]
+                if max_degree is not None and not within_degree(child, k):
+                    continue
+                if all(f(child) <= child for f in relabelings):
+                    children.append((child, k))
+        level = children
+        arrows += 1
+    return sorted(min(f(w) for f in relabelings) for w in largest)
+
+
+def quiver_from_cells(n, cells, counts):
+    vertices = tuple(str(i) for i in range(n))
+    arrows = []
+    k = 0
+    for (i, j), m in zip(cells, counts):
+        for _ in range(m):
+            arrows.append(Arrow(f"x{k}", str(i), str(j)))
+            k += 1
+    return Quiver(vertices, tuple(arrows))

@@ -6,13 +6,14 @@ lines as they pass.
 
 import itertools
 import time
-from operator import itemgetter
 
 import pytest
 
 from conftest import (
     cycle_presentation,
     naive_minimal_bad_single_subquiver,
+    quiver_from_cells,
+    quivers_up_to_iso,
     random_quiver,
     seeded,
 )
@@ -117,81 +118,8 @@ def test_criterion_04_hereditary_line_boundary():
            f"in {elapsed:.2f}s", ok)
 
 
-def _quivers_up_to_iso(n, max_arrows=None, max_degree=None):
-    """Loop-free multiquivers on n labeled vertices, one per class up to
-    vertex relabeling, as arrow-count vectors over the off-diagonal cells
-    (i, j) in row-major order.  ``max_arrows`` bounds the arrow total and
-    ``max_degree`` every in- and out-degree; at least one bound is needed
-    once n > 1.  Returns the lexicographically smallest form of each class,
-    sorted.
-
-    Orderly generation (Read 1978; McKay 1998): the vectors are grown one
-    arrow at a time through their lexicographically largest forms, a new
-    arrow going into a cell at or after the vector's last nonzero cell,
-    and a child is kept only if no relabeling makes it larger.
-
-    Every largest form v != 0 is reached exactly once.  Let k be its last
-    nonzero cell and u = v - e_k.  Suppose a relabeling p had p(u) > u,
-    first differing at position d.  If d >= k, then p(u) agrees with u
-    before d and exceeds it at d, so the entries of p(u) up to d sum to
-    more than u's total, as u is zero after k; but relabeling preserves
-    the total.  So d < k, where v and u agree.  Since p(v) >= p(u)
-    entrywise, p(v) >= v entrywise before d, and v is largest, so p(v)
-    equals v there; then p(v)[d] >= p(u)[d] > u[d] = v[d] makes p(v) > v,
-    a contradiction.  So u is a largest form, and v is its child at cell
-    k >= the last nonzero cell of u.  Conversely a child's last nonzero
-    cell is the one its arrow went into, so its parent is u and no other.
-    Both bounds are relabel-invariant and hold for u whenever they hold
-    for v, so pruning by them loses no class.
-    """
-    cells = [(i, j) for i in range(n) for j in range(n) if i != j]
-    if not cells:
-        return [()]
-    index = {c: k for k, c in enumerate(cells)}
-    # relabeling w by a vertex permutation is one itemgetter call
-    relabelings = [itemgetter(*(index[perm[i], perm[j]] for i, j in cells))
-                   for perm in itertools.permutations(range(n))]
-    out_cells = [[index[i, j] for j in range(n) if j != i] for i in range(n)]
-    in_cells = [[index[i, j] for i in range(n) if i != j] for j in range(n)]
-
-    def within_degree(w, cell):
-        i, j = cells[cell]
-        return (sum(w[c] for c in out_cells[i]) <= max_degree
-                and sum(w[c] for c in in_cells[j]) <= max_degree)
-
-    largest = []
-    level = [((0,) * len(cells), 0)]  # (largest form, last nonzero cell)
-    arrows = 0
-    while level:
-        largest.extend(w for w, _ in level)
-        if arrows == max_arrows:
-            break
-        children = []
-        for w, last in level:
-            for k in range(last, len(cells)):
-                child = w[:k] + (w[k] + 1,) + w[k + 1:]
-                if max_degree is not None and not within_degree(child, k):
-                    continue
-                if all(f(child) <= child for f in relabelings):
-                    children.append((child, k))
-        level = children
-        arrows += 1
-    return sorted(min(f(w) for f in relabelings) for w in largest)
-
-
-def _quiver_from_cells(n, cells, counts):
-    vertices = tuple(str(i) for i in range(n))
-    arrows = []
-    k = 0
-    for (i, j), m in zip(cells, counts):
-        for _ in range(m):
-            arrows.append(Arrow(f"x{k}", str(i), str(j)))
-            k += 1
-    return Quiver(vertices, tuple(arrows))
-
-
 def _quivers_up_to_iso_by_brute_force(n, max_arrows=None, max_degree=None):
-    """Reference for _quivers_up_to_iso: every arrow multiset under the
+    """Reference for quivers_up_to_iso: every arrow multiset under the
     bounds, kept when no relabeling makes its count vector smaller."""
     cells = [(i, j) for i in range(n) for j in range(n) if i != j]
     index = {c: k for k, c in enumerate(cells)}
@@ -221,15 +149,15 @@ def _quivers_up_to_iso_by_brute_force(n, max_arrows=None, max_degree=None):
     *((n, None, 2) for n in range(1, 5)),
 ])
 def test_quivers_up_to_iso_matches_brute_force(n, max_arrows, max_degree):
-    assert _quivers_up_to_iso(n, max_arrows, max_degree) == \
+    assert quivers_up_to_iso(n, max_arrows, max_degree) == \
         _quivers_up_to_iso_by_brute_force(n, max_arrows, max_degree)
 
 
 def test_quivers_up_to_iso_class_counts():
     # criterion 05 pins its own sweep, 5 and 6 vertices included
-    assert [len(_quivers_up_to_iso(n, max_arrows=7)) for n in range(1, 5)] \
+    assert [len(quivers_up_to_iso(n, max_arrows=7)) for n in range(1, 5)] \
         == [1, 20, 298, 2215]
-    assert [len(_quivers_up_to_iso(n, max_degree=2)) for n in range(1, 6)] \
+    assert [len(quivers_up_to_iso(n, max_degree=2)) for n in range(1, 6)] \
         == [1, 6, 28, 173, 1280]
 
 
@@ -247,12 +175,12 @@ def test_criterion_05_adachi_cross_validation():
     checked = 0
     for (n, max_arrows), classes in _SWEEP05.items():
         cells = [(i, j) for i in range(n) for j in range(n) if i != j]
-        reps = _quivers_up_to_iso(n, max_arrows=max_arrows)
+        reps = quivers_up_to_iso(n, max_arrows=max_arrows)
         if len(reps) != classes:
             disagreements += 1
             print(f"  {len(reps)} classes on {n} vertices, not {classes}")
         for counts in reps:
-            q = _quiver_from_cells(n, cells, counts)
+            q = quiver_from_cells(n, cells, counts)
             w1 = naive_minimal_bad_single_subquiver(q)
             w2 = minimal_bad_single_subquiver(q)
             checked += 1
@@ -433,8 +361,8 @@ def test_criterion_10_bands_match_separated_criterion():
     checked_impl = 0
     for n in range(1, 6):
         cells = [(i, j) for i in range(n) for j in range(n) if i != j]
-        for counts in _quivers_up_to_iso(n, max_degree=2):
-            q = _quiver_from_cells(n, cells, counts)
+        for counts in quivers_up_to_iso(n, max_degree=2):
+            q = quiver_from_cells(n, cells, counts)
             if not q.is_acyclic():
                 # the string machinery works over path bases and rejects
                 # oriented cycles by contract

@@ -15,6 +15,7 @@ from conftest import (
 
 from quivertau import linalg, presentation
 
+from quivertau.classify import line_class
 from quivertau.presentation import (
     LIKELY_SIMPLY_CONNECTED,
     NOT_SIMPLY_CONNECTED,
@@ -46,6 +47,7 @@ from quivertau.presentation import (
     zero_pair_test,
     zero_relation_paths,
 )
+from quivertau.strings import special_biserial_check
 
 B1_TEXT = """\
 vertex 1
@@ -402,6 +404,21 @@ class TestIdeal:
                                               (Fraction(-1), second))),))
             with pytest.raises(QuivertauError, match="not parallel paths"):
                 ideal_membership_spaces(pres)
+        # on a tree no ideal is built, and the readers check the relations
+        # themselves: a.b and b.c are not one path, a.c is no path at all
+        tree = parse_presentation("vertex 1\nvertex 2\nvertex 3\nvertex 4\n"
+                                  "arrow a : 1 -> 2\narrow b : 2 -> 3\n"
+                                  "arrow c : 3 -> 4\n").quiver
+        for terms in ((("a", "b"), ("b", "c")), (("a", "c"),)):
+            pres = Presentation(tree, (Relation(tuple(
+                (Fraction(1), path) for path in terms)),))
+            for reader in (lambda p: zero_pair_test(p)("a", "b"),
+                           is_rad_square_zero, structural_profile,
+                           special_biserial_check):
+                with pytest.raises(QuivertauError,
+                                   match="^relation 0: terms are not "
+                                         "parallel paths$"):
+                    reader(pres)
 
 
 class TestOpposite:
@@ -481,6 +498,26 @@ class TestProfile:
         assert zero_relation_paths(vanishing) == frozenset()
         assert zero_relation_paths(pres) == {("c", "d")}
 
+    def test_tree_sums_coefficients_without_the_ideal(self, monkeypatch):
+        def unbuilt(pres_or_quiver):
+            raise AssertionError("a tree needs no paths and no ideal")
+
+        monkeypatch.setattr(presentation, "all_paths", unbuilt)
+        monkeypatch.setattr(presentation, "ideal_membership_spaces", unbuilt)
+        a3 = "vertex 1\nvertex 2\nvertex 3\narrow a : 1 -> 2\n" \
+             "arrow b : 2 -> 3\n"
+        # the parser keeps repeated terms: 2*a.b is zero, 0*a.b is not
+        for relation, zero in (("1*a.b + 1*a.b", True),
+                               ("1*a.b - 1*a.b", False),
+                               ("-1/2*a.b", True)):
+            pres = parse_presentation(a3 + f"relation {relation}\n")
+            assert len(pres.relations[0].terms) == relation.count("*")
+            assert zero_pair_test(pres)("a", "b") is zero
+            prof = structural_profile(pres)
+            assert (prof.is_radical_square_zero, prof.is_schurian,
+                    prof.is_hereditary) == (zero, True, False)
+            assert special_biserial_check(pres).ok
+
     def test_acyclic_and_connected_answered_once(self, b1, monkeypatch):
         # the quiver's two searches: the cached connectivity answer, and
         # the oriented-cycle search behind the cached acyclicity answer
@@ -508,6 +545,24 @@ class TestProfile:
             homology_rank(pres)
             assert pres.quiver.is_acyclic() and pres.quiver.is_connected()
         assert sorted(searches) == ["components", "cycles"]
+
+    def test_line_walked_once(self, b1, monkeypatch):
+        # the profile and classify.line_class read one cached word
+        walks = []
+        word = Quiver.__dict__["_line_word"]
+        walk = word.func
+
+        def counted_walk(quiver):
+            walks.append(quiver)
+            return walk(quiver)
+
+        monkeypatch.setattr(word, "func", counted_walk)
+        q = Quiver(b1.quiver.vertices, b1.quiver.arrows)
+        for _ in range(2):
+            assert structural_profile(Presentation(q, b1.relations)) \
+                .is_linear_nakayama is False
+            assert line_class(q) == "++-"
+        assert walks == [q]
 
 
 class TestQuotient:

@@ -4,7 +4,7 @@ against the search that rebuilds every candidate, the band search's
 string predicate against the one that scans every zero path, the line
 reader and oriented-cycle search against the separate walks they
 replaced, and the zero-composition readers against the table scans they
-replaced."""
+replaced (on every tree with at most 5 vertices, against the ideal)."""
 
 import importlib.util
 import itertools
@@ -21,6 +21,8 @@ from conftest import (
     elimination_ideal_spaces,
     embedding_images,
     line,
+    quiver_from_cells,
+    quivers_up_to_iso,
     tensor_pair_dims,
 )
 from quivertau import classify
@@ -890,6 +892,46 @@ def test_zero_composition_readers_match_references(pres, data):
         assert witness["pair"] == list(next(
             pair for pair, paths in dimension_table(p).pairs
             if len(paths) >= 2))
+
+
+def _trees(n):
+    """Every tree on n vertices, one per class up to relabeling."""
+    cells = [(i, j) for i in range(n) for j in range(n) if i != j]
+    for counts in quivers_up_to_iso(n, max_arrows=n - 1):
+        q = quiver_from_cells(n, cells, counts)
+        if q.is_tree():
+            yield q
+
+
+# each is a relation on one path p: 1*p, 2*p, -1/2*p, 1*p + 1*p, 1*p - 1*p
+_TREE_RELATIONS = ((1,), (2,), (Fraction(-1, 2),), (1, 1), (1, -1))
+
+
+def test_tree_readers_match_the_ideal_exhaustively():
+    # on a tree the readers never build the ideal; compare them with it on
+    # every tree with 2 to 5 vertices and every one-path relation
+    trees = [list(_trees(n)) for n in range(2, 6)]
+    assert [len(ts) for ts in trees] == [1, 3, 8, 27]  # A000238
+    checked = 0
+    for q in itertools.chain.from_iterable(trees):
+        comps = _compositions(q)
+        # a lone arrow is no admissible term, but the ideal kills it
+        for path in comps + [(a.name,) for a in q.arrows]:
+            for coeffs in _TREE_RELATIONS:
+                p = Presentation(q, (Relation(tuple(
+                    (Fraction(c), path) for c in coeffs)),))
+                zero = zero_pair_test(p)
+                assert [zero(a, b) for a, b in comps] == \
+                    [p.ideal.contains({pair: 1}) for pair in comps]
+                assert is_rad_square_zero(p) == \
+                    _reference_is_rad_square_zero(p)
+                prof = structural_profile(p)
+                assert (prof.is_radical_square_zero, prof.is_schurian) == \
+                    _reference_profile_flags(p)
+                assert special_biserial_check(p) == \
+                    _reference_special_biserial_check(p)
+                checked += 1
+    assert checked == 970
 
 
 @st.composite
