@@ -14,7 +14,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import chain, combinations, count
+from itertools import chain, combinations, count, groupby
 
 from .linalg import SparseSpace
 
@@ -585,26 +585,49 @@ def _check_path_budget(quiver):
 def all_paths(quiver):
     """All nonempty paths of an acyclic quiver, grouped by (source, target).
 
-    Each value list is sorted by path_key, so downstream elimination and
+    Each value tuple is sorted by path_key, so downstream elimination and
     basis choices are deterministic.  Raises SizeLimitError, before any
     path is built, when the paths hold more than PATH_LETTER_BUDGET letters.
+
+    Each source vertex is walked level by level: level n + 1 extends each
+    path of level n, in order, by the out-arrows of its end in name order.
+    A level is then sorted by arrow name sequence, so each pair's paths
+    come out in path_key order with no sort.  A source's pairs are listed
+    in the order a depth-first walk over its paths, extending by arrows in
+    declaration order, first reaches their targets.  A marked depth-first
+    walk over the vertices, taking arrows in the same order, first reaches
+    them in the same order, since a vertex met again leads only to vertices
+    its first visit already reached; that walk gives the pair order.
     """
     if not quiver.is_acyclic():
         raise CyclicQuiverError("path enumeration needs an acyclic quiver")
     _check_path_budget(quiver)
     out = quiver.out
+    named = {v: [(a.name, a.target)
+                 for a in sorted(arrows, key=lambda a: a.name)]
+             for v, arrows in out.items()}
     grouped = {}
     for v in quiver.vertices:
-        # depth-first, children in arrow order: pop a path, then push its
-        # one-arrow extensions in reverse
-        stack = [((a.name,), a.target) for a in reversed(out[v])]
+        ending = {}  # vertex -> the paths from v to it, by path_key
+        level = [((name,), at) for name, at in named[v]]
+        while level:
+            for path, at in level:
+                ps = ending.get(at)
+                if ps is None:
+                    ending[at] = [path]
+                else:
+                    ps.append(path)
+            level = [(path + (name,), to) for path, at in level
+                     for name, to in named[at]]
+        seen = {v}
+        stack = [a.target for a in reversed(out[v])]
         while stack:
-            path, at = stack.pop()
-            grouped.setdefault((v, at), []).append(path)
-            stack.extend((path + (a.name,), a.target)
-                         for a in reversed(out[at]))
-    return {pair: tuple(sorted(ps, key=path_key))
-            for pair, ps in grouped.items()}
+            at = stack.pop()
+            if at not in seen:
+                seen.add(at)
+                grouped[(v, at)] = tuple(ending[at])
+                stack.extend(a.target for a in reversed(out[at]))
+    return grouped
 
 
 def _exact(x):
@@ -617,15 +640,17 @@ def _quo(num, den):
     """num / den, an int while the quotient is exact."""
     if type(num) is int and type(den) is int and num % den == 0:
         return num // den
-    return _exact(Fraction(num, den))
+    x = Fraction(num, den)
+    return x.numerator if x.denominator == 1 else x
 
 
 class PathIdeal:
     """The relation ideal I of a presentation, read per vertex pair of kQ.
 
-    Read it as ``pres.ideal``.  Every relation is padded with every path
-    ending at its source on the left and every path starting at its target
-    on the right; the padded vectors span I.
+    Read it as ``pres.ideal``.  I is spanned by the padded vectors
+    ``l * rel * r``, for every relation and every path l ending at its
+    source (or none) and r starting at its target (or none).  The builder
+    pads only by the paths below; the others add nothing.
 
     Inside, a path is an integer id: its position in the concatenation of
     the per-pair lists of ``all_paths``.  Paths appear only at the
@@ -659,6 +684,30 @@ class PathIdeal:
     smaller roots besides, because the normal form only replaces a path by
     a smaller root.  So no leading term moves, and p leads some element
     of I exactly when it leads some element of the normal-form space.
+
+    Relations with one or two terms are padded by lefts in increasing
+    length, taken across all such relations, and a left that is at its
+    turn a non-root, or a root of a zero class, is skipped.  The skip is
+    exact.  If ``l = t * L`` through joins already made, each of those
+    joins came from a relation padded by some left, with every right,
+    before l's turn; right-multiplying it by ``m * r`` gives a pad of the
+    same left with a longer right, which was made too.  So
+    ``l*m*r = t*L*m*r`` already holds in the union-find for every term m
+    and right r, and the pads of l follow from those of L, a live root of
+    smaller id in the same pair.  If L's turn is past, L was padded then,
+    as a root never becomes one again and a zero class stays zero; if it
+    is to come, L is padded or skipped by this same argument, which ends
+    as ids fall.  A zero class likewise makes every ``l*m*r`` zero
+    already.  Taking short lefts first makes most longer ones non-roots by
+    their turn.
+
+    Relations with three or more terms are padded once the union-find is
+    complete, and only by nonzero roots (or no path) on both sides.  The
+    normal form is then linear and vanishes on the padded vectors with one
+    or two terms, hence on the ideal they generate.  A non-root padding
+    path ``l = t * L`` gives ``l*v*r - t*L*v*r`` in that ideal, so its
+    normal form is t times that of the pad by L, and a zero padding path
+    gives a vector of that ideal; neither moves a pivot.
     """
 
     __slots__ = ("_quiver", "_paths", "_ids", "_parent", "_ratio", "_zero",
@@ -789,6 +838,12 @@ def _not_parallel(idx):
 def ideal_membership_spaces(pres):
     """Build the relation ideal of ``pres``; read it as ``pres.ideal``.
 
+    Relations with one or two terms are padded first, by lefts in
+    increasing length across all of them, skipping a left that is at its
+    turn a non-root or zero; relations with three or more terms are padded
+    last, by nonzero roots only on both sides.  The ``PathIdeal``
+    docstring shows that both skips are exact.
+
     Raises QuivertauError when a relation's terms are not parallel paths
     of the quiver (``validate_presentation`` reports such relations)."""
     q = pres.quiver
@@ -797,12 +852,12 @@ def ideal_membership_spaces(pres):
         return PathIdeal(q, paths, {})
     ids = dict(zip(chain.from_iterable(paths.values()), count()))
     ideal = PathIdeal(q, paths, ids)
-    ending = {v: [()] for v in q.vertices}
-    starting = {v: [()] for v in q.vertices}
+    into = {v: [] for v in q.vertices}  # v -> [(source, paths into v)]
+    out_of = {v: [] for v in q.vertices}  # v -> [(target, paths from v)]
     for (x, y), ps in paths.items():
-        starting[x].extend(ps)
-        ending[y].extend(ps)
-    longer = []
+        out_of[x].append((y, ps))
+        into[y].append((x, ps))
+    short, longer = [], []
     for idx, rel in enumerate(pres.relations):
         if not rel.terms:
             continue
@@ -820,30 +875,63 @@ def ideal_membership_spaces(pres):
                 raise _not_parallel(idx)
         terms = [(c, mid) for mid, c in merged.items() if c]
         if len(terms) == 1:
-            kill = ideal._kill
-            mid = terms[0][1]
-            for left in ending[a]:
-                lm = left + mid
-                for right in starting[b]:
-                    kill(ids[lm + right])
+            short.append((a, b, terms[0][1], None, None))
         elif len(terms) == 2:
-            join = ideal._join
             (c1, m1), (c2, m2) = terms
-            k = _quo(_exact(-c2), _exact(c1))  # p = k * q
-            for left in ending[a]:
-                lm1, lm2 = left + m1, left + m2
-                for right in starting[b]:
-                    join(ids[lm1 + right], ids[lm2 + right], k)
+            short.append((a, b, m1, m2, _quo(_exact(-c2), _exact(c1))))
         elif terms:
             longer.append((a, b, terms))
+    parent, zero = ideal._parent, ideal._zero
+    levels = {}  # a -> the paths into a (and the empty path), by length
+    rights = {}  # b -> the paths from b, after the empty path
+    for a, b, *_ in short:
+        if a not in levels:
+            lefts = sorted(chain.from_iterable(ps for _, ps in into[a]),
+                           key=len)
+            levels[a] = [[()]] + [list(g) for _, g in groupby(lefts, len)]
+        if b not in rights:
+            rights[b] = [(), *chain.from_iterable(ps for _, ps in out_of[b])]
+    kill, join = ideal._kill, ideal._join
+    for n in range(max(map(len, levels.values()), default=0)):
+        for a, b, m1, m2, k in short:  # k: m1 = k * m2
+            if n >= len(levels[a]):
+                continue
+            tails = rights[b]
+            for left in levels[a][n]:
+                if left:
+                    i = ids[left]
+                    if parent[i] != i or zero[i]:
+                        continue
+                if m2 is None:
+                    lm = left + m1
+                    for right in tails:
+                        kill(ids[lm + right])
+                else:
+                    lm1, lm2 = left + m1, left + m2
+                    for right in tails:
+                        join(ids[lm1 + right], ids[lm2 + right], k)
+
+    def nonzero_roots(v, ends):
+        """[(end, nonzero roots)] over the pairs ``ends``, after (v, ())."""
+        found = [(v, ((),))]
+        for w, ps in ends:
+            found.append((w, [p for i, p in enumerate(ps, ids[ps[0]])
+                              if parent[i] == i and not zero[i]]))
+        return found
+
     # normal forms are taken once the union-find is complete
+    left_roots, right_roots = {}, {}
     for a, b, terms in longer:
-        for left in ending[a]:
-            x = path_source(q, left) if left else a
-            for right in starting[b]:
-                y = path_target(q, right) if right else b
-                ideal._add((x, y), {ids[left + mid + right]: c
-                                    for c, mid in terms})
+        if a not in left_roots:
+            left_roots[a] = nonzero_roots(a, into[a])
+        if b not in right_roots:
+            right_roots[b] = nonzero_roots(b, out_of[b])
+        for x, lefts in left_roots[a]:
+            for left in lefts:
+                for y, rs in right_roots[b]:
+                    for right in rs:
+                        ideal._add((x, y), {ids[left + mid + right]: c
+                                            for c, mid in terms})
     return ideal
 
 

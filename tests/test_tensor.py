@@ -17,12 +17,15 @@ from conftest import (
 )
 
 from quivertau.catalog import catalog_get, is_iso
+from quivertau.linalg import SparseSpace
 from quivertau.presentation import (
     Arrow,
+    PathIdeal,
     Presentation,
     Quiver,
     QuivertauError,
     Relation,
+    all_paths,
     dimension_table,
     opposite,
     parse_presentation,
@@ -252,3 +255,37 @@ class TestGridTables:
         spaces, _ = elimination_ideal_spaces(product)
         assert dimension_table(product).pairs == \
             elimination_bases(product, spaces)
+
+
+class TestPaddingWork:
+    """The ideal build pads only by roots of the union-find (see PathIdeal);
+    the comments give the counts of padding by every path."""
+
+    @staticmethod
+    def _calls(monkeypatch, owner, name):
+        """The list of calls to owner.name made from now on."""
+        calls = []
+        method = getattr(owner, name)
+
+        def counting(self, *args):
+            calls.append(args)
+            return method(self, *args)
+
+        monkeypatch.setattr(owner, name, counting)
+        return calls
+
+    def test_grid_joins_once_per_non_root(self, monkeypatch):
+        product = tensor_all(line(6), line(7))
+        joins = self._calls(monkeypatch, PathIdeal, "_join")
+        ideal = product.ideal
+        assert len(joins) == 5790  # 11,212 when padding by every left
+        # every pair of the commutative grid is one class, and each join
+        # took one path out of the roots
+        assert len(joins) == sum(ideal.rank(pair)
+                                 for pair in all_paths(product.quiver))
+
+    def test_three_terms_pad_by_nonzero_roots(self, monkeypatch):
+        product = tensor_all(three_term(), line(4), line(3))
+        adds = self._calls(monkeypatch, SparseSpace, "add")
+        product.ideal
+        assert len(adds) == 200  # 368 when padding by every path
