@@ -222,14 +222,10 @@ def _arrow_maps(q1, q2, vmap):
 def _transported_relation_vectors(pres, amap):
     """Relation vectors of pres with arrows renamed along amap."""
     out = []
-    for rel in pres.relations:
-        vec = {}
-        for coeff, path in rel.terms:
-            key = tuple(amap[n] for n in path)
-            vec[key] = vec.get(key, Fraction(0)) + coeff
-        vec = {k: c for k, c in vec.items() if c}
-        if vec:
-            out.append(vec)
+    for terms in map(Relation.combined, pres.relations):
+        if terms:
+            out.append({tuple(amap[n] for n in path): coeff
+                        for coeff, path in terms})
     return out
 
 
@@ -621,7 +617,7 @@ def verify_witness(frame):
         if len(report.components) == 1:
             induced_graph = report.components[0][1].label()
     if frame.claim_kind == "hereditary-surjection" and induced is not None:
-        hereditary_ok = (len(induced.relations) == 0
+        hereditary_ok = (not any(map(Relation.combined, induced.relations))
                          and induced_graph == frame.claimed_type.label()
                          and not count_anomaly)
     if frame.claim_kind == "hereditary-surjection":

@@ -227,15 +227,37 @@ def find_oriented_cycle(quiver):
 
 @dataclass(frozen=True)
 class Relation:
-    """Rational combination of parallel paths, each a tuple of arrow names."""
+    """Rational combination of parallel paths, each a tuple of arrow names.
+
+    ``terms`` are the terms as written: a path may repeat, and terms may
+    cancel.  What the relation means is ``combined()``, and every reader
+    of its value (the ideal, the zero paths, the homology cells, the
+    hereditary and monomial flags, quotient transport) reads that.  Only
+    the readers of the input as written keep ``terms``: the parser,
+    ``validate_presentation`` and ``serialize_presentation``, the
+    operations that rewrite a presentation (``tensor_product``,
+    ``opposite``, ``quotient``), and the "not parallel paths" checks,
+    which must see a path even where it cancels."""
 
     terms: tuple[tuple[Fraction, tuple[str, ...]], ...]
 
     def paths(self):
         return [p for _, p in self.terms]
 
+    def combined(self):
+        """The terms with each repeated path's coefficients summed, paths
+        that sum to zero dropped, in order of first appearance."""
+        terms = self.terms
+        if len(terms) == 1:
+            return terms if terms[0][0] else ()
+        merged = {}
+        for coeff, path in terms:
+            merged[path] = merged.get(path, 0) + coeff
+        return tuple((c, p) for p, c in merged.items() if c)
+
     def is_monomial(self):
-        return len(self.terms) == 1
+        """Does the relation combine to at most one path?"""
+        return len(self.combined()) <= 1
 
 
 @dataclass(frozen=True)
@@ -280,10 +302,9 @@ class DimensionTable:
 class Profile:
     """Structural flags of a presentation.
 
+    ``is_hereditary``: no relation combines to anything.
     ``is_radical_square_zero`` and ``is_schurian`` (at most one basis path
-    per vertex pair) are None on cyclic quivers.  On a tree both are read
-    without the ideal, and every tree is Schurian (see
-    ``zero_pair_test``)."""
+    per vertex pair) are None on cyclic quivers; every tree is Schurian."""
 
     simple_count: int
     is_acyclic: bool
@@ -861,19 +882,16 @@ def ideal_membership_spaces(pres):
     for idx, rel in enumerate(pres.relations):
         if not rel.terms:
             continue
-        merged = {}
-        for coeff, mid in rel.terms:
-            merged[mid] = merged.get(mid, 0) + coeff
         a = path_source(q, rel.terms[0][1])
         b = path_target(q, rel.terms[0][1])
         # the paths from a to b have the ids lo, lo + 1, ..., hi - 1
         ab = paths.get((a, b), ())
         lo = ids[ab[0]] if ab else 0
         hi = lo + len(ab)
-        for mid in merged:
+        for _, mid in rel.terms:  # cancelled terms must be parallel too
             if not lo <= ids.get(mid, -1) < hi:
                 raise _not_parallel(idx)
-        terms = [(c, mid) for mid, c in merged.items() if c]
+        terms = rel.combined()
         if len(terms) == 1:
             short.append((a, b, terms[0][1], None, None))
         elif len(terms) == 2:
@@ -961,21 +979,18 @@ def path_is_zero(pres, path):
 
 
 def zero_relation_paths(pres):
-    """The paths of the zero relations: monomial relations with a nonzero
-    coefficient, each of which puts its path in the ideal."""
-    return frozenset(rel.terms[0][1] for rel in pres.relations
-                     if rel.is_monomial() and rel.terms[0][0] != 0)
+    """The paths p of the relations that combine to a nonzero multiple of
+    p (``Relation.combined``); each of them lies in the ideal."""
+    return frozenset(terms[0][1] for terms in map(Relation.combined,
+                                                   pres.relations)
+                     if len(terms) == 1)
 
 
-def _tree_zero_paths(pres):
-    """The paths p of a presentation on a tree whose relations include one
-    with terms summing to a nonzero multiple of p.
-
-    Raises what the ideal build raises when a relation's terms are not
-    parallel paths: on a tree that means they are not all one path of the
-    quiver."""
+def _check_tree_relations(pres):
+    """Raise what the ideal build raises when a relation's terms, as
+    written, are not parallel paths: on a tree that means they are not
+    all one path of the quiver."""
     q = pres.quiver
-    zero = set()
     for idx, rel in enumerate(pres.relations):
         if not rel.terms:
             continue
@@ -984,32 +999,24 @@ def _tree_zero_paths(pres):
         if not path_is_composable(q, path) or \
                 any(p != path for _, p in rel.terms):
             raise _not_parallel(idx)
-        if sum(c for c, _ in rel.terms):
-            zero.add(path)
-    return zero
 
 
 def zero_pair_test(pres):
     """A test of two composable arrow names a, b: is a.b zero?
 
-    On a tree two vertices are joined by at most one path, so every
-    relation is (sum of its coefficients) * p for one path p and the ideal
-    is monomial: it is generated by the paths p with a nonzero sum, and
-    a.b lies in it iff one of them is a subpath of a.b.  That is a.b
-    itself, as terms have length >= 2 (``validate_presentation``); a lone
-    arrow counts too, as in the ideal, when an unvalidated relation names
-    one.  So a tree needs no ideal; its relations are checked here, before
-    the test is returned.  Repeated terms are summed, never read as zero
-    relations: ``1*a.b + 1*a.b`` makes a.b zero, ``1*a.b - 1*a.b`` does
-    not.
-
-    On any other quiver a zero relation says so without building the
-    ideal; any other pair is read from ``pres.ideal``, or is nonzero on a
-    cyclic quiver (no ideal)."""
-    if pres.quiver.is_tree():
-        zero = _tree_zero_paths(pres)
-        return lambda a, b: not zero.isdisjoint(((a, b), (a,), (b,)))
+    A path of ``zero_relation_paths`` is zero without the ideal.  On a
+    tree that is the whole answer: two vertices are joined by at most one
+    path, so those paths generate the ideal, and a.b lies in it iff a.b
+    or one of its arrows (named only by unvalidated input) is one of
+    them.  A tree's relations are checked here, as the ideal build would.
+    On any other quiver the rest is read from ``pres.ideal``, or is
+    nonzero on a cyclic quiver (no ideal)."""
+    tree = pres.quiver.is_tree()
+    if tree:
+        _check_tree_relations(pres)
     zero = zero_relation_paths(pres)
+    if tree:
+        return lambda a, b: not zero.isdisjoint(((a, b), (a,), (b,)))
     acyclic = pres.quiver.is_acyclic()
     return lambda a, b: (a, b) in zero or (
         acyclic and pres.ideal.contains({(a, b): 1}))
@@ -1267,7 +1274,7 @@ def structural_profile(pres):
         is_connected=q.is_connected(),
         is_tree=tree,
         is_local=len(q.vertices) == 1,
-        is_hereditary=len(pres.relations) == 0,
+        is_hereditary=not any(map(Relation.combined, pres.relations)),
         is_linear_nakayama=line is not None and len(set(line)) <= 1,
         is_radical_square_zero=rsz,
         is_schurian=schurian,
@@ -1279,10 +1286,9 @@ def homology_rank(pres):
     """Abelianized simple-connectedness proxy.
 
     Rank = dim(cycle space of the underlying graph) minus the rank of the
-    cells attached by multi-term relations (each pair of parallel relation
-    paths spans the cycle w_i - w_1).  A positive rank certifies a
-    nontrivial fundamental group; rank zero on a non-tree is only evidence.
-    """
+    cells w_i - w_1 of each relation that combines to paths w_1, ..., w_k
+    with k >= 2.  A positive rank certifies a nontrivial fundamental
+    group; rank zero on a non-tree is only evidence."""
     q = pres.quiver
     if not q.is_connected():
         raise DisconnectedError("homology proxy needs a connected quiver")
@@ -1297,11 +1303,11 @@ def homology_rank(pres):
         return vec
 
     cells = SparseSpace()
-    for rel in pres.relations:
-        if len(rel.terms) < 2:
+    for terms in map(Relation.combined, pres.relations):
+        if len(terms) < 2:
             continue
-        base = edge_vector(rel.terms[0][1])
-        for _, path in rel.terms[1:]:
+        base = edge_vector(terms[0][1])
+        for _, path in terms[1:]:
             vec = dict(base)
             for name, c in edge_vector(path).items():
                 new = vec.get(name, Fraction(0)) - c

@@ -125,6 +125,7 @@ def _component_type(vertices, edges):
         adj[v].append(u)
 
     def leg_lengths(center):
+        """Leg lengths of the only branch vertex; each leg ends at a leaf."""
         lengths = []
         for start in adj[center]:
             length = 1
@@ -133,8 +134,6 @@ def _component_type(vertices, edges):
                 nxt = [w for w in adj[at] if w != prev][0]
                 prev, at = at, nxt
                 length += 1
-            if deg[at] >= 3:
-                return None  # leg runs into another branch vertex
             lengths.append(length)
         return sorted(lengths)
 

@@ -1,5 +1,6 @@
 """Catalog entries, isomorphism testing, quotient search, witness frames."""
 
+import dataclasses
 import gc
 import itertools
 import random
@@ -137,6 +138,21 @@ class TestHasQuotient:
         assert w.killed_vertices == ("5",)
         assert verify_quotient_witness(catalog_get("B5_1"),
                                        catalog_get("B1"), w)
+
+    def test_mutated_witnesses_are_rejected(self):
+        b51, b1 = catalog_get("B5_1"), catalog_get("B1")
+        w = has_quotient(b51, b1)
+        assert w.vertex_map == (("1", "1"), ("2", "2"), ("3", "3"),
+                                ("4", "4"))
+        assert w.arrow_map == (("α", "α"), ("β", "β"), ("γ", "γ"))
+        # a vertex map that misses the target's vertex 4
+        not_onto = dataclasses.replace(w, vertex_map=(
+            ("1", "1"), ("2", "2"), ("3", "3"), ("4", "1")))
+        assert not verify_quotient_witness(b51, b1, not_onto)
+        # a bijective arrow map sending α : 1 -> 2 to β : 3 -> 2
+        swapped = dataclasses.replace(w, arrow_map=(
+            ("α", "β"), ("β", "α"), ("γ", "γ")))
+        assert not verify_quotient_witness(b51, b1, swapped)
 
     def test_blocked_by_surviving_relation(self):
         ka4bg = parse_presentation(

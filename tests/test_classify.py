@@ -4,6 +4,7 @@ import gc
 import itertools
 import sys
 import weakref
+from fractions import Fraction
 
 import pytest
 
@@ -33,6 +34,7 @@ from quivertau.presentation import (
     QuivertauError,
     Quiver,
     Arrow,
+    Relation,
     dimension_table,
     opposite,
     parse_presentation,
@@ -53,6 +55,12 @@ NON_SCHURIAN_SC = parse_presentation(
     "arrow g : 4 -> 6\narrow h : 6 -> 7\n"
     "relation 1*a.b.e.f - 1*c.d.g.h\n"
     "relation 1*a.b.g.h - 1*c.d.e.f\n")
+
+SQUARE = ("vertex 1\nvertex 2\nvertex 3\nvertex 4\n"
+          "arrow a : 1 -> 2\narrow b : 2 -> 4\n"
+          "arrow c : 1 -> 3\narrow d : 3 -> 4\n")
+CYCLE3 = ("vertex 1\nvertex 2\nvertex 3\n"
+          "arrow a : 1 -> 2\narrow b : 2 -> 3\narrow c : 3 -> 1\n")
 
 
 class TestOrientationHelpers:
@@ -120,6 +128,59 @@ class TestSingle:
             "arrow β : 2 -> 4\narrow δ : 3 -> 4\n"
             "relation 1*α.β - 1*γ.δ\n")
         assert classify_single(comm).status == "open"
+
+    def test_non_schurian(self):
+        # the grid-dims workload's three-term shape: three parallel
+        # length-2 paths and one 3-term relation leave e_1 A e_5 of
+        # dimension 2
+        three_term = parse_presentation(
+            "vertex 1\nvertex 2\nvertex 3\nvertex 4\nvertex 5\n"
+            "arrow a1 : 1 -> 2\narrow b1 : 2 -> 5\n"
+            "arrow a2 : 1 -> 3\narrow b2 : 3 -> 5\n"
+            "arrow a3 : 1 -> 4\narrow b3 : 4 -> 5\n"
+            "relation 1*a1.b1 - 2*a2.b2 + 1/3*a3.b3\n")
+        assert dimension_table(three_term).dim("1", "5") == 2
+        for pres in (NON_SCHURIAN_SC, three_term):
+            v = classify_single(pres)
+            assert (v.status, v.certificate.rule) == \
+                ("infinite", "non-schurian")
+            assert v.certificate.trace == (
+                "hereditary: no", "rad-square-zero: no", "nakayama-line: no",
+                "non-schurian")
+
+
+class TestCombinedRelations:
+    """A relation means its combined terms (``Relation.combined``) to the
+    gate and to every rule, as it does to the ideal."""
+
+    def test_cancelling_square_is_not_simply_connected(self):
+        cancelling = parse_presentation(
+            SQUARE + "relation 1*a.b + 1*c.d - 1*c.d\n")
+        zero_ab = parse_presentation(SQUARE + "zero a.b\n")
+        assert dimension_table(cancelling) == dimension_table(zero_ab)
+        assert dimension_table(cancelling).total == 9
+        for pres in (cancelling, zero_ab):
+            with pytest.raises(NotSimplyConnectedError,
+                               match="homology proxy rank 1 > 0$"):
+                classify_single(pres)
+            with pytest.raises(NotSimplyConnectedError):
+                classify_tensor(pres, C("N(3)"))
+
+    def test_summed_cycle_is_rad_square_zero(self):
+        summed = parse_presentation(
+            CYCLE3 + "relation 1*a.b + 1*a.b\nzero b.c\nzero c.a\n")
+        zeros = parse_presentation(CYCLE3 + "zero a.b\nzero b.c\nzero c.a\n")
+        assert adachi_decide(summed) == adachi_decide(zeros)
+        assert adachi_decide(summed).status == "finite"
+
+    def test_vacuous_relation_keeps_a_factor_hereditary(self):
+        a4 = C("A(4,+++)")
+        vacuous = Presentation(a4.quiver, (Relation((
+            (Fraction(1), ("a1", "a2")), (Fraction(-1), ("a1", "a2")))),))
+        for pres in (a4, vacuous):
+            v = classify_tensor(C("A(2,+)"), pres)
+            assert (v.status, v.certificate.rule) == \
+                ("finite", "hereditary-pair")
 
 
 class TestTensorRules:

@@ -340,3 +340,38 @@ class TestOtherCommands:
             _, out, _ = run(capsys, "table")
             outputs.add(out)
         assert len(outputs) == 2
+
+
+class TestCombinedRelations:
+    """Inputs where one relation repeats a path."""
+
+    SQUARE = ("vertex 1\nvertex 2\nvertex 3\nvertex 4\n"
+              "arrow a : 1 -> 2\narrow b : 2 -> 4\n"
+              "arrow c : 1 -> 3\narrow d : 3 -> 4\n")
+    A3 = "vertex 1\nvertex 2\nvertex 3\narrow a : 1 -> 2\narrow b : 2 -> 3\n"
+
+    def write(self, tmp_path, text):
+        path = tmp_path / "in.quiver"
+        path.write_text(text, encoding="utf-8")
+        return str(path)
+
+    def test_cancelling_square_fails_the_gate(self, capsys, tmp_path):
+        path = self.write(tmp_path,
+                          self.SQUARE + "relation 1*a.b + 1*c.d - 1*c.d\n")
+        code, out, err = run(capsys, "single", path)
+        assert (code, out) == (2, "")
+        assert err == "qt: input error: classify_single: homology proxy " \
+                      "rank 1 > 0\n"
+
+    def test_vacuous_relation_leaves_the_algebra_hereditary(self, capsys,
+                                                            tmp_path):
+        path = self.write(tmp_path, self.A3 + "relation 1*a.b - 1*a.b\n")
+        code, out, _ = run(capsys, "single", path, "--format", "json")
+        assert code == 0
+        assert json.loads(out)["rule"] == "hereditary-dynkin"
+
+    @pytest.mark.parametrize("relation", ["1*a.b - 1*a.b", "1*a.b + 1*a.b"])
+    def test_strings_searches_bands(self, capsys, tmp_path, relation):
+        path = self.write(tmp_path, self.A3 + f"relation {relation}\n")
+        code, out, _ = run(capsys, "strings", path)
+        assert (code, out) == (0, "special biserial: True\nband: none\n")

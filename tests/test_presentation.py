@@ -400,18 +400,24 @@ class TestIdeal:
     def test_relation_terms_must_be_parallel_paths(self):
         q = parse_presentation(SQUARE).quiver
         for second in (("a",), ("c", "b")):
-            pres = Presentation(q, (Relation(((Fraction(1), ("a", "b")),
-                                              (Fraction(-1), second))),))
-            with pytest.raises(QuivertauError, match="not parallel paths"):
-                ideal_membership_spaces(pres)
+            # a term that cancels is checked too
+            for cancel in ((), ((Fraction(1), second),)):
+                pres = Presentation(q, (Relation(((Fraction(1), ("a", "b")),
+                                                  (Fraction(-1), second))
+                                                 + cancel),))
+                with pytest.raises(QuivertauError,
+                                   match="not parallel paths"):
+                    ideal_membership_spaces(pres)
         # on a tree no ideal is built, and the readers check the relations
         # themselves: a.b and b.c are not one path, a.c is no path at all
         tree = parse_presentation("vertex 1\nvertex 2\nvertex 3\nvertex 4\n"
                                   "arrow a : 1 -> 2\narrow b : 2 -> 3\n"
                                   "arrow c : 3 -> 4\n").quiver
-        for terms in ((("a", "b"), ("b", "c")), (("a", "c"),)):
+        for terms in ((("a", "b"), ("b", "c")), (("a", "c"),),
+                      (("a", "b"), ("b", "c"), ("b", "c"))):
             pres = Presentation(tree, (Relation(tuple(
-                (Fraction(1), path) for path in terms)),))
+                (Fraction((-1) ** k), path)
+                for k, path in enumerate(terms))),))
             for reader in (lambda p: zero_pair_test(p)("a", "b"),
                            is_rad_square_zero, structural_profile,
                            special_biserial_check):
@@ -419,6 +425,46 @@ class TestIdeal:
                                    match="^relation 0: terms are not "
                                          "parallel paths$"):
                     reader(pres)
+
+
+class TestCombined:
+    AB, CD = ("a", "b"), ("c", "d")
+
+    def test_sums_repeated_paths_in_first_appearance_order(self):
+        ab, cd = self.AB, self.CD
+        assert Relation(((Fraction(1), cd), (Fraction(2), ab),
+                         (Fraction(1, 2), cd))).combined() == \
+            ((Fraction(3, 2), cd), (Fraction(2), ab))
+        assert Relation(((Fraction(1), cd), (Fraction(2), ab),
+                         (Fraction(-1), cd))).combined() == \
+            ((Fraction(2), ab),)
+        assert Relation(((Fraction(1), ab),
+                         (Fraction(-1), ab))).combined() == ()
+        assert Relation(()).combined() == ()
+
+    def test_one_term_is_read_as_written(self):
+        rel = Relation(((Fraction(-1, 2), self.AB),))
+        assert rel.combined() is rel.terms
+        assert Relation(((Fraction(0), self.AB),)).combined() == ()
+
+    def test_monomial_means_at_most_one_path(self):
+        ab, cd = self.AB, self.CD
+        for terms, monomial in (
+                (((Fraction(1), ab),), True),
+                (((Fraction(1), ab), (Fraction(1), ab)), True),
+                (((Fraction(1), ab), (Fraction(-1), ab)), True),
+                (((Fraction(1), ab), (Fraction(1), cd),
+                  (Fraction(-1), cd)), True),
+                (((Fraction(1), ab), (Fraction(-1), cd)), False)):
+            assert Relation(terms).is_monomial() is monomial
+
+    def test_raw_terms_kept_where_the_input_as_written_matters(self):
+        text = SQUARE + "relation 1*a.b + 1*c.d - 1*c.d\n"
+        pres = parse_presentation(text)
+        assert len(pres.relations[0].terms) == 3
+        assert serialize_presentation(pres).count("c.d") == 2
+        assert not validate_presentation(pres)
+        assert zero_relation_paths(pres) == {("a", "b")}
 
 
 class TestOpposite:
@@ -515,7 +561,7 @@ class TestProfile:
             assert zero_pair_test(pres)("a", "b") is zero
             prof = structural_profile(pres)
             assert (prof.is_radical_square_zero, prof.is_schurian,
-                    prof.is_hereditary) == (zero, True, False)
+                    prof.is_hereditary) == (zero, True, not zero)
             assert special_biserial_check(pres).ok
 
     def test_acyclic_and_connected_answered_once(self, b1, monkeypatch):
@@ -637,3 +683,11 @@ class TestHomology:
             "arrow c : 1 -> 3\narrow d : 3 -> 4\n"
             "zero a.b\nzero c.d\n")
         assert homology_rank(p) == (1, NOT_SIMPLY_CONNECTED)
+
+    def test_cells_read_combined_terms(self):
+        # a cancelled term attaches no cell; a split one attaches its cell
+        for relation, expected in (
+                ("1*a.b + 1*c.d - 1*c.d", (1, NOT_SIMPLY_CONNECTED)),
+                ("1/2*a.b + 1/2*a.b - 1*c.d", (0, LIKELY_SIMPLY_CONNECTED))):
+            p = parse_presentation(SQUARE + f"relation {relation}\n")
+            assert homology_rank(p) == expected

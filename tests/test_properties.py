@@ -49,6 +49,7 @@ from quivertau.presentation import (
     all_paths,
     dimension_table,
     find_oriented_cycle,
+    homology_rank,
     ideal_membership_spaces,
     is_rad_square_zero,
     opposite,
@@ -816,8 +817,9 @@ def _reference_is_rad_square_zero(pres):
     if pres.quiver.is_acyclic():
         table = dimension_table(pres)
         return all(len(p) <= 1 for _, paths in table.pairs for p in paths)
-    monomial_squares = {rel.terms[0][1] for rel in pres.relations
-                        if rel.is_monomial() and len(rel.terms[0][1]) == 2}
+    monomial_squares = {terms[0][1] for terms in map(Relation.combined,
+                                                     pres.relations)
+                        if len(terms) == 1 and len(terms[0][1]) == 2}
     out = pres.quiver.out
     return all((a.name, b.name) in monomial_squares
                for a in pres.quiver.arrows for b in out[a.target])
@@ -910,6 +912,52 @@ def test_zero_composition_readers_match_references(pres, data):
             if len(paths) >= 2))
 
 
+def _respelled(draw, pres):
+    """pres with one relation respelled without changing its value: a term
+    c*p split into (c/2)*p + (c/2)*p, or +q - q added for a path q of
+    length >= 2 parallel to the relation's."""
+    idx = draw(st.integers(0, len(pres.relations) - 1))
+    terms = list(pres.relations[idx].terms)
+    if draw(st.booleans()):
+        at = draw(st.integers(0, len(terms) - 1))
+        c, p = terms[at]
+        terms[at:at + 1] = [(c / 2, p), (c / 2, p)]
+    else:
+        q, p = pres.quiver, terms[0][1]
+        pair = (q.by_name[p[0]].source, q.by_name[p[-1]].target)
+        extra = draw(st.sampled_from(
+            [r for r in all_paths(q)[pair] if len(r) >= 2]))
+        c = draw(COEFFS)
+        at = draw(st.integers(0, len(terms)))
+        terms[at:at] = [(c, extra), (-c, extra)]
+    relations = list(pres.relations)
+    relations[idx] = Relation(tuple(terms))
+    return Presentation(pres.quiver, tuple(relations))
+
+
+def _readings(pres, target):
+    """What the readers of a relation's value make of pres."""
+    q = pres.quiver
+    zero = zero_pair_test(pres)
+    return ([zero(a, b) for a, b in _compositions(q)],
+            is_rad_square_zero(pres),
+            structural_profile(pres),
+            homology_rank(pres) if q.is_connected() else None,
+            dimension_table(pres),
+            has_quotient(pres, target))
+
+
+@PROPERTY
+@given(ideal_presentations(), st.data())
+def test_respelled_relations_read_the_same(pres, data):
+    # every reader sums a repeated path's coefficients, as the ideal does
+    if not pres.relations:
+        return
+    target = data.draw(st.sampled_from(QUOTIENT_TARGETS))
+    assert _readings(_respelled(data.draw, pres), target) == \
+        _readings(pres, target)
+
+
 def _trees(n):
     """Every tree on n vertices, one per class up to relabeling."""
     cells = [(i, j) for i in range(n) for j in range(n) if i != j]
@@ -979,8 +1027,8 @@ def cyclic_presentations(draw):
 @given(cyclic_presentations())
 def test_zero_compositions_on_cyclic_quivers(pres):
     zero = zero_pair_test(pres)
-    squares = {rel.terms[0][1] for rel in pres.relations
-               if rel.is_monomial()}
+    squares = {terms[0][1] for terms in map(Relation.combined, pres.relations)
+               if len(terms) == 1}
     assert [zero(a, b) for a, b in _compositions(pres.quiver)] == \
         [pair in squares for pair in _compositions(pres.quiver)]
     assert is_rad_square_zero(pres) == _reference_is_rad_square_zero(pres)

@@ -87,6 +87,15 @@ class TestClassifyGraph:
         ([("c", "1"), ("c", "2"), ("c", "3"), ("c", "4"), ("c", "5")],
          "other"),
         ([("a", "a")], "other"),
+        # one branch vertex of degree 3 with legs (2, 2, 3)
+        ([("c", "1"), ("1", "2"), ("c", "3"), ("3", "4"), ("c", "5"),
+          ("5", "6"), ("6", "7")], "other"),
+        # three branch vertices of degree 3
+        ([("b1", "1"), ("b1", "2"), ("b1", "m"), ("m", "5"), ("m", "b2"),
+          ("b2", "3"), ("b2", "4")], "other"),
+        # two branch vertices, of degrees 4 and 3
+        ([("b1", "1"), ("b1", "2"), ("b1", "3"), ("b1", "b2"), ("b2", "4"),
+          ("b2", "5")], "other"),
         (path_edges(4) + [("4", "1"), ("1", "3")], "other"),
     ])
     def test_shapes(self, edges, expected):

@@ -24,6 +24,11 @@ from quivertau.strings import (
 from quivertau.tensor import rad_square_quotient, tensor_product
 
 
+SQUARE = ("vertex 1\nvertex 2\nvertex 3\nvertex 4\n"
+          "arrow a : 1 -> 2\narrow b : 2 -> 4\n"
+          "arrow c : 1 -> 3\narrow d : 3 -> 4\n")
+
+
 class TestSpecialBiserial:
     def test_tensor_of_lines_passes(self):
         t = tensor_product(catalog_get("N(3)"), catalog_get("N(4)"))
@@ -122,6 +127,23 @@ class TestBandSearch:
     def test_bad_length_bound_rejected(self, bound):
         with pytest.raises(BadParameterError):
             band_search(catalog_get("N(4)"), length_bound=bound)
+
+    def test_length_bound_prunes(self):
+        # the square's one band has length 4
+        sq = parse_presentation(SQUARE)
+        assert band_search(sq, length_bound=3) is None
+        assert str(band_search(sq, length_bound=4)) == "a-.c.d.b-"
+
+    def test_relations_combining_to_one_path_are_monomial(self):
+        # a relation is monomial when its terms combine to at most one
+        # path, so these are zero a.b, and a vacuous relation is none
+        zero_ab = band_search(parse_presentation(SQUARE + "zero a.b\n"))
+        assert zero_ab is None
+        for relation in ("1*a.b + 1*c.d - 1*c.d", "1*a.b + 1*a.b"):
+            pres = parse_presentation(SQUARE + f"relation {relation}\n")
+            assert band_search(pres) == zero_ab
+        vacuous = parse_presentation(SQUARE + "relation 1*c.d - 1*c.d\n")
+        assert str(band_search(vacuous)) == "a-.c.d.b-"
 
     def test_non_monomial_rejected(self):
         comm = parse_presentation(
