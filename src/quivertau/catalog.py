@@ -246,9 +246,10 @@ class QuotientWitness:
         }
 
 
-def is_iso(p1, p2, size_limit=20):
+def is_iso(p1, p2):
     """Quiver isomorphism carrying the first ideal onto the second, as a
-    quotient witness that kills nothing, or None.
+    quotient witness that kills nothing, or None; raises SizeLimitError
+    past a fixed limit of 20 vertices on either side.
 
     With equal vertex and arrow counts, a witness of ``has_quotient`` kills
     nothing, so it is a quiver isomorphism φ with φ(I₁) ⊆ I₂ and gives a
@@ -259,6 +260,7 @@ def is_iso(p1, p2, size_limit=20):
     ``has_quotient``: vertex maps in lexicographic order of the images of
     p1's vertices, then ``_arrow_maps`` order.
     """
+    size_limit = 20
     q1, q2 = p1.quiver, p2.quiver
     if len(q1.vertices) > size_limit or len(q2.vertices) > size_limit:
         raise SizeLimitError("isomorphism search limit exceeded")

@@ -15,6 +15,7 @@ from .presentation import (
     InvariantViolationError,
     NOT_SIMPLY_CONNECTED,
     NotSimplyConnectedError,
+    SizeLimitError,
     find_oriented_cycle,
     homology_rank,
     line_orientation,
@@ -86,7 +87,8 @@ _A4_FRAME_KEYS = {
 
 def _a3a3_frame(ca, cb):
     """Frame id for a pair of 3-line orientation classes, plus the bridge
-    (swap of factors and/or passing to opposites) that reaches it."""
+    (swap of factors and/or passing to opposites) that reaches it.  Each of
+    the nine ordered pairs of the classes ++, +-, -+ reaches a frame."""
     candidates = (
         ((ca, cb), ""),
         ((cb, ca), "swap"),
@@ -96,14 +98,23 @@ def _a3a3_frame(ca, cb):
     for key, bridge in candidates:
         if key in _A3_FRAME_KEYS:
             return _A3_FRAME_KEYS[key], bridge
-    return None, None
+
+
+def _witness_quotient(pres, cat_id):
+    """``has_quotient`` onto a catalog target, for a witness only: None
+    past the search's size limit, as the verdict it decorates holds
+    whatever the search finds."""
+    try:
+        return has_quotient(pres, _TARGETS[cat_id])
+    except SizeLimitError:
+        return None
 
 
 def _a3_quotient(pres):
     """The first A(3,ω) in the order ++, +-, -+, -- that is a quotient of
     pres, as (quotient witness, ω), or (None, None)."""
     for omega in ("++", "+-", "-+", "--"):
-        qw = has_quotient(pres, _TARGETS[f"A(3,{omega})"])
+        qw = _witness_quotient(pres, f"A(3,{omega})")
         if qw is not None:
             return qw, omega
     return None, None
@@ -274,9 +285,7 @@ def _both_hereditary(pa, pb, trace):
                 trace=(*trace, f"hereditary-pair: lines {na} and {nb}"))
         witness = None
         if na == 3 and nb == 3:
-            frame_id, bridge = _a3a3_frame(ca, cb)
-            if frame_id:
-                witness = _frame_payload(frame_id, bridge)
+            witness = _frame_payload(*_a3a3_frame(ca, cb))
         return vd.verdict(
             vd.INFINITE, "hereditary-pair",
             "a pair of path algebras is infinite unless one is the 2-line "
@@ -357,11 +366,9 @@ def _three_line_branch(hered, other, other_prof, trace):
     ch = line_class(hered.quiver)
     qw, omega = _a3_quotient(other)
     if qw is not None:
-        frame_id, bridge = _a3a3_frame(ch, orientation_class(omega))
-        if frame_id:
-            witness = _frame_payload(
-                frame_id, bridge,
-                quotients=((qw, f"A(3,{omega})", "non-hereditary"),))
+        witness = _frame_payload(
+            *_a3a3_frame(ch, orientation_class(omega)),
+            quotients=((qw, f"A(3,{omega})", "non-hereditary"),))
     return vd.verdict(
         vd.INFINITE, "line3-factor",
         "a 3-line against a non-hereditary factor other than a "
@@ -375,7 +382,7 @@ def _four_line_branch(hered, other, other_prof, trace):
     ch = line_class(hered.quiver)
     frame_id = _A4_FRAME_KEYS.get(ch)
     if frame_id is not None:
-        qw = has_quotient(other, _TARGETS["N(3)"])
+        qw = _witness_quotient(other, "N(3)")
         if qw is not None:
             witness = _frame_payload(
                 frame_id, quotients=((qw, "N(3)", "non-hereditary"),))
@@ -408,12 +415,13 @@ _OBSTRUCTION_FRAMES = {
 
 def _obstruction_witness(pres, obstruction_ids):
     """First stored obstruction that is a quotient of pres or its opposite,
-    as (catalog id, frame payload), or (None, None)."""
+    as (catalog id, frame payload), or (None, None).  A search past its
+    size limit finds none; the one rule that decides by the result runs it
+    only after a search on the same factor stayed within the limit."""
     op = opposite(pres)
     for cat_id in obstruction_ids:
-        target = _TARGETS[cat_id]
         for candidate, where in ((pres, ""), (op, "op")):
-            qw = has_quotient(candidate, target)
+            qw = _witness_quotient(candidate, cat_id)
             if qw is not None:
                 return cat_id, _frame_payload(
                     _OBSTRUCTION_FRAMES[cat_id], bridge=where,
@@ -435,10 +443,8 @@ def _both_non_hereditary(pa, prof_a, pb, prof_b, trace):
                 quots.append((qw, f"A(3,{omega})", tag))
                 omegas.append(orientation_class(omega))
         if len(omegas) == 2:
-            frame_id, bridge = _a3a3_frame(*omegas)
-            if frame_id:
-                witness = _frame_payload(frame_id, bridge,
-                                         quotients=tuple(quots))
+            witness = _frame_payload(*_a3a3_frame(*omegas),
+                                     quotients=tuple(quots))
         return vd.verdict(
             vd.INFINITE, "both-non-nakayama",
             "two non-line simply connected factors are infinite",
@@ -557,8 +563,7 @@ def _rsz_vs_non_nakayama(n, other, other_prof, trace):
 def classify_enveloping(pres):
     """Finiteness of the tensor with the opposite algebra."""
     _gate(pres, "classify_enveloping")
-    n = len(pres.quiver.vertices)
-    if is_iso(pres, catalog_get(f"N({n})")) is not None:
+    if _is_rsz_line(structural_profile(pres)):
         return vd.verdict(
             vd.FINITE, "enveloping",
             "the enveloping algebra is finite exactly for "
@@ -576,14 +581,11 @@ def classify_self_tensor(pres):
     require_valid(pres)
     cyc = find_oriented_cycle(pres.quiver)
     if cyc is not None:
-        witness = cycle_witness(pres)
-        payload = witness.to_payload()
-        payload["component_types"] = list(witness.report().tags())
         return vd.verdict(
             vd.INFINITE, "self-tensor-cycle",
             "an oriented cycle in the quiver forces an infinite tensor "
             "square",
-            witness=payload,
+            witness=cycle_witness(pres).to_payload(),
             trace=("self-tensor-cycle: cycle " + "->".join(cyc),))
     try:
         inner = classify_tensor(pres, pres)

@@ -74,36 +74,22 @@ def _verdict_lines(v):
     return lines
 
 
-def _finish_verdict(args, v):
+# the verdict subcommands; each decider takes the subcommand's algebras
+_DECIDERS = {
+    "classify": cls.classify_tensor,
+    "single": cls.classify_single,
+    "envelope": cls.classify_enveloping,
+    "self-tensor": cls.classify_self_tensor,
+    "triple": cls.classify_triple,
+    "adachi": sg.adachi_decide,
+}
+
+
+def _cmd_verdict(args):
+    v = _DECIDERS[args.command](*(load_algebra(getattr(args, k))
+                                  for k in "abc" if hasattr(args, k)))
     _emit(args, v.to_json(), _verdict_lines(v))
-    if getattr(args, "expect", None) and v.status != args.expect:
-        return 3
-    return 0
-
-
-def _cmd_classify(args):
-    v = cls.classify_tensor(load_algebra(args.a), load_algebra(args.b))
-    return _finish_verdict(args, v)
-
-
-def _cmd_single(args):
-    return _finish_verdict(args, cls.classify_single(load_algebra(args.a)))
-
-
-def _cmd_envelope(args):
-    return _finish_verdict(args,
-                           cls.classify_enveloping(load_algebra(args.a)))
-
-
-def _cmd_self_tensor(args):
-    return _finish_verdict(args,
-                           cls.classify_self_tensor(load_algebra(args.a)))
-
-
-def _cmd_triple(args):
-    v = cls.classify_triple(load_algebra(args.a), load_algebra(args.b),
-                            load_algebra(args.c))
-    return _finish_verdict(args, v)
+    return 3 if args.expect and v.status != args.expect else 0
 
 
 def _cmd_tensor(args):
@@ -111,10 +97,6 @@ def _cmd_tensor(args):
     text = serialize_presentation(product)
     _emit(args, {"presentation": text}, [text.rstrip("\n")])
     return 0
-
-
-def _cmd_adachi(args):
-    return _finish_verdict(args, sg.adachi_decide(load_algebra(args.a)))
 
 
 def _cmd_separated(args):
@@ -303,9 +285,11 @@ def _shared_parser():
 
 def main(argv=None):
     args = _shared_parser().parse_args(argv)
-    # subcommand x-y runs _cmd_x_y, looked up per call rather than kept in
-    # the shared parser, so a handler replaced on the module takes effect
-    handler = globals()["_cmd_" + args.command.replace("-", "_")]
+    # a verdict subcommand runs _cmd_verdict; any other x-y runs _cmd_x_y,
+    # looked up per call rather than kept in the shared parser, so a
+    # handler replaced on the module takes effect
+    handler = _cmd_verdict if args.command in _DECIDERS else \
+        globals()["_cmd_" + args.command.replace("-", "_")]
     try:
         code = handler(args)
     except InvariantViolationError as exc:

@@ -512,11 +512,13 @@ def validate_presentation(pres):
     if len(set(names)) != len(names):
         out.append(Violation("DuplicateArrow", "quiver", "arrow names repeat"))
     vset = set(q.vertices)
+    declared = True
     for a in q.arrows:
         if a.source not in vset or a.target not in vset:
+            declared = False
             out.append(Violation("UnknownVertex", a.name,
                                  "arrow endpoint not declared"))
-    if not q.is_connected():
+    if declared and not q.is_connected():  # connectivity reads endpoints
         out.append(Violation("Disconnected", "quiver",
                              "underlying graph is not connected"))
     by_name = q.by_name
@@ -959,12 +961,11 @@ def dimension_table(pres):
     if not q.is_acyclic():
         raise CyclicQuiverError("dimension table needs an acyclic quiver")
     ideal = pres.ideal
-    with_paths = ideal._paths  # pairs with no path have an empty basis
     pairs = []
     total = 0
     for i in q.vertices:
         for j in q.vertices:
-            basis = ideal.basis((i, j)) if (i, j) in with_paths else ()
+            basis = ideal.basis((i, j))
             if i == j:
                 basis = ((),) + basis  # the idempotent e_i
             if basis:
@@ -1067,7 +1068,7 @@ def embeddings(q, tq):
     for s, t in mult:
         succ[s].append(t)
         pred[t].append(s)
-    plan, steps = tq.embedding_plan
+    plan, steps, _ = tq.embedding_plan
     stack = [((), 0)]  # images of the first steps, and their bit mask
     while stack:
         image, used = stack.pop()
@@ -1096,9 +1097,9 @@ def embeddings(q, tq):
 
 def _embedding_plan(vertices, mult):
     """One step per vertex of a quiver tq, given by its vertices and arrow
-    counts, in the order ``embeddings`` maps them, and the step of each
-    vertex in ``vertices`` order.  A step is
-    (anchor, forward, n_out, n_in, loops, twin, later, checks).
+    counts, in the order ``embeddings`` maps them, the step of each vertex
+    in ``vertices`` order, and tq's twin classes (see ``twin_classes``).
+    A step is (anchor, forward, n_out, n_in, loops, twin, later, checks).
 
     The next vertex is the one with the most arrows to the vertices
     already placed, then with the most distinct neighbours, so each
@@ -1112,9 +1113,11 @@ def _embedding_plan(vertices, mult):
     tq swaps with it, or None; the vertex then takes a larger image than
     its twin.  No image set is lost: swapping two twins' images gives
     another valid map onto the same set, and since twins form classes on
-    which every permutation is an automorphism, each image set is also
-    reached with every class in increasing order.  Without this, a target
-    with k isolated vertices would be mapped k! times onto every set.
+    which every permutation is an automorphism (a transposition conjugated
+    by another is one too, so a vertex's class is it and its ``mates``),
+    each image set is also reached with every class in increasing order.
+    Without this, a target with k isolated vertices would be mapped k!
+    times onto every set.
     ``later`` counts the members of its class placed after it: they need
     that many free images above its own, so a smaller margin is a dead
     end, and k isolated vertices mapped onto k take one path, not 2^k.
@@ -1145,6 +1148,10 @@ def _embedding_plan(vertices, mult):
         if swaps(u, w):
             mates[u].append(w)
             mates[w].append(u)
+    # mates come in vertices order: v heads its class when its first is later
+    at = {v: k for k, v in enumerate(vertices)}
+    classes = tuple((at[v], *(at[w] for w in mates[v])) for v in vertices
+                    if mates[v] and at[mates[v][0]] > at[v])
     links = dict.fromkeys(vertices, 0)  # arrows to the placed vertices
     step = {}
     order = []
@@ -1168,22 +1175,16 @@ def _embedding_plan(vertices, mult):
         order.append(u)
         for w in nbrs[u]:
             links[w] += count((u, w), 0) + count((w, u), 0)
-    return plan, tuple(step[v] for v in vertices)
+    return plan, tuple(step[v] for v in vertices), classes
 
 
 def twin_classes(tq):
     """tq's twin classes of two or more vertices, as increasing tuples of
-    positions in ``tq.vertices``, read from its embedding plan: each
-    permutation within a class is an automorphism of tq, and ``embeddings``
-    yields one of the maps that differ only by such permutations."""
-    plan, steps = tq.embedding_plan
-    first = []  # per step, the first placed step of its class
-    for step in plan:
-        first.append(len(first) if step[5] is None else first[step[5]])
-    classes = {}
-    for k, i in enumerate(steps):
-        classes.setdefault(first[i], []).append(k)
-    return tuple(tuple(c) for c in classes.values() if len(c) > 1)
+    positions in ``tq.vertices``, ordered by their first positions; they
+    come with its embedding plan, which is cached on tq.  Each permutation
+    within a class is an automorphism of tq, and ``embeddings`` yields one
+    of the maps that differ only by such permutations."""
+    return tq.embedding_plan[2]
 
 
 # ---------------------------------------------------------------------------

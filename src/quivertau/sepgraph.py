@@ -233,6 +233,7 @@ class SingleSubquiver:
             "vertices": [[v, s] for v, s in self.vertices],
             "arrows": [[list(src), list(tgt), name]
                        for src, tgt, name in self.arrows],
+            "component_types": list(self.report().tags()),
         }
 
     def underlying(self):
@@ -400,13 +401,11 @@ def adachi_decide(pres):
             "every single subquiver of the separated quiver is a disjoint "
             "union of Dynkin graphs",
             trace=(_TRACE,))
-    payload = witness.to_payload()
-    payload["component_types"] = list(witness.report().tags())
     return vd.verdict(
         vd.INFINITE, "separated-quiver-criterion",
         "a single subquiver of the separated quiver contains a non-Dynkin "
         "component",
-        witness=payload,
+        witness=witness.to_payload(),
         trace=(_TRACE,))
 
 

@@ -107,12 +107,16 @@ def _word_ok(by_name, zero_paths, zero_lengths, letters):
 
 
 def band_search(pres, length_bound=None):
-    """Lexicographically minimal band of length within the bound, or None.
+    """A band of length within the bound, or None.
 
     Requires a monomial special biserial presentation.  Bands are closed
     reduced walks using both letter kinds, admissible in every rotation
-    (checked on the doubled word), and not proper powers; representatives
-    are normalized over rotation and inversion.
+    (checked on the doubled word), and not proper powers.  The band
+    returned is the first one that ``_first_band``'s depth-first walk
+    meets, starting from the vertices in declaration order, normalized to
+    its least rotation or inverse rotation by string order.  It need not
+    be the least band of the algebra: another band, met later, may sort
+    earlier, so declaring the vertices in another order can change it.
     """
     if length_bound is not None and length_bound < 1:
         raise BadParameterError(

@@ -8,16 +8,25 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import cycle_presentation, line, mono, seeded
+from conftest import (
+    cycle_presentation,
+    line,
+    mono,
+    random_tree_quiver,
+    seeded,
+)
 
 from quivertau import presentation
 from quivertau.catalog import (
     catalog_get,
+    catalog_ids,
+    is_iso,
     verify_quotient_witness,
     verify_witness,
     witness_frame,
 )
 from quivertau.classify import (
+    _a3a3_frame,
     classify_enveloping,
     classify_self_tensor,
     classify_single,
@@ -35,6 +44,7 @@ from quivertau.presentation import (
     Quiver,
     Arrow,
     Relation,
+    SizeLimitError,
     dimension_table,
     opposite,
     parse_presentation,
@@ -78,6 +88,16 @@ class TestOrientationHelpers:
         assert line_class(C("B1").quiver) == "++-"
         assert line_class(C("D(4,+++)").quiver) is None
         assert line_class(C("N(1)").quiver) == ""
+
+    @pytest.mark.parametrize(
+        "ca, cb", itertools.product(("++", "+-", "-+"), repeat=2))
+    def test_every_three_line_pair_reaches_a_frame(self, ca, cb):
+        frame_id, bridge = _a3a3_frame(ca, cb)
+        x, y = (cb, ca) if "swap" in bridge else (ca, cb)
+        if "op" in bridge:
+            x, y = opposite_class(x), opposite_class(y)
+        factors = witness_frame(frame_id).factors
+        assert (x, y) == tuple(line_class(C(f).quiver) for f in factors)
 
 
 class TestSingle:
@@ -361,6 +381,44 @@ class TestTensorRules:
             classify_tensor(monomial_square, C("N(3)"))
 
 
+def _broom(n):
+    """The tree a1, ..., a(n-2) along 1 -> ... -> n-1 with b: 3 -> n and
+    zero a1.a2: a non-line factor on n vertices."""
+    return parse_presentation(
+        "".join(f"vertex {v}\n" for v in range(1, n + 1))
+        + "".join(f"arrow a{i} : {i} -> {i + 1}\n" for i in range(1, n - 1))
+        + f"arrow b : 3 -> {n}\nzero a1.a2\n")
+
+
+class TestWitnessSearchLimit:
+    """A witness search past the quotient search's 16-vertex limit leaves
+    the verdict it decorates without a witness; a search that decides a
+    verdict still raises."""
+
+    @pytest.mark.parametrize("cat_id, rule", [
+        ("A(3,++)", "line3-factor"),
+        ("A(4,+-+)", "line4-factor"),
+        ("N(4)", "rad-square-zero-line4-vs-big"),
+        ("B1", "both-non-nakayama"),
+    ])
+    def test_decided_without_a_witness(self, cat_id, rule):
+        v = classify_tensor(C(cat_id), _broom(16))
+        assert (v.status, v.certificate.rule) == ("infinite", rule)
+        assert v.certificate.witness is not None
+        big = _broom(18)
+        for pair in ((C(cat_id), big), (big, C(cat_id))):
+            v = classify_tensor(*pair)
+            assert (v.status, v.certificate.rule) == ("infinite", rule)
+            assert v.certificate.witness is None
+
+    def test_deciding_searches_raise(self):
+        deep_line = line(17, relations=mono("a1.a2.a3"))
+        for pair in ((C("N(3)"), _broom(18)), (C("N(4)"), deep_line)):
+            with pytest.raises(SizeLimitError,
+                               match="quotient search limit exceeded"):
+                classify_tensor(*pair)
+
+
 CORPUS = ("N(1)", "N(3)", "N(4)", "A(2,+)", "A(3,+-)", "A(3,++)",
           "A(4,+-+)", "B1", "L42", "B5_2", "LNak4", "D(4,+++)")
 
@@ -460,6 +518,49 @@ class TestEnveloping:
     def test_infinite_cases(self):
         for cat_id in ("A(3,++)", "A(3,+-)", "B1", "D(4,+++)"):
             assert classify_enveloping(C(cat_id)).status == "infinite"
+
+    def test_agrees_with_the_isomorphism_route(self):
+        # the rule once asked whether A is isomorphic to N(n); that search
+        # (up to 20 vertices) is the oracle for the profile's answer
+        def isomorphic_to_the_line(pres):
+            n = len(pres.quiver.vertices)
+            iso = is_iso(pres, C(f"N({n})"))
+            return "finite" if iso is not None else "infinite"
+
+        samples = [C(i) for i in catalog_ids() if "n" not in i]
+        samples += [C(f"N({n})") for n in range(1, 21)]
+        samples += [C(f"A({n},{''.join(eps)})") for n in range(1, 6)
+                    for eps in itertools.product("+-", repeat=n - 1)]
+        samples += [C("D(4,+-+)"), C("D(5,++-+)"), C("D(6,-----)")]
+        rng = seeded(21)
+        for _ in range(60):
+            tree = _with_zero_paths(rng, random_tree_quiver(rng, 12))
+            n = rng.randint(1, 12)
+            eps = rng.choice(("+" * (n - 1), "-" * (n - 1),
+                              "".join(rng.choice("+-") for _ in range(n - 1))))
+            samples += [tree, _with_zero_paths(rng, line(n, eps))]
+        statuses = []
+        for pres in samples:
+            try:
+                status = classify_enveloping(pres).status
+            except NotSimplyConnectedError:
+                continue  # the gate, which both routes pass through first
+            assert status == isomorphic_to_the_line(pres)
+            statuses.append(status)
+        assert statuses.count("finite") >= 40
+        assert statuses.count("infinite") >= 40
+
+
+def _with_zero_paths(rng, pres):
+    """pres with every length-2 path zero half of the time, else with a
+    random set of its paths of length 2 or 3 zero."""
+    paths = [p for ps in presentation.all_paths(pres.quiver).values()
+             for p in ps if len(p) in (2, 3)]
+    if rng.random() < 0.5:
+        paths = [p for p in paths if len(p) == 2]
+    else:
+        paths = [p for p in paths if rng.random() < 0.3]
+    return Presentation(pres.quiver, mono(*(".".join(p) for p in paths)))
 
 
 class TestSelfTensor:

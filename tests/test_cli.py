@@ -160,13 +160,12 @@ class TestOtherCommands:
         assert code == 0 and "no quotient witness" in out
 
     def test_envelope_isomorphism_limit(self, capsys):
-        # the isomorphism search decides up to 20 vertices on either side,
-        # past the quotient search's default limit of 16
-        code, out, _ = run(capsys, "envelope", "catalog:N(20)")
-        assert code == 0 and out.startswith("status: finite\n")
-        code, out, err = run(capsys, "envelope", "catalog:N(21)")
-        assert code == 2 and out == ""
-        assert err == "qt: input error: isomorphism search limit exceeded\n"
+        # the enveloping rule reads the profile, so no isomorphism search
+        # limit applies: N(21) is decided as N(20) is
+        for line in ("catalog:N(20)", "catalog:N(21)"):
+            code, out, err = run(capsys, "envelope", line)
+            assert code == 0 and out.startswith("status: finite\n")
+            assert err == ""
 
     def test_quotient_search_limit(self, capsys):
         source = "catalog:N(17)"
@@ -183,6 +182,9 @@ class TestOtherCommands:
         assert code == 0 and "B1" in out and "a4n3:+-+" in out
         code, out, _ = run(capsys, "catalog", "show", "B1")
         assert code == 0 and "zero γ.β" in out
+        code, out, err = run(capsys, "catalog", "show")
+        assert (code, out) == (2, "")
+        assert err == "qt: input error: catalog show needs an id\n"
 
     def test_witness(self, capsys):
         code, out, _ = run(capsys, "witness", "--frame", "a4n3:+-+")

@@ -15,7 +15,7 @@ from conftest import (
 
 from quivertau import linalg, presentation
 
-from quivertau.classify import line_class
+from quivertau.classify import classify_single, classify_tensor, line_class
 from quivertau.presentation import (
     LIKELY_SIMPLY_CONNECTED,
     NOT_SIMPLY_CONNECTED,
@@ -31,6 +31,7 @@ from quivertau.presentation import (
     SizeLimitError,
     UnknownArrowError,
     UnknownVertexError,
+    Violation,
     all_paths,
     dimension_table,
     homology_rank,
@@ -64,6 +65,9 @@ zero γ.β
 @pytest.fixture
 def b1():
     return parse_presentation(B1_TEXT)
+
+
+LINE3 = "vertex 1\nvertex 2\nvertex 3\narrow a : 1 -> 2\narrow b : 2 -> 3\n"
 
 
 def nn(n):
@@ -124,6 +128,29 @@ class TestParsing:
         with pytest.raises(ParseError, match="not composable"):
             parse_presentation("vertex 1\nvertex 2\narrow a : 1 -> 2\n"
                                "zero a.a")
+
+    @pytest.mark.parametrize("text, message", [
+        ("vertex a*b\n", "line 1: bad vertex name 'a*b'"),
+        ("vertex 1\nvertex 2\narrow a.b : 1 -> 2\n",
+         "line 3: bad arrow name 'a.b' (no dots allowed)"),
+        (LINE3 + "relation a.b\n", "line 6: bad relation term 'a.b'"),
+        (LINE3 + "relation 0*a.b\n",
+         "line 6: zero coefficient in relation term"),
+        ("vertex 1\narrow a 1 2\n", "line 2: malformed arrow line"),
+        ("vertex 1\narrow a : 1 -> 9\n", "line 2: unknown vertex '9'"),
+        (LINE3 + "zero a\n", "line 6: relation term of length < 2"),
+        (LINE3 + "relation 1*a.b 1*a.b\n",
+         "line 6: expected + or - before '1*a.b'"),
+        (LINE3 + "relation 1*a.b -\n", "line 6: relation with no terms"),
+        ("vertex 1\nedge 1\n", "line 2: unrecognized line 'edge 1'"),
+        ("vertex 1\nvertex 2\nvertex 3\nvertex 4\narrow a : 1 -> 2\n"
+         "arrow b : 2 -> 3\narrow c : 2 -> 4\nrelation 1*a.b + 1*a.c\n",
+         "relation terms not parallel: [('a', 'b'), ('a', 'c')]"),
+    ])
+    def test_error_messages(self, text, message):
+        with pytest.raises(ParseError) as info:
+            parse_presentation(text)
+        assert str(info.value) == message
 
     def test_duplicate_names(self):
         with pytest.raises(ParseError, match="duplicate"):
@@ -186,6 +213,39 @@ class TestValidation:
             "Disconnected (quiver): underlying graph is not connected")
         assert [v.code for v in info.value.violations] == \
             ["DuplicateVertex", "Disconnected"]
+
+    @pytest.mark.parametrize("arrows, terms, violation", [
+        ((Arrow("a", "1", "2"), Arrow("a", "2", "3")), None,
+         Violation("DuplicateArrow", "quiver", "arrow names repeat")),
+        ((Arrow("a", "1", "2"), Arrow("b", "2", "9")), None,
+         Violation("UnknownVertex", "b", "arrow endpoint not declared")),
+        (None, (), Violation("EmptyRelation", "relation 0", "no terms")),
+        (None, ((0, ("a", "b")),),
+         Violation("ZeroCoefficient", "relation 0", "('a', 'b')")),
+        (None, ((1, ("a",)),),
+         Violation("ShortRelationTerm", "relation 0", "('a',)")),
+        (None, ((1, ("a", "z")),),
+         Violation("UnknownArrow", "relation 0", "('a', 'z')")),
+        (None, ((1, ("b", "a")),),
+         Violation("NonComposablePath", "relation 0", "('b', 'a')")),
+    ], ids=["DuplicateArrow", "UnknownVertex", "EmptyRelation",
+            "ZeroCoefficient", "ShortRelationTerm", "UnknownArrow",
+            "NonComposablePath"])
+    def test_violation_table(self, arrows, terms, violation):
+        # the line 1 -> 2 -> 3 with the given arrows or one relation
+        if arrows is None:
+            arrows = (Arrow("a", "1", "2"), Arrow("b", "2", "3"))
+        relations = () if terms is None else (Relation(tuple(
+            (Fraction(c), path) for c, path in terms)),)
+        p = Presentation(Quiver(("1", "2", "3"), arrows), relations)
+        assert validate_presentation(p) == [violation]
+        message = f"{violation.code} ({violation.where}): {violation.detail}"
+        for check in (require_valid, classify_single,
+                      lambda p: classify_tensor(p, line(2))):
+            with pytest.raises(QuivertauError) as info:
+                check(p)
+            assert type(info.value) is QuivertauError
+            assert str(info.value) == message
 
     def test_non_parallel_relation(self):
         q = Quiver(("1", "2", "3", "4"),
@@ -657,6 +717,23 @@ class TestQuotient:
         bottom = (tensor_vertex("1", "2"), tensor_vertex("2", "2"))
         q = quotient(t, killed_vertices=bottom)
         assert is_iso(q, a2) is not None
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: quotient(line(3), killed_vertices=("9",)),
+     UnknownVertexError, "9"),
+    (lambda: quotient(line(3), killed_arrows=("zz",)),
+     UnknownArrowError, "zz"),
+    (lambda: homology_rank(Presentation(Quiver(("1", "2"), ()), ())),
+     DisconnectedError, "homology proxy needs a connected quiver"),
+    (lambda: all_paths(Quiver(("1", "2"), (Arrow("a", "1", "2"),
+                                           Arrow("b", "2", "1")))),
+     CyclicQuiverError, "path enumeration needs an acyclic quiver"),
+], ids=["quotient-vertex", "quotient-arrow", "homology_rank", "all_paths"])
+def test_typed_error_messages(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert str(info.value) == message
 
 
 class TestHomology:

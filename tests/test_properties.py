@@ -58,6 +58,7 @@ from quivertau.presentation import (
     quotient,
     serialize_presentation,
     structural_profile,
+    twin_classes,
     zero_pair_test,
 )
 from quivertau.sepgraph import classify_graph, underlying_graph
@@ -120,6 +121,37 @@ def test_index_matches_naive_scan(q):
     assert q.mult == {p: pairs.count(p) for p in pairs}
     for lookup in ("by_name", "out", "inc", "mult", "embedding_plan"):
         assert getattr(q, lookup) is getattr(q, lookup)  # built once
+
+
+def _twin_classes_from_twin_fields(q):
+    """Reference: the classes rebuilt from the ``twin`` field of each step
+    of q's embedding plan, following each step's twin to the first placed
+    member of its class."""
+    plan, steps, _ = q.embedding_plan
+    first = []  # per step, the first placed step of its class
+    for step in plan:
+        first.append(len(first) if step[5] is None else first[step[5]])
+    classes = {}
+    for k, i in enumerate(steps):
+        classes.setdefault(first[i], []).append(k)
+    return tuple(tuple(c) for c in classes.values() if len(c) > 1)
+
+
+@PROPERTY
+@given(quivers(), st.data())
+def test_twin_classes_match_the_twin_fields(q, data):
+    loops = data.draw(st.lists(st.sampled_from(q.vertices), max_size=4))
+    q = Quiver(q.vertices, q.arrows + tuple(
+        Arrow(f"l{i}", v, v) for i, v in enumerate(loops)))
+    assert twin_classes(q) == _twin_classes_from_twin_fields(q)
+
+
+def test_twin_classes_match_the_twin_fields_up_to_iso():
+    for n in range(1, 6):
+        cells = [(i, j) for i in range(n) for j in range(n) if i != j]
+        for counts in quivers_up_to_iso(n, max_degree=2):
+            q = quiver_from_cells(n, cells, counts)
+            assert twin_classes(q) == _twin_classes_from_twin_fields(q)
 
 
 @PROPERTY

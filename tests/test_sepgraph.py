@@ -150,9 +150,7 @@ def _oracle_witness(quiver):
     witness = naive_minimal_bad_single_subquiver(quiver)
     if witness is None:
         return None
-    payload = witness.to_payload()
-    payload["component_types"] = list(witness.report().tags())
-    return payload
+    return witness.to_payload()
 
 
 class TestAdachi:

@@ -179,6 +179,23 @@ class TestBandSearch:
         zigzag = catalog_get(f"A({n},{'+-' * ((n - 1) // 2)}+)")
         assert band_search(zigzag, length_bound=3 * n) is None
 
+    @pytest.mark.parametrize("first, band", [
+        ("12345678", "w-.y.z.x-"),
+        ("56781234", "a-.c.d.b-"),
+    ])
+    def test_first_band_met_not_least(self, first, band):
+        # two squares joined by e, with e killed on both sides: each square
+        # is a band of length 4, and the walk meets the one whose vertices
+        # are declared first, although a-.c.d.b- sorts before w-.y.z.x-
+        pres = parse_presentation(
+            "".join(f"vertex {v}\n" for v in first)
+            + "arrow w : 1 -> 2\narrow x : 2 -> 4\n"
+              "arrow y : 1 -> 3\narrow z : 3 -> 4\n"
+              "arrow a : 5 -> 6\narrow b : 6 -> 8\n"
+              "arrow c : 5 -> 7\narrow d : 7 -> 8\n"
+              "arrow e : 4 -> 5\nzero x.e\nzero e.c\n")
+        assert str(band_search(pres)) == band
+
     def test_rotation_inversion_normal_form(self):
         word = StringWord((("a", True), ("b", False)))
         variants = {str(r) for r in word.rotations()}

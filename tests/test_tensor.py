@@ -162,6 +162,12 @@ class TestDerivedConstructions:
         p = catalog_get("B1")
         assert triangular_matrix(p, 1) is p
 
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_triangular_size_must_be_positive(self, n):
+        with pytest.raises(QuivertauError) as info:
+            triangular_matrix(line(2), n)
+        assert str(info.value) == "triangular size must be >= 1"
+
     def test_triangular_n3(self):
         t = triangular_matrix(nn(3), 3)
         assert len(t.quiver.vertices) == 9
