@@ -589,6 +589,8 @@ def verify_witness(frame):
     the ambient tensor presentation; hereditary frames additionally verify
     a zero induced ideal and the exact claimed diagram, concealed frames
     verify the marked count against the claimed type and report anomalies.
+    A marked vertex outside the ambient raises ``MalformedFrameError``;
+    else the quotient exists and ``quotient_ok`` says if it validates.
     """
     ambient = frame.ambient()
     vset = set(ambient.quiver.vertices)
@@ -597,33 +599,23 @@ def verify_witness(frame):
         raise MalformedFrameError(f"{frame.frame_id}: marked vertices "
                                   "missing from the ambient quiver")
     killed = tuple(v for v in ambient.quiver.vertices if v not in marked)
-    notes = []
-    try:
-        induced = quotient(ambient, killed)
-        violations = [v for v in validate_presentation(induced)
-                      if v.code != "Disconnected"]
-        quotient_ok = not violations
-    except QuivertauError as exc:
-        notes.append(f"quotient failed: {exc}")
-        induced = None
-        quotient_ok = False
-    connected = bool(induced) and induced.quiver.is_connected()
+    induced = quotient(ambient, killed)
+    quotient_ok = not [v for v in validate_presentation(induced)
+                       if v.code != "Disconnected"]
+    connected = induced.quiver.is_connected()
     expected = euclidean_size(frame.claimed_type)
     count_anomaly = len(marked) != expected
-    if count_anomaly:
-        notes.append("count-anomaly (paper figure)")
+    notes = ("count-anomaly (paper figure)",) if count_anomaly else ()
     hereditary_ok = None
     induced_graph = None
-    if induced is not None:
-        report = classify_graph(underlying_graph(induced.quiver))
-        if len(report.components) == 1:
-            induced_graph = report.components[0][1].label()
-    if frame.claim_kind == "hereditary-surjection" and induced is not None:
+    report = classify_graph(underlying_graph(induced.quiver))
+    if len(report.components) == 1:
+        induced_graph = report.components[0][1].label()
+    if frame.claim_kind == "hereditary-surjection":
         hereditary_ok = (not any(map(Relation.combined, induced.relations))
                          and induced_graph == frame.claimed_type.label()
                          and not count_anomaly)
-    if frame.claim_kind == "hereditary-surjection":
-        ok = quotient_ok and connected and bool(hereditary_ok)
+        ok = quotient_ok and connected and hereditary_ok
     else:
         ok = quotient_ok and connected
     return WitnessReport(
@@ -636,5 +628,5 @@ def verify_witness(frame):
         hereditary_ok=hereditary_ok,
         induced_graph=induced_graph,
         ok=ok,
-        notes=tuple(notes),
+        notes=notes,
     )

@@ -9,7 +9,7 @@ names the nearest rule consulted.
 from __future__ import annotations
 
 from . import verdict as vd
-from .catalog import catalog_get, has_quotient, is_iso, witness_frame
+from .catalog import catalog_get, has_quotient, witness_frame
 from .presentation import (
     CyclicQuiverError,
     InvariantViolationError,
@@ -35,7 +35,7 @@ from .sepgraph import (
 # Every catalog target a rule searches for, built once so that each keeps
 # its ideal across requests: catalog_get rebuilds parameterized ids.
 _TARGETS = {cat_id: catalog_get(cat_id) for cat_id in (
-    "A(3,++)", "A(3,+-)", "A(3,-+)", "A(3,--)", "N(3)", "LNak4", "B1",
+    "A(3,++)", "A(3,+-)", "A(3,-+)", "N(3)", "LNak4", "B1",
     "L42", "L43square", "B5_1", "B5_2", "B5_3", "A(4,-+-)")}
 
 
@@ -111,9 +111,10 @@ def _witness_quotient(pres, cat_id):
 
 
 def _a3_quotient(pres):
-    """The first A(3,ω) in the order ++, +-, -+, -- that is a quotient of
-    pres, as (quotient witness, ω), or (None, None)."""
-    for omega in ("++", "+-", "-+", "--"):
+    """The first A(3,ω) in the order ++, +-, -+ that is a quotient of pres,
+    as (quotient witness, ω), or (None, None).  A(3,--) is A(3,++)
+    relabeled, so its search would find nothing the ++ search missed."""
+    for omega in ("++", "+-", "-+"):
         qw = _witness_quotient(pres, f"A(3,{omega})")
         if qw is not None:
             return qw, omega
@@ -508,8 +509,9 @@ def _rsz_vs_non_nakayama(n, other, other_prof, trace):
             "a simply connected non-hereditary factor on 3 vertices must "
             "be the radical-square-zero line")
     if m == 4:
-        b1 = _TARGETS["B1"]
-        if is_iso(other, b1) or is_iso(opposite(other), b1):
+        # B1 and B1^op are the lines ++- and -++ with their one composition
+        # zero; +-+ has none, and the rules above leave no +++ line here
+        if line_class(other.quiver) in ("++-", "-++"):
             return vd.verdict(
                 vd.FINITE, "rad-square-zero-line-vs-b1",
                 "a radical-square-zero line against the one-sink 4-line "

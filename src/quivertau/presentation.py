@@ -143,6 +143,8 @@ class Quiver:
             return v
 
         for a in self.arrows:
+            if a.source not in root or a.target not in root:
+                raise _undeclared_endpoint(a, root)
             root[find(a.source)] = find(a.target)
         return len({find(v) for v in self.vertices}) <= 1
 
@@ -169,6 +171,8 @@ class Quiver:
     def _group_by(self, end):
         groups = {v: [] for v in self.vertices}
         for a in self.arrows:
+            if a.source not in groups or a.target not in groups:
+                raise _undeclared_endpoint(a, groups)
             groups[end(a)].append(a)
         return {v: tuple(arrows) for v, arrows in groups.items()}
 
@@ -197,6 +201,14 @@ class Quiver:
 
     def has_loop(self):
         return any(a.source == a.target for a in self.arrows)
+
+
+def _undeclared_endpoint(arrow, vertices):
+    """What ``out``, ``inc`` and ``is_connected`` raise for the first arrow
+    with an end outside ``vertices``."""
+    v = arrow.source if arrow.source not in vertices else arrow.target
+    return UnknownVertexError(
+        f"arrow {arrow.name}: endpoint {v} is not a declared vertex")
 
 
 def find_oriented_cycle(quiver):

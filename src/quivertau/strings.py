@@ -79,14 +79,12 @@ def _letter_endpoints(by_name, letter):
     return (a.source, a.target) if direct else (a.target, a.source)
 
 
-def _word_ok(by_name, zero_paths, zero_lengths, letters):
-    """Is the letter sequence a string: composable, reduced, and with every
-    direct or inverse run avoiding the zero paths?  ``zero_paths`` is a set
-    and ``zero_lengths`` holds the distinct lengths of its paths."""
+def _word_ok(zero_paths, zero_lengths, letters):
+    """Is the walk of letters a string: reduced, and with every direct or
+    inverse run avoiding the zero paths?  Composability is not checked.
+    ``zero_paths`` is a set and ``zero_lengths`` holds the distinct lengths
+    of its paths."""
     for prev, nxt in zip(letters, letters[1:]):
-        if _letter_endpoints(by_name, prev)[1] != \
-                _letter_endpoints(by_name, nxt)[0]:
-            return False
         if prev[0] == nxt[0] and prev[1] != nxt[1]:
             return False
     # runs, in direct reading order
@@ -111,7 +109,8 @@ def band_search(pres, length_bound=None):
 
     Requires a monomial special biserial presentation.  Bands are closed
     reduced walks using both letter kinds, admissible in every rotation
-    (checked on the doubled word), and not proper powers.  The band
+    (checked on the doubled word), and not proper powers, as the walk
+    meets a power's root first (see ``_first_band``).  The band
     returned is the first one that ``_first_band``'s depth-first walk
     meets, starting from the vertices in declaration order, normalized to
     its least rotation or inverse rotation by string order.  It need not
@@ -142,7 +141,10 @@ def band_search(pres, length_bound=None):
 
 def _first_band(pres, length_bound):
     """First band met by a depth-first walk from each vertex in turn,
-    trying letters by name, direct before inverse."""
+    trying letters by name, direct before inverse.  Every word is a walk,
+    and the first closed one with both letter kinds that is a string in
+    every rotation is primitive: the root u of a power u^k closes earlier
+    on the walk, and u·u passed the windowed checks, so u comes first."""
     q = pres.quiver
     by_name = q.by_name
     zero_paths = zero_relation_paths(pres)
@@ -165,27 +167,15 @@ def _first_band(pres, length_bound):
                     word.pop()
                 continue
             word.append(letter)
-            if not _word_ok(by_name, zero_paths, zero_lengths,
-                            word[-window:]):
+            if not _word_ok(zero_paths, zero_lengths, word[-window:]):
                 word.pop()
                 continue
             at = _letter_endpoints(by_name, letter)[1]
-            if len(word) >= 2 and at == start \
-                    and len({d for _, d in word}) == 2 \
-                    and not _is_power(word) \
-                    and _word_ok(by_name, zero_paths, zero_lengths,
-                                 word + word):
+            if at == start and len({d for _, d in word}) == 2 \
+                    and _word_ok(zero_paths, zero_lengths, word + word):
                 return tuple(word)
             if len(word) >= length_bound:
                 word.pop()
             else:
                 frames.append(iter(moves[at]))
     return None
-
-
-def _is_power(word):
-    k = len(word)
-    for d in range(1, k):
-        if k % d == 0 and list(word) == list(word[:d]) * (k // d):
-            return True
-    return False

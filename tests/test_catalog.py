@@ -12,9 +12,11 @@ from conftest import embedding_images, line, mono, presentations_equal
 
 from quivertau.catalog import (
     BadParameterError,
+    MalformedFrameError,
     QuotientWitness,
     UnknownFrameError,
     UnknownIdError,
+    WitnessFrame,
     _arrow_maps,
     _kill_choices,
     _twin_orders,
@@ -31,6 +33,7 @@ from quivertau.presentation import (
     Arrow,
     Presentation,
     Quiver,
+    SizeLimitError,
     dimension_table,
     opposite,
     parse_presentation,
@@ -38,6 +41,7 @@ from quivertau.presentation import (
     twin_classes,
     validate_presentation,
 )
+from quivertau.sepgraph import GraphType
 from quivertau.tensor import rad_square_quotient, tensor_product
 
 
@@ -74,6 +78,9 @@ class TestCatalogGet:
             catalog_get("D(3,++)")
         with pytest.raises(BadParameterError):
             catalog_get("N(0)")
+        with pytest.raises(BadParameterError) as info:
+            catalog_get("A(0,)")
+        assert str(info.value) == "A(n,eps) needs n >= 1"
 
     def test_d4(self):
         p = catalog_get("D(4,+++)")
@@ -82,6 +89,12 @@ class TestCatalogGet:
 
 
 class TestIsIso:
+    def test_search_limit(self):
+        n21 = catalog_get("N(21)")
+        with pytest.raises(SizeLimitError) as info:
+            is_iso(n21, n21)
+        assert str(info.value) == "isomorphism search limit exceeded"
+
     def test_identity(self):
         b1 = catalog_get("B1")
         iso = is_iso(b1, opposite(opposite(b1)))
@@ -413,6 +426,44 @@ class TestFrames:
     def test_unknown_frame(self):
         with pytest.raises(UnknownFrameError):
             witness_frame("nope")
+
+    def test_marked_vertex_outside_the_ambient(self):
+        frame = WitnessFrame("bad", ("N(3)", "N(3)"), ("(9,9)",),
+                             GraphType("D~", 4), "concealed-quotient")
+        with pytest.raises(MalformedFrameError) as info:
+            verify_witness(frame)
+        assert str(info.value) == \
+            "bad: marked vertices missing from the ambient quiver"
+
+    def test_reports_pinned(self):
+        # quotient_ok, connected, marked and expected counts, count anomaly,
+        # hereditary check, induced graph, ok, notes
+        anomaly = ["count-anomaly (paper figure)"]
+        expected = {
+            "a3a3:++,++": (True, True, 7, 5, True, None, "other", True,
+                           anomaly),
+            "a3a3:++,-+": (True, True, 7, 7, False, None, "other", True, []),
+            "a3a3:+-,+-": (True, True, 5, 5, False, None, "D~4", True, []),
+            "a3a3:+-,-+": (True, True, 7, 7, False, None, "D~6", True, []),
+            "a4n3:++-": (True, True, 7, 6, True, None, "other", True,
+                         anomaly),
+            "a4n3:+-+": (True, True, 6, 6, False, True, "D~5", True, []),
+            "a4n3:-++": (True, True, 8, 8, False, None, "other", True, []),
+            "n3-B5_2": (True, True, 9, 9, False, None, "E~8", True, []),
+            "n3-B5_3": (True, True, 8, 8, False, None, "E~7", True, []),
+            "n3-L42": (True, True, 7, 7, False, None, "E~6", True, []),
+            "n3-square": (True, True, 6, 7, True, None, "A~5", True,
+                          anomaly),
+            "n4-B5_1": (True, True, 9, 9, False, None, "E~8", True, []),
+            "n4-LNak4": (True, True, 8, 8, False, None, "other", True, []),
+        }
+        keys = ("quotient_ok", "connected", "marked_count",
+                "expected_count", "count_anomaly", "hereditary_ok",
+                "induced_graph", "ok", "notes")
+        assert set(frame_ids()) == set(expected)
+        for fid, values in expected.items():
+            payload = verify_witness(witness_frame(fid)).to_payload()
+            assert payload == {"frame": fid, **dict(zip(keys, values))}, fid
 
 
 def test_searches_leave_no_cyclic_garbage():

@@ -12,6 +12,8 @@ from conftest import (
     cycle_presentation,
     line,
     mono,
+    quiver_from_cells,
+    quivers_up_to_iso,
     random_tree_quiver,
     seeded,
 )
@@ -20,12 +22,14 @@ from quivertau import presentation
 from quivertau.catalog import (
     catalog_get,
     catalog_ids,
+    has_quotient,
     is_iso,
     verify_quotient_witness,
     verify_witness,
     witness_frame,
 )
 from quivertau.classify import (
+    _a3_quotient,
     _a3a3_frame,
     classify_enveloping,
     classify_self_tensor,
@@ -45,6 +49,7 @@ from quivertau.presentation import (
     Arrow,
     Relation,
     SizeLimitError,
+    all_paths,
     dimension_table,
     opposite,
     parse_presentation,
@@ -690,3 +695,68 @@ class TestIdealOwnership:
         assert adachi_decide(grid).status == "finite"
         assert band_search(grid) is None
         assert built == []
+
+
+def _four_vertex_factors():
+    """Every presentation on a 4-vertex acyclic connected quiver without
+    parallel arrows, one quiver per class up to relabeling, with up to 3
+    relations: zero paths of length 2 to 4, and binomials of two parallel
+    such paths with coefficients (1, -1) or (2, -3)."""
+    cells = [(i, j) for i in range(4) for j in range(4) if i != j]
+    for counts in quivers_up_to_iso(4, max_arrows=6):
+        q = quiver_from_cells(4, cells, counts)
+        if max(counts) > 1 or not q.is_acyclic() or not q.is_connected():
+            continue
+        parallel = [[p for p in ps if len(p) >= 2]
+                    for ps in all_paths(q).values()]
+        candidates = [Relation(((Fraction(1), p),))
+                      for ps in parallel for p in ps]
+        candidates += [Relation(((Fraction(c1), p1), (Fraction(c2), p2)))
+                       for ps in parallel
+                       for p1, p2 in itertools.combinations(ps, 2)
+                       for c1, c2 in ((1, -1), (2, -3))]
+        for k in range(4):
+            for rels in itertools.combinations(candidates, k):
+                yield Presentation(q, rels)
+
+
+def test_b1_rule_reads_the_line_class():
+    # reference: the two isomorphism searches that the line read stands for
+    b1 = C("B1")
+    reached = []
+    for pres in _four_vertex_factors():
+        try:
+            v = classify_tensor(C("N(3)"), pres)
+        except QuivertauError:
+            continue
+        if "rad-square-zero-line-vs-b1: isomorphic" in v.certificate.trace:
+            reached.append(True)
+        elif "rad-square-zero-line-vs-b1: not isomorphic" in \
+                v.certificate.trace:
+            reached.append(False)
+        else:
+            continue
+        assert reached[-1] == (is_iso(pres, b1) is not None
+                               or is_iso(opposite(pres), b1) is not None)
+    assert len(reached) == 37 and 0 < sum(reached) < 37
+
+
+def test_b1_classes_are_those_the_rule_reads():
+    assert {line_class(C("B1").quiver),
+            line_class(opposite(C("B1")).quiver)} == {"++-", "-++"}
+
+
+def test_a3_minus_minus_adds_no_quotient():
+    # A(3,--) is A(3,++) relabeled, so _a3_quotient does not search for it
+    mm, pp = C("A(3,--)"), C("A(3,++)")
+    assert is_iso(mm, pp) is not None
+    rng = seeded(11)
+    sources = [C(cat_id) for cat_id in CORPUS]
+    sources += [_with_zero_paths(rng, random_tree_quiver(rng, 7))
+                for _ in range(60)]
+    omegas = set()
+    for pres in sources:
+        assert (has_quotient(pres, mm) is None) == \
+            (has_quotient(pres, pp) is None)
+        omegas.add(_a3_quotient(pres)[1])
+    assert omegas == {None, "++", "+-", "-+"}

@@ -1,11 +1,13 @@
 """Command line surface: subcommands, formats, exit codes."""
 
 import json
+import pathlib
 import time
 
 import pytest
 
 from quivertau.cli import main
+from quivertau.presentation import parse_presentation
 
 B1 = "catalog:B1"
 N3 = "catalog:N(3)"
@@ -377,3 +379,22 @@ class TestCombinedRelations:
         path = self.write(tmp_path, self.A3 + f"relation {relation}\n")
         code, out, _ = run(capsys, "strings", path)
         assert (code, out) == (0, "special biserial: True\nband: none\n")
+
+
+def _readme_quiver_file():
+    """The fenced block under the README's "Quiver file format" heading."""
+    readme = pathlib.Path(__file__).parent.parent / "README.md"
+    section = readme.read_text(encoding="utf-8").split(
+        "## Quiver file format\n", 1)[1]
+    return section.split("```\n", 2)[1]
+
+
+def test_readme_quiver_file_example(capsys, tmp_path):
+    text = _readme_quiver_file()
+    pres = parse_presentation(text)
+    assert [a.name for a in pres.quiver.arrows] == ["α", "β"]
+    path = tmp_path / "readme.quiver"
+    path.write_text(text, encoding="utf-8")
+    code, out, _ = run(capsys, "single", str(path), "--expect", "finite")
+    assert code == 0
+    assert "rule: rad-square-zero-separated" in out

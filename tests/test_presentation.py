@@ -23,6 +23,7 @@ from quivertau.presentation import (
     Arrow,
     CyclicQuiverError,
     DisconnectedError,
+    InvalidExtraRelationError,
     ParseError,
     Presentation,
     Quiver,
@@ -39,6 +40,7 @@ from quivertau.presentation import (
     is_rad_square_zero,
     opposite,
     parse_presentation,
+    path_is_composable,
     path_is_zero,
     quotient,
     require_valid,
@@ -48,7 +50,9 @@ from quivertau.presentation import (
     zero_pair_test,
     zero_relation_paths,
 )
-from quivertau.strings import special_biserial_check
+from quivertau.sepgraph import adachi_decide
+from quivertau.strings import band_search, special_biserial_check
+from quivertau.tensor import rad_square_quotient
 
 B1_TEXT = """\
 vertex 1
@@ -729,11 +733,52 @@ class TestQuotient:
     (lambda: all_paths(Quiver(("1", "2"), (Arrow("a", "1", "2"),
                                            Arrow("b", "2", "1")))),
      CyclicQuiverError, "path enumeration needs an acyclic quiver"),
-], ids=["quotient-vertex", "quotient-arrow", "homology_rank", "all_paths"])
+    (lambda: quotient(line(3), extra_relations=mono("a1")),
+     InvalidExtraRelationError,
+     "Relation(terms=((Fraction(1, 1), ('a1',)),))"),
+    (lambda: quotient(line(3), extra_relations=mono("a2.a1")),
+     InvalidExtraRelationError,
+     "Relation(terms=((Fraction(1, 1), ('a2', 'a1')),))"),
+], ids=["quotient-vertex", "quotient-arrow", "homology_rank", "all_paths",
+        "quotient-extra-one-arrow", "quotient-extra-not-composable"])
 def test_typed_error_messages(call, error, message):
     with pytest.raises(error) as info:
         call()
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("call", [
+    adachi_decide, structural_profile, dimension_table, band_search,
+    special_biserial_check, is_rad_square_zero, homology_rank,
+    rad_square_quotient,
+], ids=lambda call: call.__name__)
+@pytest.mark.parametrize("arrow", [Arrow("a", "1", "9"), Arrow("a", "9", "1")],
+                         ids=["target", "source"])
+def test_undeclared_endpoint_is_a_typed_error(call, arrow):
+    # the library readers meet it in Quiver.out, .inc or .is_connected
+    pres = Presentation(Quiver(("1", "2"), (arrow,)), ())
+    with pytest.raises(UnknownVertexError) as info:
+        call(pres)
+    assert str(info.value) == "arrow a: endpoint 9 is not a declared vertex"
+    assert [v.code for v in validate_presentation(pres)] == ["UnknownVertex"]
+
+
+def test_path_is_composable_needs_every_arrow():
+    q = line(3).quiver
+    assert path_is_composable(q, ("a1", "a2"))
+    assert not path_is_composable(q, ("a1", "zz", "a2"))
+
+
+@pytest.mark.parametrize("pres, total", [
+    (nn(3), 5),
+    (parse_presentation(SQUARE + "relation 1*a.b - 1*c.d\n"), 9),
+], ids=["tree", "square"])
+def test_relation_without_terms_is_skipped(pres, total):
+    # the ideal build and the tree reader pass over a Relation(())
+    padded = Presentation(pres.quiver, pres.relations + (Relation(()),))
+    assert dimension_table(padded).total == total
+    assert dimension_table(pres).total == total
+    assert structural_profile(padded) == structural_profile(pres)
 
 
 class TestHomology:

@@ -1,13 +1,15 @@
 """Property tests on random quivers with at most 9 vertices,
 the union-find ideal against full Gaussian elimination, quotient search
 against the search that rebuilds every candidate, the band search's
-string predicate against the one that scans every zero path, the line
+string predicate against the one that scans every zero path and its
+walk against the one that also refused proper powers, the line
 reader and oriented-cycle search against the separate walks they
 replaced, and the zero-composition readers against the table scans they
 replaced (on every tree with at most 5 vertices, against the ideal)."""
 
 import importlib.util
 import itertools
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 from unittest import mock
@@ -60,11 +62,14 @@ from quivertau.presentation import (
     structural_profile,
     twin_classes,
     zero_pair_test,
+    zero_relation_paths,
 )
 from quivertau.sepgraph import classify_graph, underlying_graph
 from quivertau.strings import (
     SpecialBiserialReport,
+    StringWord,
     _word_ok,
+    band_search,
     special_biserial_check,
 )
 from quivertau.tensor import tensor_product
@@ -700,8 +705,103 @@ def test_word_ok_matches_scanning_reference(runs, zero_paths):
     letters = [(name, direct) for direct, names in runs for name in names]
     zero_set = frozenset(zero_paths)
     lengths = sorted({len(zp) for zp in zero_set})
-    assert _word_ok(WORD_ARROWS, zero_set, lengths, letters) == \
+    assert _word_ok(zero_set, lengths, letters) == \
         _scanning_word_ok(WORD_ARROWS, tuple(zero_paths), letters)
+
+
+def _is_proper_power(word):
+    k = len(word)
+    return any(k % d == 0 and word == word[:d] * (k // d)
+               for d in range(1, k))
+
+
+def _reference_band(pres, length_bound):
+    """Reference: the band walk that also tested each word's
+    composability and refused proper powers, normalized as band_search
+    normalizes."""
+    q = pres.quiver
+    by_name = q.by_name
+    zero_paths = tuple(zero_relation_paths(pres))
+
+    def end(letter):
+        a = by_name[letter[0]]
+        return a.target if letter[1] else a.source
+
+    moves = {v: sorted([(a.name, True) for a in q.out[v]]
+                       + [(a.name, False) for a in q.inc[v]],
+                       key=lambda l: (l[0], not l[1]))
+             for v in q.vertices}
+    for start in q.vertices:
+        word, frames = [], [iter(moves[start])]
+        while frames:
+            letter = next(frames[-1], None)
+            if letter is None:
+                frames.pop()
+                if word:
+                    word.pop()
+                continue
+            word.append(letter)
+            if not _scanning_word_ok(by_name, zero_paths, word):
+                word.pop()
+                continue
+            at = end(letter)
+            if len(word) >= 2 and at == start \
+                    and len({d for _, d in word}) == 2 \
+                    and not _is_proper_power(word) \
+                    and _scanning_word_ok(by_name, zero_paths, word + word):
+                band = StringWord(tuple(word))
+                return min((rot for w in (band, band.inverse())
+                            for rot in w.rotations()), key=str)
+            if len(word) >= length_bound:
+                word.pop()
+            else:
+                frames.append(iter(moves[at]))
+    return None
+
+
+@st.composite
+def string_algebras(draw):
+    """Monomial special biserial presentations: an acyclic quiver with at
+    most two arrows into and two out of each vertex, parallel arrows
+    allowed; of the compositions on either side of an arrow all but at
+    most one are zero, and a few more paths of length 2 or 3 are zero."""
+    n = draw(st.integers(2, 7))
+    order = draw(st.permutations(range(n)))  # declared in another order
+    vertices = tuple(NAMES[i] for i in order)
+    outdeg, indeg = Counter(), Counter()
+    arrows = []
+    for s, t in draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                        st.integers(0, n - 1)),
+                              max_size=2 * n)):
+        s, t = min(s, t), max(s, t)  # forward in NAMES order: acyclic
+        if s == t or outdeg[s] == 2 or indeg[t] == 2:
+            continue
+        outdeg[s] += 1
+        indeg[t] += 1
+        arrows.append(Arrow(f"a{len(arrows)}", NAMES[s], NAMES[t]))
+    q = Quiver(vertices, tuple(arrows))
+    zeros = set()
+    for b in q.arrows:
+        befores = [(a.name, b.name) for a in q.inc[b.source]]
+        afters = [(b.name, c.name) for c in q.out[b.target]]
+        for side in (befores, afters):
+            keep = draw(st.sampled_from([None, *range(len(side))]))
+            zeros.update(p for k, p in enumerate(side) if k != keep)
+    longer = [p for ps in all_paths(q).values() for p in ps
+              if len(p) in (2, 3)]
+    zeros.update(p for p in longer if draw(st.integers(0, 3)) == 0)
+    pres = Presentation(q, tuple(Relation(((Fraction(1), p),))
+                                 for p in sorted(zeros)))
+    assert special_biserial_check(pres).ok
+    return pres
+
+
+@PROPERTY
+@given(string_algebras(), st.integers(1, 12))
+def test_band_search_matches_the_walk_with_power_test(pres, length_bound):
+    band = band_search(pres, length_bound)
+    assert str(band) == str(_reference_band(pres, length_bound))
+    assert band is None or not _is_proper_power(band.letters)
 
 
 # ---------------------------------------------------------------------------

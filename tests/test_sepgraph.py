@@ -188,6 +188,12 @@ class TestAdachi:
         with pytest.raises(UnsupportedLoopError):
             adachi_decide(pres)
 
+    def test_loop_rejected_by_the_witness_search(self):
+        q = Quiver(("1",), (Arrow("l", "1", "1"),))
+        with pytest.raises(UnsupportedLoopError) as info:
+            sepgraph.minimal_bad_single_subquiver(q)
+        assert str(info.value) == "loop arrows are outside the criterion"
+
     def test_empty_quiver_rejected(self):
         with pytest.raises(QuivertauError, match="EmptyQuiver") as info:
             adachi_decide(Presentation(Quiver((), ()), ()))
@@ -482,3 +488,18 @@ class TestGraphTypeBasics:
         assert GraphType("A", 4).is_dynkin()
         assert GraphType("E~", 7).is_euclidean()
         assert not GraphType("other", 0).is_dynkin()
+
+
+def test_euclidean_size_refuses_a_dynkin_type():
+    with pytest.raises(ValueError) as info:
+        sepgraph.euclidean_size(GraphType("A", 3))
+    assert str(info.value) == "not Euclidean: GraphType(tag='A', n=3)"
+
+
+@pytest.mark.parametrize("vertices", [
+    (("9", 0),), (("1", 2),), (("1", 0), ("1", 1)),
+], ids=["unknown-vertex", "bad-side", "repeated-vertex"])
+def test_is_single_subquiver_refuses_bad_vertices(vertices):
+    q = line(3).quiver
+    assert is_single_subquiver(q, SingleSubquiver((("1", 0),), ()))
+    assert not is_single_subquiver(q, SingleSubquiver(vertices, ()))

@@ -213,6 +213,14 @@ class TestNaming:
         with pytest.raises(QuivertauError, match="vertex ids collide"):
             tensor_product(pa, pb)
 
+    def test_arrow_name_collision_rejected(self):
+        # arrow x at vertex 1 and vertex x with arrow 1 are both named x@1
+        pa = Presentation(Quiver(("x", "y"), (Arrow("x", "x", "y"),)), ())
+        pb = Presentation(Quiver(("1", "2"), (Arrow("1", "1", "2"),)), ())
+        with pytest.raises(QuivertauError) as info:
+            tensor_product(pa, pb)
+        assert str(info.value) == "tensor arrow names collide; rename factors"
+
     def test_vertex_names(self):
         t = tensor_product(line(2), line(2))
         assert tensor_vertex("1", "1") in t.quiver.vertices
