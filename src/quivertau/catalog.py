@@ -8,7 +8,13 @@ frame are re-verified, the labels are not re-derived.
 
 Quotient search takes its vertex maps from ``presentation.embeddings``,
 the one quiver-map search, and an isomorphism is a quotient witness that
-kills nothing between algebras of equal dimension.
+kills nothing between algebras of equal dimension.  On a tree source
+and a connected target the search kills no arrow: a tree has no
+parallel arrows, so a kept set carrying a connected target with k
+vertices induces exactly k - 1 arrows.  A target that is no tree then
+has no witness, and each vertex map is checked against only the
+relation terms that survive inside its kept set, with no quotient
+rebuilt.
 """
 
 from __future__ import annotations
@@ -221,12 +227,14 @@ def _arrow_maps(q1, q2, vmap):
 
 def _transported_relation_vectors(pres, amap):
     """Relation vectors of pres with arrows renamed along amap."""
-    out = []
-    for terms in map(Relation.combined, pres.relations):
-        if terms:
-            out.append({tuple(amap[n] for n in path): coeff
-                        for coeff, path in terms})
-    return out
+    return [_transported(terms, amap)
+            for terms in map(Relation.combined, pres.relations) if terms]
+
+
+def _transported(terms, amap):
+    """The vector of combined relation terms with arrows renamed along
+    amap."""
+    return {tuple(amap[n] for n in path): coeff for coeff, path in terms}
 
 
 @dataclass(frozen=True)
@@ -302,18 +310,23 @@ def has_quotient(pres, target, size_limit=16):
     of ``_kill_choices`` are merged, and for one killed tuple their
     streams of ``_twin_orders``, so the first witness costs only the
     candidates before it.
+
+    A tree source against a connected target takes ``_tree_quotient``,
+    which finds the same witness without ``quotient``, ``_kill_choices``
+    or ``_arrow_maps``: a tree has no parallel arrows, so no arrow is
+    killed, a target that is no tree has no witness, and only the
+    relation terms that survive inside the kept set are checked.
     """
     if len(pres.quiver.vertices) > size_limit:
         raise SizeLimitError("quotient search limit exceeded")
     q, tq = pres.quiver, target.quiver
     if len(q.vertices) < len(tq.vertices):
         return None
-    by_image = {}
-    for emb in embeddings(q, tq):
-        by_image.setdefault(tuple(sorted(emb)), []).append(emb)
+    if q.is_tree() and tq.is_connected():
+        return _tree_quotient(pres, target)
     class_of = {k: c for c in twin_classes(tq) for k in c}
     count = tq.mult.get
-    for kept in sorted(by_image, reverse=True):
+    for kept, keys in _kept_sets(q, tq):
         on = set(kept)
         killed_vs = tuple(v for i, v in enumerate(q.vertices) if i not in on)
         gone = set(killed_vs)
@@ -322,11 +335,9 @@ def has_quotient(pres, target, size_limit=16):
         parallel = {}  # (source, target) -> indices into arrows
         for i, a in enumerate(arrows):
             parallel.setdefault((a.source, a.target), []).append(i)
-        keys, kills = [], []
-        for e, emb in enumerate(by_image[kept]):
-            at = {p: k for k, p in enumerate(emb)}
-            keys.append(tuple(at[p] for p in kept))
-            vmap = {q.vertices[p]: tq.vertices[k] for p, k in at.items()}
+        kills = []
+        for e, key in enumerate(keys):
+            vmap = {q.vertices[p]: tq.vertices[k] for p, k in zip(kept, key)}
             surplus = [(idx, n) for (s, t), idx in parallel.items()
                        if (n := len(idx) - count((vmap[s], vmap[t]), 0))]
             kills.append(zip(_kill_choices(surplus), itertools.repeat(e)))
@@ -345,6 +356,58 @@ def has_quotient(pres, target, size_limit=16):
                             killed_vs, killed_as,
                             tuple(sorted(vmap.items())),
                             tuple(sorted(amap.items())))
+    return None
+
+
+def _kept_sets(q, tq):
+    """The maps of ``embeddings(q, tq)`` grouped by their image, as
+    (image as increasing positions, the maps' keys), images in reverse
+    lexicographic order; a key lists the target position sent to each
+    position of the image."""
+    by_image = {}
+    for emb in embeddings(q, tq):
+        kept = tuple(sorted(emb))
+        at = {p: k for k, p in enumerate(emb)}
+        by_image.setdefault(kept, []).append(tuple(at[p] for p in kept))
+    return sorted(by_image.items(), reverse=True)
+
+
+def _tree_quotient(pres, target):
+    """``has_quotient`` for a tree source and a connected target.
+
+    A tree has no parallel arrows, so an embedding sends the arrows of tq,
+    k vertices and at least k - 1 arrows as tq is connected, to distinct
+    arrows among the kept vertices, where a forest has at most k - 1.  So
+    a target that is no tree has no witness, and a tree target's arrows
+    are exactly the arrows the kept set induces: no arrow is killed, and
+    each vertex map fixes the one arrow map.  A relation term survives
+    when all its arrows lie inside the kept set, and the surviving terms
+    are combined as ``quotient`` and ``_transported_relation_vectors``
+    combine them.  Kept sets, twin orders and the check come in the order
+    of the general search, so both find the same witness.
+    """
+    q, tq = pres.quiver, target.quiver
+    if tq.vertices and not tq.is_tree():  # all quivers map onto the empty one
+        return None
+    arrow_to = {(b.source, b.target): b.name for b in tq.arrows}
+    class_of = {k: c for c in twin_classes(tq) for k in c}
+    for kept, keys in _kept_sets(q, tq):
+        on = {q.vertices[p] for p in kept}
+        killed_vs = tuple(v for v in q.vertices if v not in on)
+        arrows = [a for a in q.arrows if a.source in on and a.target in on]
+        dead = {a.name for a in q.arrows} - {a.name for a in arrows}
+        surviving = [terms for rel in pres.relations if (terms := Relation(
+            tuple(t for t in rel.terms if dead.isdisjoint(t[1]))).combined())]
+        for vkey in heapq.merge(*(_twin_orders(key, class_of)
+                                  for key in keys)):
+            vmap = {q.vertices[p]: tq.vertices[k] for p, k in zip(kept, vkey)}
+            amap = {a.name: arrow_to[vmap[a.source], vmap[a.target]]
+                    for a in arrows}
+            if all(target.ideal.contains(_transported(terms, amap))
+                   for terms in surviving):
+                return QuotientWitness(killed_vs, (),
+                                       tuple(sorted(vmap.items())),
+                                       tuple(sorted(amap.items())))
     return None
 
 

@@ -80,7 +80,7 @@ _A3_FRAME_KEYS = {
 
 _A4_FRAME_KEYS = {
     "+-+": "a4n3:+-+",
-    "--+": "a4n3:-++",
+    "-++": "a4n3:-++",
     "++-": "a4n3:++-",
 }
 

@@ -98,7 +98,7 @@ class Quiver:
     vertex to its outgoing and incoming arrows in declaration order,
     ``mult`` counts the arrows from each source to each target, and
     ``embedding_plan`` is the search plan with which ``embeddings`` maps
-    this quiver into others.  ``is_acyclic`` (no loop and no
+    this quiver into others.  ``is_acyclic`` (no loop, and a tree or no
     ``find_oriented_cycle``), ``is_connected`` and the orientation word
     that ``line_orientation`` reads are answered once too.  The cached
     values hold arrows, tuples and strings, never the quiver, so they make
@@ -130,7 +130,8 @@ class Quiver:
 
     @cached_property
     def _acyclic(self):
-        return not self.has_loop() and find_oriented_cycle(self) is None
+        return not self.has_loop() and \
+            (self.is_tree() or find_oriented_cycle(self) is None)
 
     @cached_property
     def _connected(self):

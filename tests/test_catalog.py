@@ -10,6 +10,7 @@ import pytest
 
 from conftest import embedding_images, line, mono, presentations_equal
 
+from quivertau import catalog
 from quivertau.catalog import (
     BadParameterError,
     MalformedFrameError,
@@ -211,6 +212,67 @@ class TestHasQuotient:
             "arrow α : 1 -> 2\narrow γ : 1 -> 3\n"
             "arrow β : 2 -> 4\narrow δ : 3 -> 4\n")
         assert has_quotient(catalog_get("L43square"), hered) is None
+
+
+class TestTreeSource:
+    """On a tree source the search kills no arrow, so it rebuilds no
+    quotient and makes no kill choices, and a connected target that is no
+    tree is rejected before any embedding is sought."""
+
+    @staticmethod
+    def _count(monkeypatch, *names):
+        calls = dict.fromkeys(names, 0)
+        for name in names:
+            def counted(*args, name=name, inner=getattr(catalog, name)):
+                calls[name] += 1
+                return inner(*args)
+            monkeypatch.setattr(catalog, name, counted)
+        return calls
+
+    def test_no_quotient_rebuilt_and_no_kill_choices(self, monkeypatch):
+        calls = self._count(monkeypatch, "quotient", "_kill_choices")
+        sources = [catalog_get(c) for c in ("B5_1", "B5_2", "LNak4", "N(4)")]
+        targets = [catalog_get(c) for c in ("A(3,+-)", "B1", "N(3)")]
+        found = [(s, t, has_quotient(s, t)) for s in sources
+                 for t in targets]
+        assert calls == {"quotient": 0, "_kill_choices": 0}
+        # a linearly oriented line has no A(3,+-) or B1 quotient
+        assert [w is not None for _, _, w in found] == \
+            [True] * 6 + [False, False, True] * 2
+        for source, target, w in found:
+            assert w is None or w.killed_arrows == () and \
+                verify_quotient_witness(source, target, w)
+        # the general search still runs on a source with a cycle
+        assert has_quotient(catalog_get("L43square"),
+                            catalog_get("A(3,+-)")) is not None
+        assert calls["quotient"] and calls["_kill_choices"]
+
+    def test_witness_may_need_the_second_twin_order(self):
+        # 1 and 3 are twins of the quiver but not of the ideal, so only the
+        # map that swaps them carries the zero path b.c onto a.c
+        fork = ("vertex 1\nvertex 2\nvertex 3\nvertex 4\n"
+                "arrow a : 1 -> 2\narrow b : 3 -> 2\narrow c : 2 -> 4\n")
+        source = parse_presentation(fork + "zero b.c\n")
+        target = parse_presentation(fork + "zero a.c\n")
+        w = has_quotient(source, target)
+        assert w.vertex_map == (("1", "3"), ("2", "2"), ("3", "1"),
+                                ("4", "4"))
+        assert w.arrow_map == (("a", "b"), ("b", "a"), ("c", "c"))
+
+    def test_square_target_needs_no_embedding(self, monkeypatch):
+        calls = self._count(monkeypatch, "embeddings")
+        square = catalog_get("L43square")
+        for cat_id in ("B5_1", "B5_3", "LNak4", "N(6)", "A(5,+-+-)"):
+            assert has_quotient(catalog_get(cat_id), square) is None
+        assert calls == {"embeddings": 0}
+
+    def test_every_tree_maps_onto_the_empty_quiver(self):
+        # the empty target is connected and no tree, yet has a witness
+        empty = Presentation(Quiver((), ()), ())
+        for cat_id in ("A(1,)", "B1"):
+            source = catalog_get(cat_id)
+            w = has_quotient(source, empty)
+            assert w == QuotientWitness(source.quiver.vertices, (), (), ())
 
 
 def _kronecker(n):

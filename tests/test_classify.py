@@ -20,6 +20,7 @@ from conftest import (
 
 from quivertau import presentation
 from quivertau.catalog import (
+    QuotientWitness,
     catalog_get,
     catalog_ids,
     has_quotient,
@@ -290,6 +291,36 @@ class TestTensorRules:
         v = classify_tensor(C("A(4,+++)"), C("N(3)"))
         assert v.status == "infinite"
         assert v.certificate.witness is None
+
+    @pytest.mark.parametrize("eps_class, frame_id", [
+        ("+++", None), ("++-", "a4n3:++-"), ("+-+", "a4n3:+-+"),
+        ("-++", "a4n3:-++"),
+    ])
+    def test_line4_classes_vs_n3(self, eps_class, frame_id):
+        # every 4-line of a class gets its class's frame, keyed by the
+        # class that line_class returns, in either factor order
+        n3 = C("N(3)")
+        words = [w for w in map("".join, itertools.product("+-", repeat=3))
+                 if orientation_class(w) == eps_class]
+        assert len(words) == 2
+        for word in words:
+            a4 = C(f"A(4,{word})")
+            assert line_class(a4.quiver) == eps_class
+            for pair in ((a4, n3), (n3, a4)):
+                v = classify_tensor(*pair)
+                assert (v.status, v.certificate.rule) == \
+                    ("infinite", "line4-factor")
+                w = v.certificate.witness
+                assert (w and w["frame"]) == frame_id
+                if w is None:
+                    continue
+                assert verify_witness(witness_frame(frame_id)).ok
+                [q] = w["quotients"]
+                assert q["target"] == "N(3)"
+                assert verify_quotient_witness(n3, n3, QuotientWitness(
+                    tuple(q["killed_vertices"]), tuple(q["killed_arrows"]),
+                    tuple(sorted(q["vertex_map"].items())),
+                    tuple(sorted(q["arrow_map"].items()))))
 
     def test_line2_branches(self):
         assert classify_tensor(C("A(2,+)"), C("N(5)")).status == "finite"

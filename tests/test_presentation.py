@@ -628,9 +628,11 @@ class TestProfile:
                     prof.is_hereditary) == (zero, True, not zero)
             assert special_biserial_check(pres).ok
 
-    def test_acyclic_and_connected_answered_once(self, b1, monkeypatch):
-        # the quiver's two searches: the cached connectivity answer, and
-        # the oriented-cycle search behind the cached acyclicity answer
+    @staticmethod
+    def _searches(pres, monkeypatch):
+        """The quiver's searches while its readers run twice: the cached
+        connectivity answer, and the oriented-cycle search behind the
+        cached acyclicity answer."""
         searches = []
         connected = Quiver.__dict__["_connected"]
         search = connected.func
@@ -646,15 +648,28 @@ class TestProfile:
         monkeypatch.setattr(connected, "func", counted_components)
         monkeypatch.setattr(presentation, "find_oriented_cycle",
                             counted_cycles)
-        pres = Presentation(Quiver(b1.quiver.vertices, b1.quiver.arrows),
-                            b1.relations)
+        pres = Presentation(Quiver(pres.quiver.vertices, pres.quiver.arrows),
+                            pres.relations)
         for _ in range(2):
             structural_profile(pres)
             dimension_table(pres)
             require_valid(pres)
             homology_rank(pres)
             assert pres.quiver.is_acyclic() and pres.quiver.is_connected()
-        assert sorted(searches) == ["components", "cycles"]
+        return sorted(searches)
+
+    def test_acyclic_and_connected_answered_once(self, b1, monkeypatch):
+        # a tree is acyclic without a cycle search
+        assert self._searches(b1, monkeypatch) == ["components"]
+
+    def test_cycle_search_answered_once_off_a_tree(self, monkeypatch):
+        square = parse_presentation(
+            "vertex 1\nvertex 2\nvertex 3\nvertex 4\n"
+            "arrow a : 1 -> 2\narrow b : 2 -> 4\n"
+            "arrow c : 1 -> 3\narrow d : 3 -> 4\n"
+            "relation 1*a.b - 1*c.d\n")
+        assert self._searches(square, monkeypatch) == \
+            ["components", "cycles"]
 
     def test_line_walked_once(self, b1, monkeypatch):
         # the profile and classify.line_class read one cached word

@@ -471,8 +471,9 @@ def _reference_has_quotient(pres, target):
     return None
 
 
-# every target classify.py searches for, two with parallel arrows and a
-# disconnected one
+# every target classify.py searches for, two with parallel arrows, a
+# disconnected one, and a tree whose twins 1 and 3 its ideal tells apart,
+# so that a witness may need the second twin order of an embedding
 QUOTIENT_TARGETS = tuple(catalog_get(cat_id) for cat_id in (
     "A(3,++)", "A(3,+-)", "A(3,-+)", "A(3,--)", "N(3)", "B1", "L42",
     "L43square", "B5_1", "B5_2", "B5_3", "LNak4", "A(4,-+-)")) + (
@@ -482,7 +483,10 @@ QUOTIENT_TARGETS = tuple(catalog_get(cat_id) for cat_id in (
                        "arrow a : 1 -> 2\narrow b : 1 -> 2\n"
                        "arrow c : 3 -> 2\n"),
     parse_presentation("vertex 1\nvertex 2\nvertex 3\n"
-                       "arrow a : 1 -> 2\n"))
+                       "arrow a : 1 -> 2\n"),
+    parse_presentation("vertex 1\nvertex 2\nvertex 3\nvertex 4\n"
+                       "arrow a : 1 -> 2\narrow b : 3 -> 2\n"
+                       "arrow c : 2 -> 4\nzero a.c\n"))
 
 
 # cores for quotient sources; every core but the tree has an undirected
@@ -549,6 +553,47 @@ def test_quotient_search_matches_reference(pres):
             assert found == _reference_has_quotient(source, target)
             if found is not None:
                 assert verify_quotient_witness(source, target, found)
+
+
+@st.composite
+def tree_sources(draw):
+    """A tree on 1 to 9 vertices, each vertex after the first hung off an
+    earlier one by an arrow in either direction, with up to 3 zero paths
+    of length 2 to 4."""
+    n = draw(st.integers(1, 9))
+    arrows = []
+    for i in range(2, n + 1):
+        ends = (str(draw(st.integers(1, i - 1))), str(i))
+        if draw(st.booleans()):
+            ends = ends[::-1]
+        arrows.append(Arrow(f"t{i}", *ends))
+    q = Quiver(tuple(str(i) for i in range(1, n + 1)), tuple(arrows))
+    paths = [p for ps in all_paths(q).values() for p in ps
+             if 2 <= len(p) <= 4]
+    zeros = draw(st.lists(st.sampled_from(paths), max_size=3,
+                          unique=True)) if paths else []
+    return Presentation(q, tuple(Relation(((Fraction(1), z),))
+                                 for z in zeros))
+
+
+@QUOTIENT
+@given(tree_sources())
+def test_tree_quotient_search_matches_reference(pres):
+    # tree targets with twins: A(3,+-)'s two ends, and the last target's
+    # 1 and 3
+    a3 = catalog_get("A(3,+-)")
+    assert a3 in QUOTIENT_TARGETS and twin_classes(a3.quiver)
+    assert twin_classes(QUOTIENT_TARGETS[-1].quiver)
+    for source in (pres, opposite(pres)):
+        assert source.quiver.is_tree()
+        for target in QUOTIENT_TARGETS:
+            found = has_quotient(source, target)
+            assert found == _reference_has_quotient(source, target)
+            if found is not None:
+                assert verify_quotient_witness(source, target, found)
+                # only a disconnected target leaves an arrow to kill
+                assert not found.killed_arrows or \
+                    not target.quiver.is_connected()
 
 
 def _injection_images(q, tq):
