@@ -8,13 +8,12 @@ frame are re-verified, the labels are not re-derived.
 
 Quotient search takes its vertex maps from ``presentation.embeddings``,
 the one quiver-map search, and an isomorphism is a quotient witness that
-kills nothing between algebras of equal dimension.  On a tree source
-and a connected target the search kills no arrow: a tree has no
-parallel arrows, so a kept set carrying a connected target with k
-vertices induces exactly k - 1 arrows.  A target that is no tree then
-has no witness, and each vertex map is checked against only the
-relation terms that survive inside its kept set, with no quotient
-rebuilt.
+kills nothing between algebras of equal dimension.  A kept vertex set
+that induces exactly as many arrows as the target has kills no arrow,
+since no embedding puts more target arrows than source arrows between
+two images; only a set with surplus arrows chooses arrows to kill.  A
+tree source is refused at once against a target with k > 0 vertices and
+at least k arrows.  No candidate rebuilds a quiver or a presentation.
 """
 
 from __future__ import annotations
@@ -175,7 +174,8 @@ def catalog_get(cat_id):
     m = _D_RE.match(cat_id)
     if m:
         return _d_algebra(int(m.group(1)), m.group(2))
-    raise UnknownIdError(cat_id)
+    raise UnknownIdError(
+        f"unknown catalog id {cat_id!r}; qt catalog list shows the ids")
 
 
 def catalog_ids():
@@ -187,30 +187,28 @@ def catalog_ids():
 # quotient witness search; an isomorphism is a bijective quotient witness
 
 
-def _arrow_maps(q1, q2, vmap):
-    """All arrow bijections compatible with a vertex bijection.
+def _arrow_maps(arrows, names_to, vmap):
+    """All bijections from ``arrows`` onto the target's arrows compatible
+    with a vertex bijection; ``names_to`` maps each (source, target) pair
+    of the target to its arrow names, and the counts must agree along
+    vmap.
 
     Parallel arrows are matched by permutation, the first (source, target)
     pair varying slowest; permutations are generated one at a time, so the
     first map costs nothing however many parallel arrows there are."""
-
-    def names(quiver, s, t):
-        return [a.name for a in quiver.out[s] if a.target == t]
-
     amap = {}
-    pools = []  # pairs with parallel arrows; the others have one bijection
-    for s, t in sorted(q1.mult):
-        names1 = names(q1, s, t)
-        names2 = names(q2, vmap[s], vmap[t])
-        if len(names1) != len(names2):
-            return
-        if len(names1) == 1:
-            amap[names1[0]] = names2[0]
+    pools = {}  # pairs with parallel arrows; the others have one bijection
+    for a in arrows:
+        names2 = names_to[vmap[a.source], vmap[a.target]]
+        if len(names2) == 1:
+            amap[a.name] = names2[0]
         else:
-            pools.append((names1, names2))
+            pool = pools.setdefault((a.source, a.target), ([], names2))
+            pool[0].append(a.name)
     if not pools:
-        yield dict(amap)
+        yield amap
         return
+    pools = [pools[pair] for pair in sorted(pools)]
     # perms[k] iterates the matchings of pools[k]
     perms = [itertools.permutations(pools[0][1])]
     while perms:
@@ -266,7 +264,8 @@ def is_iso(p1, p2):
     equal dimensions containment and equality agree for every map, so the
     witness is the first isomorphism in the search order of
     ``has_quotient``: vertex maps in lexicographic order of the images of
-    p1's vertices, then ``_arrow_maps`` order.
+    p1's vertices, then ``_arrow_maps`` order.  The one kept set induces
+    as many arrows as p2 has, so the search makes no kill choice.
     """
     size_limit = 20
     q1, q2 = p1.quiver, p2.quiver
@@ -306,52 +305,66 @@ def has_quotient(pres, target, size_limit=16):
     bijection kills the surplus parallel arrows of each (source, target)
     pair, in every choice, and the choices are the same for all twin
     permutations of an embedding, since an automorphism keeps arrow
-    counts.  Candidates come lazily in key order: the embeddings' streams
-    of ``_kill_choices`` are merged, and for one killed tuple their
-    streams of ``_twin_orders``, so the first witness costs only the
-    candidates before it.
+    counts.  So a kept set that induces exactly as many arrows as tq has
+    kills nothing under any embedding, and only a set with surplus arrows
+    makes kill choices.  Candidates come lazily in key order: the
+    embeddings' streams of ``_kill_choices`` are merged, and for one
+    killed tuple their streams of ``_twin_orders``, so the first witness
+    costs only the candidates before it.  The surviving arrows and
+    relation terms are read once per killed tuple; no candidate builds a
+    quiver or a presentation.
 
-    A tree source against a connected target takes ``_tree_quotient``,
-    which finds the same witness without ``quotient``, ``_kill_choices``
-    or ``_arrow_maps``: a tree has no parallel arrows, so no arrow is
-    killed, a target that is no tree has no witness, and only the
-    relation terms that survive inside the kept set are checked.
+    A tree source has no witness onto a target with k > 0 vertices and at
+    least k arrows, such as a connected target that is no tree: a forest
+    on k vertices has at most k - 1 arrows.  Such a target is refused
+    before any embedding is sought.
     """
     if len(pres.quiver.vertices) > size_limit:
         raise SizeLimitError("quotient search limit exceeded")
     q, tq = pres.quiver, target.quiver
-    if len(q.vertices) < len(tq.vertices):
+    if len(q.vertices) < len(tq.vertices) or \
+            q.is_tree() and len(tq.arrows) >= len(tq.vertices) > 0:
         return None
-    if q.is_tree() and tq.is_connected():
-        return _tree_quotient(pres, target)
     class_of = {k: c for c in twin_classes(tq) for k in c}
     count = tq.mult.get
+    names_to = {}  # (source, target) in tq -> its arrow names
+    for b in tq.arrows:
+        names_to.setdefault((b.source, b.target), []).append(b.name)
     for kept, keys in _kept_sets(q, tq):
-        on = set(kept)
-        killed_vs = tuple(v for i, v in enumerate(q.vertices) if i not in on)
-        gone = set(killed_vs)
-        arrows = tuple(a for a in q.arrows
-                       if a.source not in gone and a.target not in gone)
-        parallel = {}  # (source, target) -> indices into arrows
-        for i, a in enumerate(arrows):
-            parallel.setdefault((a.source, a.target), []).append(i)
-        kills = []
-        for e, key in enumerate(keys):
-            vmap = {q.vertices[p]: tq.vertices[k] for p, k in zip(kept, key)}
-            surplus = [(idx, n) for (s, t), idx in parallel.items()
-                       if (n := len(idx) - count((vmap[s], vmap[t]), 0))]
-            kills.append(zip(_kill_choices(surplus), itertools.repeat(e)))
-        for killed, group in itertools.groupby(heapq.merge(*kills),
-                                               key=lambda c: c[0]):
+        on = {q.vertices[p] for p in kept}
+        killed_vs = tuple(v for v in q.vertices if v not in on)
+        arrows = [a for a in q.arrows if a.source in on and a.target in on]
+        outside = {a.name for a in q.arrows} - {a.name for a in arrows}
+        if len(arrows) == len(tq.arrows):
+            groups = [((), range(len(keys)))]
+        else:
+            parallel = {}  # (source, target) -> indices into arrows
+            for i, a in enumerate(arrows):
+                parallel.setdefault((a.source, a.target), []).append(i)
+            kills = []
+            for e, key in enumerate(keys):
+                vmap = {q.vertices[p]: tq.vertices[k]
+                        for p, k in zip(kept, key)}
+                surplus = [(idx, n) for (s, t), idx in parallel.items()
+                           if (n := len(idx) - count((vmap[s], vmap[t]), 0))]
+                kills.append(zip(_kill_choices(surplus), itertools.repeat(e)))
+            groups = ((killed, [e for _, e in group])
+                      for killed, group in itertools.groupby(
+                          heapq.merge(*kills), key=lambda c: c[0]))
+        for killed, es in groups:
             killed_as = tuple(arrows[i].name for i in killed)
-            sub = quotient(pres, killed_vs, killed_as)
+            live = [a for i, a in enumerate(arrows) if i not in killed]
+            dead = outside.union(killed_as)
+            surviving = [terms for rel in pres.relations if (
+                terms := Relation(tuple(t for t in rel.terms
+                                        if dead.isdisjoint(t[1]))).combined())]
             for vkey in heapq.merge(*(_twin_orders(keys[e], class_of)
-                                      for _, e in group)):
+                                      for e in es)):
                 vmap = {q.vertices[p]: tq.vertices[k]
                         for p, k in zip(kept, vkey)}
-                for amap in _arrow_maps(sub.quiver, tq, vmap):
-                    vectors = _transported_relation_vectors(sub, amap)
-                    if all(target.ideal.contains(vec) for vec in vectors):
+                for amap in _arrow_maps(live, names_to, vmap):
+                    if all(target.ideal.contains(_transported(terms, amap))
+                           for terms in surviving):
                         return QuotientWitness(
                             killed_vs, killed_as,
                             tuple(sorted(vmap.items())),
@@ -370,45 +383,6 @@ def _kept_sets(q, tq):
         at = {p: k for k, p in enumerate(emb)}
         by_image.setdefault(kept, []).append(tuple(at[p] for p in kept))
     return sorted(by_image.items(), reverse=True)
-
-
-def _tree_quotient(pres, target):
-    """``has_quotient`` for a tree source and a connected target.
-
-    A tree has no parallel arrows, so an embedding sends the arrows of tq,
-    k vertices and at least k - 1 arrows as tq is connected, to distinct
-    arrows among the kept vertices, where a forest has at most k - 1.  So
-    a target that is no tree has no witness, and a tree target's arrows
-    are exactly the arrows the kept set induces: no arrow is killed, and
-    each vertex map fixes the one arrow map.  A relation term survives
-    when all its arrows lie inside the kept set, and the surviving terms
-    are combined as ``quotient`` and ``_transported_relation_vectors``
-    combine them.  Kept sets, twin orders and the check come in the order
-    of the general search, so both find the same witness.
-    """
-    q, tq = pres.quiver, target.quiver
-    if tq.vertices and not tq.is_tree():  # all quivers map onto the empty one
-        return None
-    arrow_to = {(b.source, b.target): b.name for b in tq.arrows}
-    class_of = {k: c for c in twin_classes(tq) for k in c}
-    for kept, keys in _kept_sets(q, tq):
-        on = {q.vertices[p] for p in kept}
-        killed_vs = tuple(v for v in q.vertices if v not in on)
-        arrows = [a for a in q.arrows if a.source in on and a.target in on]
-        dead = {a.name for a in q.arrows} - {a.name for a in arrows}
-        surviving = [terms for rel in pres.relations if (terms := Relation(
-            tuple(t for t in rel.terms if dead.isdisjoint(t[1]))).combined())]
-        for vkey in heapq.merge(*(_twin_orders(key, class_of)
-                                  for key in keys)):
-            vmap = {q.vertices[p]: tq.vertices[k] for p, k in zip(kept, vkey)}
-            amap = {a.name: arrow_to[vmap[a.source], vmap[a.target]]
-                    for a in arrows}
-            if all(target.ideal.contains(_transported(terms, amap))
-                   for terms in surviving):
-                return QuotientWitness(killed_vs, (),
-                                       tuple(sorted(vmap.items())),
-                                       tuple(sorted(amap.items())))
-    return None
 
 
 def _kill_choices(surplus):
@@ -613,7 +587,8 @@ def frame_ids():
 
 def witness_frame(frame_id):
     if frame_id not in _FRAMES:
-        raise UnknownFrameError(frame_id)
+        raise UnknownFrameError(f"unknown witness frame {frame_id!r}; "
+                                "qt catalog list shows the frames")
     return _FRAMES[frame_id]
 
 

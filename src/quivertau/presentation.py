@@ -491,12 +491,16 @@ def _format_coeff(coeff, path):
 
 
 def serialize_presentation(pres):
-    """Canonical text form; vertices and arrows keep declaration order."""
+    """Canonical text form; vertices and arrows keep declaration order.
+    A relation with no terms says nothing and is skipped, as the ideal
+    skips it."""
     lines = [f"vertex {v}" for v in pres.quiver.vertices]
     lines += [f"arrow {a.name} : {a.source} -> {a.target}"
               for a in pres.quiver.arrows]
     rels = []
     for rel in pres.relations:
+        if not rel.terms:
+            continue
         terms = sorted(rel.terms, key=lambda t: path_key(t[1]))
         rels.append(tuple(terms))
     rels.sort(key=lambda terms: (path_key(terms[0][1]), terms))

@@ -215,9 +215,9 @@ class TestHasQuotient:
 
 
 class TestTreeSource:
-    """On a tree source the search kills no arrow, so it rebuilds no
-    quotient and makes no kill choices, and a connected target that is no
-    tree is rejected before any embedding is sought."""
+    """On a tree source the search kills no arrow, so it makes no kill
+    choices, and a connected target that is no tree is rejected before
+    any embedding is sought; no search rebuilds a quotient."""
 
     @staticmethod
     def _count(monkeypatch, *names):
@@ -236,16 +236,21 @@ class TestTreeSource:
         found = [(s, t, has_quotient(s, t)) for s in sources
                  for t in targets]
         assert calls == {"quotient": 0, "_kill_choices": 0}
+        # off a tree no quotient is rebuilt either, and only a kept set
+        # with surplus arrows makes kill choices: any three vertices of the
+        # square carry A(3,+-) as they are, its witness for B1 kills α
+        square = catalog_get("L43square")
+        assert has_quotient(square, catalog_get("A(3,+-)")) \
+            .killed_arrows == ()
+        assert calls == {"quotient": 0, "_kill_choices": 0}
+        assert has_quotient(square, catalog_get("B1")).killed_arrows == ("α",)
+        assert calls["quotient"] == 0 and calls["_kill_choices"]
         # a linearly oriented line has no A(3,+-) or B1 quotient
         assert [w is not None for _, _, w in found] == \
             [True] * 6 + [False, False, True] * 2
         for source, target, w in found:
             assert w is None or w.killed_arrows == () and \
                 verify_quotient_witness(source, target, w)
-        # the general search still runs on a source with a cycle
-        assert has_quotient(catalog_get("L43square"),
-                            catalog_get("A(3,+-)")) is not None
-        assert calls["quotient"] and calls["_kill_choices"]
 
     def test_witness_may_need_the_second_twin_order(self):
         # 1 and 3 are twins of the quiver but not of the ideal, so only the
@@ -333,7 +338,9 @@ class TestParallelArrows:
                  for names in (("a", "b", "c"), ("d",), ("e", "f"))]
         expected = [dict(pair for pairs in combo for pair in pairs)
                     for combo in itertools.product(*pools)]
-        assert list(_arrow_maps(q, q, vmap)) == expected
+        names_to = {("1", "2"): ["a", "b", "c"], ("2", "3"): ["d"],
+                    ("3", "1"): ["e", "f"]}
+        assert list(_arrow_maps(q.arrows, names_to, vmap)) == expected
 
     def test_twelve_parallel_arrows_return_at_once(self):
         k12 = _kronecker(12)

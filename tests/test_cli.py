@@ -288,6 +288,19 @@ class TestOtherCommands:
         assert code == 2 and out == ""
         assert err == f"qt: input error: {message}\n"
 
+    @pytest.mark.parametrize("argv, message", [
+        (("catalog", "show", "X(3)"),
+         "unknown catalog id 'X(3)'; qt catalog list shows the ids"),
+        (("classify", "catalog:Q", N3),
+         "unknown catalog id 'Q'; qt catalog list shows the ids"),
+        (("witness", "--frame", "nope"),
+         "unknown witness frame 'nope'; qt catalog list shows the frames"),
+    ])
+    def test_unknown_id_message(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err == f"qt: input error: {message}\n"
+
     def test_zero_denominator_exit_2(self, capsys, tmp_path):
         path = tmp_path / "zero.quiver"
         path.write_text("vertex 1\nvertex 2\nvertex 3\narrow a : 1 -> 2\n"

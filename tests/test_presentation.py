@@ -188,6 +188,15 @@ class TestSerialization:
         canon = serialize_presentation(b1)
         assert serialize_presentation(parse_presentation(canon)) == canon
 
+    def test_empty_relation_skipped(self, b1):
+        # validation reports it as EmptyRelation and the ideal skips it
+        p = Presentation(b1.quiver, b1.relations + (Relation(()),))
+        assert [v.code for v in validate_presentation(p)] == \
+            ["EmptyRelation"]
+        again = parse_presentation(serialize_presentation(p))
+        assert again == b1
+        assert dimension_table(again) == dimension_table(p)
+
 
 class TestValidation:
     def test_b1_clean(self, b1):

@@ -30,7 +30,6 @@ from conftest import (
 from quivertau import classify
 from quivertau.catalog import (
     QuotientWitness,
-    _arrow_maps,
     _transported_relation_vectors,
     catalog_get,
     catalog_ids,
@@ -443,6 +442,44 @@ def _vertex_maps(q1, q2):
             yield dict(vmap)
         else:
             frames.append(iter(q2.vertices))
+
+
+def _arrow_maps(q1, q2, vmap):
+    """Reference: all arrow bijections compatible with a vertex bijection.
+
+    Parallel arrows are matched by permutation, the first (source, target)
+    pair varying slowest; permutations are generated one at a time, so the
+    first map costs nothing however many parallel arrows there are."""
+
+    def names(quiver, s, t):
+        return [a.name for a in quiver.out[s] if a.target == t]
+
+    amap = {}
+    pools = []  # pairs with parallel arrows; the others have one bijection
+    for s, t in sorted(q1.mult):
+        names1 = names(q1, s, t)
+        names2 = names(q2, vmap[s], vmap[t])
+        if len(names1) != len(names2):
+            return
+        if len(names1) == 1:
+            amap[names1[0]] = names2[0]
+        else:
+            pools.append((names1, names2))
+    if not pools:
+        yield dict(amap)
+        return
+    # perms[k] iterates the matchings of pools[k]
+    perms = [itertools.permutations(pools[0][1])]
+    while perms:
+        perm = next(perms[-1], None)
+        if perm is None:
+            perms.pop()
+            continue
+        amap.update(zip(pools[len(perms) - 1][0], perm))
+        if len(perms) == len(pools):
+            yield dict(amap)
+        else:
+            perms.append(itertools.permutations(pools[len(perms)][1]))
 
 
 def _reference_has_quotient(pres, target):
