@@ -58,18 +58,19 @@ class MalformedFrameError(QuivertauError):
 
 
 def _oriented_quiver(n, edges, eps):
-    """Quiver on the vertices 1..n with arrow a<i> along the i-th edge
-    (u, v): u -> v for '+' in eps, v -> u for '-'."""
-    if len(eps) != len(edges) or any(c not in "+-" for c in eps):
-        raise BadParameterError(
-            f"orientation {eps!r} needs length {len(edges)}")
+    """Quiver on the vertices 1..n with arrow a<i> along the i-th of the
+    n - 1 tree edges (u, v): u -> v for '+' in eps, v -> u for '-'.  The
+    length of eps is checked before any edge is read, so a large n with
+    a short eps builds nothing."""
+    if len(eps) != n - 1 or any(c not in "+-" for c in eps):
+        raise BadParameterError(f"orientation {eps!r} needs length {n - 1}")
     arrows = tuple(Arrow(f"a{i}", *((u, v) if c == "+" else (v, u)))
                    for i, ((u, v), c) in enumerate(zip(edges, eps), start=1))
     return Quiver(tuple(str(i) for i in range(1, n + 1)), arrows)
 
 
 def _line_quiver(n, eps):
-    return _oriented_quiver(n, [(str(i), str(i + 1)) for i in range(1, n)],
+    return _oriented_quiver(n, ((str(i), str(i + 1)) for i in range(1, n)),
                             eps)
 
 
@@ -91,8 +92,8 @@ def _a_algebra(n, eps):
 def _d_algebra(n, eps):
     if n < 4:
         raise BadParameterError("D(n,eps) needs n >= 4")
-    edges = [("1", "3"), ("2", "3")] + [(str(i), str(i + 1))
-                                        for i in range(3, n)]
+    edges = itertools.chain((("1", "3"), ("2", "3")),
+                            ((str(i), str(i + 1)) for i in range(3, n)))
     return Presentation(_oriented_quiver(n, edges, eps), ())
 
 
@@ -156,31 +157,44 @@ def _fixed_catalog():
 
 
 _FIXED = _fixed_catalog()
-_N_RE = re.compile(r"^N\((\d+)\)$")
-_A_RE = re.compile(r"^A\((\d+),([+-]*)\)$")
-_D_RE = re.compile(r"^D\((\d+),([+-]*)\)$")
+_FAMILIES = (  # id pattern, builder, the family as listed, an example
+    (re.compile(r"^N\((\d+)\)$"), _n_algebra, "N(n)", "N(3)"),
+    (re.compile(r"^A\((\d+),([+-]*)\)$"), _a_algebra,
+     "A(n,eps)", "A(4,+-+)"),
+    (re.compile(r"^D\((\d+),([+-]*)\)$"), _d_algebra,
+     "D(n,eps)", "D(4,+++)"),
+)
 
 
 def catalog_get(cat_id):
-    """Presentation stored under a catalog id such as N(3) or A(4,+-+)."""
+    """Presentation stored under a catalog id such as N(3) or A(4,+-+).
+    A family as listed (``N(n)``), a bad parameter, or a parameter past
+    the interpreter's integer digit limit or index size raises
+    ``BadParameterError`` quoting the id; an id of no family raises
+    ``UnknownIdError``."""
     if cat_id in _FIXED:
         return _FIXED[cat_id]
-    m = _N_RE.match(cat_id)
-    if m:
-        return _n_algebra(int(m.group(1)))
-    m = _A_RE.match(cat_id)
-    if m:
-        return _a_algebra(int(m.group(1)), m.group(2))
-    m = _D_RE.match(cat_id)
-    if m:
-        return _d_algebra(int(m.group(1)), m.group(2))
+    for pattern, build, family, example in _FAMILIES:
+        if cat_id == family:
+            raise BadParameterError(
+                f"catalog id {cat_id!r} is a family and needs its "
+                f"parameters, as in {example}")
+        m = pattern.match(cat_id)
+        if m:
+            try:
+                return build(int(m[1]), *m.groups()[1:])
+            except (ValueError, OverflowError):  # past int() or an index
+                problem = "too many digits"
+            except BadParameterError as exc:
+                problem = exc
+            raise BadParameterError(f"catalog id {cat_id!r}: {problem}")
     raise UnknownIdError(
         f"unknown catalog id {cat_id!r}; qt catalog list shows the ids")
 
 
 def catalog_ids():
     """Concrete stored ids plus the parameterized family patterns."""
-    return tuple(sorted(_FIXED)) + ("N(n)", "A(n,eps)", "D(n,eps)")
+    return tuple(sorted(_FIXED)) + tuple(f[2] for f in _FAMILIES)
 
 
 # ---------------------------------------------------------------------------
@@ -640,13 +654,13 @@ def verify_witness(frame):
     induced = quotient(ambient, killed)
     quotient_ok = not [v for v in validate_presentation(induced)
                        if v.code != "Disconnected"]
-    connected = induced.quiver.is_connected()
+    report = classify_graph(underlying_graph(induced.quiver))
+    connected = len(report.components) <= 1
     expected = euclidean_size(frame.claimed_type)
     count_anomaly = len(marked) != expected
     notes = ("count-anomaly (paper figure)",) if count_anomaly else ()
     hereditary_ok = None
     induced_graph = None
-    report = classify_graph(underlying_graph(induced.quiver))
     if len(report.components) == 1:
         induced_graph = report.components[0][1].label()
     if frame.claim_kind == "hereditary-surjection":

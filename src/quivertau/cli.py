@@ -46,7 +46,7 @@ def load_algebra(spec):
     try:
         with open(spec, encoding="utf-8") as handle:
             text = handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise QuivertauError(f"cannot read {spec}: {exc}") from exc
     pres = parse_presentation(text)
     if not pres.quiver.vertices:

@@ -99,10 +99,12 @@ class Quiver:
     ``mult`` counts the arrows from each source to each target, and
     ``embedding_plan`` is the search plan with which ``embeddings`` maps
     this quiver into others.  ``is_acyclic`` (no loop, and a tree or no
-    ``find_oriented_cycle``), ``is_connected`` and the orientation word
-    that ``line_orientation`` reads are answered once too.  The cached
-    values hold arrows, tuples and strings, never the quiver, so they make
-    no reference cycle.
+    ``find_oriented_cycle``), ``is_connected`` (at most one of the
+    ``components``) and the orientation word that ``line_orientation``
+    reads are answered once too; ``out``, ``inc`` and ``is_connected``
+    raise ``UnknownVertexError`` at the first arrow with an undeclared
+    end.  The cached values hold arrows, tuples and strings, never the
+    quiver, so they make no reference cycle.
     """
 
     vertices: tuple[str, ...]
@@ -135,19 +137,9 @@ class Quiver:
 
     @cached_property
     def _connected(self):
-        root = {v: v for v in self.vertices}  # union-find over the arrows
-
-        def find(v):
-            while root[v] != v:
-                root[v] = root[root[v]]
-                v = root[v]
-            return v
-
-        for a in self.arrows:
-            if a.source not in root or a.target not in root:
-                raise _undeclared_endpoint(a, root)
-            root[find(a.source)] = find(a.target)
-        return len({find(v) for v in self.vertices}) <= 1
+        self.out  # raises for the first arrow with an undeclared end
+        return len(components(self.vertices, ((a.source, a.target)
+                                              for a in self.arrows))) <= 1
 
     @cached_property
     def _line_word(self):
@@ -173,7 +165,9 @@ class Quiver:
         groups = {v: [] for v in self.vertices}
         for a in self.arrows:
             if a.source not in groups or a.target not in groups:
-                raise _undeclared_endpoint(a, groups)
+                v = a.source if a.source not in groups else a.target
+                raise UnknownVertexError(
+                    f"arrow {a.name}: endpoint {v} is not a declared vertex")
             groups[end(a)].append(a)
         return {v: tuple(arrows) for v, arrows in groups.items()}
 
@@ -204,12 +198,28 @@ class Quiver:
         return any(a.source == a.target for a in self.arrows)
 
 
-def _undeclared_endpoint(arrow, vertices):
-    """What ``out``, ``inc`` and ``is_connected`` raise for the first arrow
-    with an end outside ``vertices``."""
-    v = arrow.source if arrow.source not in vertices else arrow.target
-    return UnknownVertexError(
-        f"arrow {arrow.name}: endpoint {v} is not a declared vertex")
+def components(vertices, edges):
+    """Connected components of the undirected multigraph on ``vertices``
+    with ``edges`` (vertex pairs; loops and repeats allowed), as vertex
+    lists in the order of their first vertices.  Each list starts at its
+    first vertex and goes on in breadth-first order."""
+    adj = {v: [] for v in vertices}
+    for u, w in edges:
+        adj[u].append(w)
+        adj[w].append(u)
+    seen, found = set(), []
+    for v in vertices:
+        if v in seen:
+            continue
+        seen.add(v)
+        comp = [v]
+        for x in comp:  # comp grows while it is walked
+            for y in adj[x]:
+                if y not in seen:
+                    seen.add(y)
+                    comp.append(y)
+        found.append(comp)
+    return found
 
 
 def find_oriented_cycle(quiver):
@@ -313,22 +323,21 @@ class DimensionTable:
 
 @dataclass(frozen=True)
 class Profile:
-    """Structural flags of a presentation.
-
-    ``is_hereditary``: no relation combines to anything.
+    """Structural flags of a presentation: ``simple_count``,
+    ``is_acyclic``, ``is_local`` (one vertex), ``is_hereditary`` (no
+    relation combines to anything), ``is_linear_nakayama``,
     ``is_radical_square_zero`` and ``is_schurian`` (at most one basis path
-    per vertex pair) are None on cyclic quivers; every tree is Schurian."""
+    per vertex pair).  The last two are None on cyclic quivers; every tree
+    is Schurian.  The quiver answers connectivity, trees and parallel
+    arrows itself."""
 
     simple_count: int
     is_acyclic: bool
-    is_connected: bool
-    is_tree: bool
     is_local: bool
     is_hereditary: bool
     is_linear_nakayama: bool
     is_radical_square_zero: bool | None
     is_schurian: bool | None
-    has_multiple_arrows: bool
 
 
 def path_key(path):
@@ -1279,24 +1288,20 @@ def structural_profile(pres):
     computation, so neither the paths nor the ideal are built."""
     q = pres.quiver
     acyclic = q.is_acyclic()
-    tree = q.is_tree()
     line = line_orientation(q)
     rsz = schurian = None
     if acyclic:
         rsz = is_rad_square_zero(pres)
-        schurian = tree or all(len(pres.ideal.basis(pair)) <= 1
-                               for pair in all_paths(q))
+        schurian = q.is_tree() or all(len(pres.ideal.basis(pair)) <= 1
+                                      for pair in all_paths(q))
     return Profile(
         simple_count=len(q.vertices),
         is_acyclic=acyclic,
-        is_connected=q.is_connected(),
-        is_tree=tree,
         is_local=len(q.vertices) == 1,
         is_hereditary=not any(map(Relation.combined, pres.relations)),
         is_linear_nakayama=line is not None and len(set(line)) <= 1,
         is_radical_square_zero=rsz,
         is_schurian=schurian,
-        has_multiple_arrows=q.has_multiple_arrows(),
     )
 
 

@@ -25,7 +25,6 @@ this against a brute sweep over every choice.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -36,6 +35,7 @@ from .presentation import (
     NotRadicalSquareZeroError,
     Quiver,
     UnsupportedLoopError,
+    components,
     embeddings,
     find_oriented_cycle,
     is_rad_square_zero,
@@ -177,29 +177,15 @@ def _component_type(vertices, edges):
 
 
 def classify_graph(graph):
-    """Connected-component classification of an undirected multigraph."""
-    adj = {v: set() for v in graph.vertices}
-    for u, v in graph.edges:
-        adj[u].add(v)
-        adj[v].add(u)
-    seen = set()
-    components = []
-    for v in graph.vertices:
-        if v in seen:
-            continue
-        comp = {v}
-        frontier = [v]
-        while frontier:
-            x = frontier.pop()
-            for y in adj[x]:
-                if y not in comp:
-                    comp.add(y)
-                    frontier.append(y)
-        seen |= comp
+    """Connected-component classification of an undirected multigraph, in
+    the order of ``components``; each component's vertices are sorted."""
+    report = []
+    for comp in components(graph.vertices, graph.edges):
+        members = set(comp)
         verts = tuple(sorted(comp))
-        edges = [(a, b) for a, b in graph.edges if a in comp]
-        components.append((verts, _component_type(verts, edges)))
-    return GraphTypeReport(tuple(components))
+        edges = [(a, b) for a, b in graph.edges if a in members]
+        report.append((verts, _component_type(verts, edges)))
+    return GraphTypeReport(tuple(report))
 
 
 # ---------------------------------------------------------------------------
@@ -346,20 +332,11 @@ def minimal_bad_single_subquiver(quiver):
     if quiver.has_loop():
         raise UnsupportedLoopError("loop arrows are outside the criterion")
     vertices = quiver.vertices
-    # union-find over the separated nodes (v, 0) and (w, 1), by position
+    # the separated node (v, side) is 2 * position of v + side
     pos = {v: i for i, v in enumerate(vertices)}
-    parent = list(range(2 * len(vertices)))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for v, w in quiver.mult:
-        parent[find(2 * pos[v])] = find(2 * pos[w] + 1)
-    largest = max(Counter(map(find, range(len(parent)))).values(),
-                  default=0)
+    largest = max(map(len, components(
+        range(2 * len(vertices)),
+        ((2 * pos[v], 2 * pos[w] + 1) for v, w in quiver.mult))), default=0)
     for size in range(2, min(len(vertices), largest) + 1):
         best = None
         for pattern in _patterns_of_size(size):

@@ -81,7 +81,18 @@ class TestCatalogGet:
             catalog_get("N(0)")
         with pytest.raises(BadParameterError) as info:
             catalog_get("A(0,)")
-        assert str(info.value) == "A(n,eps) needs n >= 1"
+        assert str(info.value) == "catalog id 'A(0,)': A(n,eps) needs n >= 1"
+
+    def test_orientation_length_checked_before_any_edge(self):
+        # so a huge n with a short orientation builds nothing
+        def unread():
+            raise AssertionError("an edge was read")
+            yield
+
+        n = 10 ** 30
+        with pytest.raises(BadParameterError) as info:
+            catalog._oriented_quiver(n, unread(), "+")
+        assert str(info.value) == f"orientation '+' needs length {n - 1}"
 
     def test_d4(self):
         p = catalog_get("D(4,+++)")

@@ -226,6 +226,20 @@ class TestTensorRules:
         assert v.status == "infinite"
         assert v.certificate.rule == "multiple-arrows"
 
+    def test_one_parallel_arrow_scan_per_factor(self, monkeypatch):
+        # rule R2 is the only reader of parallel arrows
+        scans = []
+        scan = Quiver.first_parallel_pair
+
+        def counted(quiver):
+            scans.append(quiver)
+            return scan(quiver)
+
+        monkeypatch.setattr(Quiver, "first_parallel_pair", counted)
+        pa, pb = C("B1"), C("N(3)")
+        assert classify_tensor(pa, pb).status == "finite"
+        assert scans == [pa.quiver, pb.quiver]
+
     def test_non_schurian(self):
         v = classify_tensor(NON_SCHURIAN_SC, C("N(3)"))
         assert v.status == "infinite"

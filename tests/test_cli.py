@@ -295,11 +295,44 @@ class TestOtherCommands:
          "unknown catalog id 'Q'; qt catalog list shows the ids"),
         (("witness", "--frame", "nope"),
          "unknown witness frame 'nope'; qt catalog list shows the frames"),
+        # the families that qt catalog list prints
+        (("catalog", "show", "N(n)"), "catalog id 'N(n)' is a family and "
+         "needs its parameters, as in N(3)"),
+        (("catalog", "show", "A(n,eps)"), "catalog id 'A(n,eps)' is a "
+         "family and needs its parameters, as in A(4,+-+)"),
+        (("catalog", "show", "D(n,eps)"), "catalog id 'D(n,eps)' is a "
+         "family and needs its parameters, as in D(4,+++)"),
+        # a bad parameter, quoted with the id as given
+        (("catalog", "show", "A(3,+)"),
+         "catalog id 'A(3,+)': orientation '+' needs length 2"),
+        (("catalog", "show", "N(0)"), "catalog id 'N(0)': N(n) needs n >= 1"),
+        (("catalog", "show", "D(3,++)"),
+         "catalog id 'D(3,++)': D(n,eps) needs n >= 4"),
+        # a parameter past the interpreter's integer digit limit, or past
+        # its index size
+        pytest.param(("catalog", "show", f"N({'9' * 5000})"),
+                     f"catalog id 'N({'9' * 5000})': too many digits",
+                     id="N-past-the-digit-limit"),
+        pytest.param(("catalog", "show", f"N(1{'0' * 30})"),
+                     f"catalog id 'N(1{'0' * 30})': too many digits",
+                     id="N-past-the-index-size"),
+        pytest.param(("classify", f"catalog:A({'1' * 5000},)", N3),
+                     f"catalog id 'A({'1' * 5000},)': too many digits",
+                     id="A-past-the-digit-limit"),
     ])
     def test_unknown_id_message(self, capsys, argv, message):
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == ""
         assert err == f"qt: input error: {message}\n"
+
+    def test_undecodable_file_exit_2(self, capsys, tmp_path):
+        path = tmp_path / "bad.quiver"
+        path.write_bytes(b"vertex 1\xff\n")
+        code, out, err = run(capsys, "dim", str(path))
+        assert code == 2 and out == ""
+        assert err == (f"qt: input error: cannot read {path}: 'utf-8' codec "
+                       "can't decode byte 0xff in position 8: invalid start "
+                       "byte\n")
 
     def test_zero_denominator_exit_2(self, capsys, tmp_path):
         path = tmp_path / "zero.quiver"

@@ -48,6 +48,7 @@ from quivertau.presentation import (
     QuivertauError,
     Relation,
     all_paths,
+    components,
     dimension_table,
     find_oriented_cycle,
     homology_rank,
@@ -1023,6 +1024,51 @@ def test_shape_readers_match_references(q):
         assert verdict.certificate.rule == "multiple-arrows"
         assert (witness["factor"], witness["arrows"], witness["from"],
                 witness["to"]) == ("A", *expected)
+
+
+def _reference_components(vertices, edges):
+    """Reference: a union-find over the edges (the connectivity test that
+    ``Quiver`` once kept), grouped by root in vertex order."""
+    root = {v: v for v in vertices}
+
+    def find(v):
+        while root[v] != v:
+            root[v] = root[root[v]]
+            v = root[v]
+        return v
+
+    for u, w in edges:
+        root[find(u)] = find(w)
+    groups = {}
+    for v in vertices:
+        groups.setdefault(find(v), []).append(v)
+    return list(groups.values())
+
+
+@st.composite
+def multigraphs(draw):
+    """Undirected multigraphs on 0 to 9 vertices in a random order, with
+    isolated vertices, loops and repeated edges."""
+    vertices = tuple(draw(st.permutations(NAMES))[:draw(st.integers(0, 9))])
+    if not vertices:
+        return vertices, ()
+    ends = st.sampled_from(vertices)
+    edges = draw(st.lists(st.tuples(ends, ends), max_size=10))
+    edges += draw(st.lists(ends.map(lambda v: (v, v)), max_size=2))
+    if edges:
+        edges += draw(st.lists(st.sampled_from(edges), max_size=3))
+    return vertices, tuple(draw(st.permutations(edges)))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(multigraphs())
+def test_components_match_union_find(graph):
+    vertices, edges = graph
+    found = components(vertices, edges)
+    expected = _reference_components(vertices, edges)
+    assert [set(c) for c in found] == [set(c) for c in expected]
+    assert [c[0] for c in found] == [c[0] for c in expected]
+    assert sorted(v for c in found for v in c) == sorted(vertices)
 
 
 def _reference_is_rad_square_zero(pres):
