@@ -21,6 +21,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -74,9 +75,17 @@ def _line_quiver(n, eps):
                             eps)
 
 
+# Most vertices an N(n) id may ask for.  The whole line is built (N(10000)
+# takes about 0.3 s and 7 MiB), so a short id past this would ask for
+# time and memory in proportion to n.
+N_VERTEX_CAP = 10_000
+
+
 def _n_algebra(n):
     if n < 1:
         raise BadParameterError("N(n) needs n >= 1")
+    if n > N_VERTEX_CAP:
+        raise SizeLimitError(f"N(n) has at most {N_VERTEX_CAP} vertices")
     q = _line_quiver(n, "+" * (n - 1))
     rels = tuple(Relation(((Fraction(1), (f"a{i}", f"a{i+1}")),))
                  for i in range(1, n - 1))
@@ -170,8 +179,9 @@ def catalog_get(cat_id):
     """Presentation stored under a catalog id such as N(3) or A(4,+-+).
     A family as listed (``N(n)``), a bad parameter, or a parameter past
     the interpreter's integer digit limit or index size raises
-    ``BadParameterError`` quoting the id; an id of no family raises
-    ``UnknownIdError``."""
+    ``BadParameterError`` quoting the id, and an ``N(n)`` past
+    ``N_VERTEX_CAP`` raises ``SizeLimitError`` quoting the id, before
+    anything is built; an id of no family raises ``UnknownIdError``."""
     if cat_id in _FIXED:
         return _FIXED[cat_id]
     for pattern, build, family, example in _FAMILIES:
@@ -182,12 +192,15 @@ def catalog_get(cat_id):
         m = pattern.match(cat_id)
         if m:
             try:
-                return build(int(m[1]), *m.groups()[1:])
+                n = int(m[1])
+                if n > sys.maxsize:
+                    raise OverflowError
+                return build(n, *m.groups()[1:])
             except (ValueError, OverflowError):  # past int() or an index
-                problem = "too many digits"
-            except BadParameterError as exc:
-                problem = exc
-            raise BadParameterError(f"catalog id {cat_id!r}: {problem}")
+                error = BadParameterError("too many digits")
+            except (BadParameterError, SizeLimitError) as exc:
+                error = exc
+            raise type(error)(f"catalog id {cat_id!r}: {error}")
     raise UnknownIdError(
         f"unknown catalog id {cat_id!r}; qt catalog list shows the ids")
 

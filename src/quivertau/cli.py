@@ -21,6 +21,7 @@ from . import strings as st
 from . import table as tbl
 from .presentation import (
     InvariantViolationError,
+    Presentation,
     QuivertauError,
     dimension_table,
     parse_presentation,
@@ -103,10 +104,8 @@ def _cmd_separated(args):
     pres = load_algebra(args.a)
     sep = sg.separated_quiver(pres.quiver)
     report = sg.classify_graph(sg.underlying_graph(sep))
-    lines = [f"vertex {v}" for v in sep.vertices]
-    lines += [f"arrow {a.name} : {a.source} -> {a.target}"
-              for a in sep.arrows]
-    lines.append("components: " + ", ".join(report.tags()))
+    lines = [serialize_presentation(Presentation(sep, ())).rstrip("\n"),
+             "components: " + ", ".join(report.tags())]
     payload = {
         "vertices": list(sep.vertices),
         "arrows": [[a.name, a.source, a.target] for a in sep.arrows],

@@ -181,9 +181,6 @@ class Quiver:
         """Connected with n - 1 arrows, so without loops or cycles."""
         return len(self.arrows) == len(self.vertices) - 1 and self._connected
 
-    def has_multiple_arrows(self):
-        return self.first_parallel_pair() is not None
-
     def first_parallel_pair(self):
         """The first arrow, in declaration order, that repeats an earlier
         arrow's (source, target), with that earlier arrow; else None."""

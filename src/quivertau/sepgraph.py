@@ -92,99 +92,73 @@ def underlying_graph(quiver):
                   tuple((a.source, a.target) for a in quiver.arrows))
 
 
+# The typed trees with one branch vertex, keyed by their sorted leg
+# lengths (a leg runs from the branch vertex to a leaf), except the one
+# family D_n, whose legs are (1, 1, c).  The recognizer reads it, and so
+# does the witness search for its star patterns.
+_STARS = {
+    (1, 1, 1, 1): GraphType("D~", 4),
+    (1, 2, 2): GraphType("E", 6),
+    (1, 2, 3): GraphType("E", 7),
+    (1, 2, 4): GraphType("E", 8),
+    (2, 2, 2): GraphType("E~", 6),
+    (1, 3, 3): GraphType("E~", 7),
+    (1, 2, 5): GraphType("E~", 8),
+}
+_OTHER = GraphType("other", 0)
+
+
 def _component_type(vertices, edges):
     """Classify one connected component given its vertices and edge list."""
     n = len(vertices)
-    if any(u == v for u, v in edges):
-        return GraphType("other", 0)
-    simple = {}
+    adj = {v: set() for v in vertices}
     for u, v in edges:
-        key = (u, v) if u <= v else (v, u)
-        simple[key] = simple.get(key, 0) + 1
-    if any(m >= 2 for m in simple.values()):
-        if n == 2 and len(edges) == 2 and len(simple) == 1 \
-                and next(iter(simple.values())) == 2:
-            return GraphType("A~", 1)
-        return GraphType("other", 0)
-    deg = {v: 0 for v in vertices}
-    for u, v in simple:
-        deg[u] += 1
-        deg[v] += 1
-    e = len(simple)
-    if e == n and all(d == 2 for d in deg.values()):
+        if u == v or v in adj[u]:  # a loop or a repeated edge
+            if u != v and n == 2 and len(edges) == 2:
+                return GraphType("A~", 1)
+            return _OTHER
+        adj[u].add(v)
+        adj[v].add(u)
+    if len(edges) == n and all(len(nb) == 2 for nb in adj.values()):
         return GraphType("A~", n - 1)
-    if e != n - 1:
-        return GraphType("other", 0)
-    # tree
-    branch = sorted(v for v in vertices if deg[v] >= 3)
+    if len(edges) != n - 1:
+        return _OTHER
+    # a tree
+    branch = [v for v in vertices if len(adj[v]) >= 3]
     if not branch:
         return GraphType("A", n)
-    adj = {v: [] for v in vertices}
-    for u, v in simple:
-        adj[u].append(v)
-        adj[v].append(u)
-
-    def leg_lengths(center):
-        """Leg lengths of the only branch vertex; each leg ends at a leaf."""
-        lengths = []
-        for start in adj[center]:
-            length = 1
-            prev, at = center, start
-            while deg[at] == 2:
-                nxt = [w for w in adj[at] if w != prev][0]
-                prev, at = at, nxt
-                length += 1
-            lengths.append(length)
-        return sorted(lengths)
-
     if len(branch) == 1:
-        center = branch[0]
-        d = deg[center]
-        if d == 4:
-            legs = leg_lengths(center)
-            if legs == [1, 1, 1, 1]:
-                return GraphType("D~", 4)
-            return GraphType("other", 0)
-        if d > 4:
-            return GraphType("other", 0)
-        legs = leg_lengths(center)
-        a, b, c = legs
-        if a == 1 and b == 1:
+        legs = []
+        for start in adj[branch[0]]:
+            prev, at, length = branch[0], start, 1
+            while len(adj[at]) == 2:
+                prev, at = at, next(w for w in adj[at] if w != prev)
+                length += 1
+            legs.append(length)
+        legs.sort()
+        if len(legs) == 3 and legs[1] == 1:
             return GraphType("D", n)
-        if (a, b, c) == (1, 2, 2):
-            return GraphType("E", 6)
-        if (a, b, c) == (1, 2, 3):
-            return GraphType("E", 7)
-        if (a, b, c) == (1, 2, 4):
-            return GraphType("E", 8)
-        if (a, b, c) == (2, 2, 2):
-            return GraphType("E~", 6)
-        if (a, b, c) == (1, 3, 3):
-            return GraphType("E~", 7)
-        if (a, b, c) == (1, 2, 5):
-            return GraphType("E~", 8)
-        return GraphType("other", 0)
-    if len(branch) == 2 and all(deg[v] == 3 for v in branch):
-        leaves = [v for v in vertices if deg[v] == 1]
-        if len(leaves) == 4 and all(
-                any(w in branch for w in adj[leaf]) for leaf in leaves):
-            b1, b2 = branch
-            if sum(1 for leaf in leaves if b1 in adj[leaf]) == 2 \
-                    and sum(1 for leaf in leaves if b2 in adj[leaf]) == 2:
-                return GraphType("D~", n - 1)
-        return GraphType("other", 0)
-    return GraphType("other", 0)
+        return _STARS.get(tuple(legs), _OTHER)
+    if len(branch) == 2 and all(
+            len(adj[b]) == 3 and sum(len(adj[w]) == 1 for w in adj[b]) == 2
+            for b in branch):
+        return GraphType("D~", n - 1)
+    return _OTHER
 
 
 def classify_graph(graph):
     """Connected-component classification of an undirected multigraph, in
-    the order of ``components``; each component's vertices are sorted."""
+    the order of ``components``; each component's vertices are sorted and
+    its edges keep their order in the graph."""
+    comps = components(graph.vertices, graph.edges)
+    where = {v: i for i, comp in enumerate(comps) for v in comp}
+    edges = [[] for _ in comps]
+    for edge in graph.edges:
+        edges[where[edge[0]]].append(edge)
     report = []
-    for comp in components(graph.vertices, graph.edges):
-        members = set(comp)
+    for comp, comp_edges in zip(comps, edges):
         verts = tuple(sorted(comp))
-        edges = [(a, b) for a, b in graph.edges if a in members]
-        report.append((verts, _component_type(verts, edges)))
+        report.append((verts, _component_type(verts, comp_edges)))
     return GraphTypeReport(tuple(report))
 
 
@@ -263,8 +237,6 @@ def is_single_subquiver(quiver, ssq):
 # Euclidean patterns for the direct search, as quivers whose arrows run
 # from the 0-colored to the 1-colored vertices.
 
-_KRONECKER = Quiver(("0", "1"), (Arrow("a", "0", "1"), Arrow("b", "0", "1")))
-
 
 def _pattern(edges, flip):
     """Pattern quiver of a connected bipartite graph on the vertices 0, 1,
@@ -295,20 +267,18 @@ def _star(legs):
 @lru_cache(maxsize=64)
 def _patterns_of_size(size):
     """Euclidean patterns on exactly ``size`` vertices, in both colorings;
-    the two colorings of an even cycle give isomorphic quivers, so it
-    comes once.  Each size is built once (the memo holds only patterns,
-    keyed by size), so each pattern's embedding plan is built once too."""
-    if size == 2:
-        return (_KRONECKER,)
+    the two colorings of an even cycle, the Kronecker quiver at size 2
+    included, give isomorphic quivers, so it comes once.  Each size is
+    built once (the memo holds only patterns, keyed by size), so each
+    pattern's embedding plan is built once too."""
     trees = []
-    if size >= 5:  # D~(size-1): a path with two leaves at each end
+    if size >= 6:  # D~(size-1): a path with two leaves at each end
         last = size - 5
         trees.append([(i, i + 1) for i in range(last)] +
                      [(0, last + 1), (0, last + 2),
                       (last, last + 3), (last, last + 4)])
-    legs = {7: (2, 2, 2), 8: (1, 3, 3), 9: (1, 2, 5)}.get(size)
-    if legs:  # E~6, E~7, E~8
-        trees.append(_star(legs))
+    trees += [_star(legs) for legs, gtype in _STARS.items()
+              if gtype.is_euclidean() and sum(legs) + 1 == size]
     out = [_pattern(edges, flip) for edges in trees for flip in (0, 1)]
     if size % 2 == 0:
         out.append(_pattern([(i, (i + 1) % size) for i in range(size)], 0))

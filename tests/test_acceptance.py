@@ -343,7 +343,7 @@ def test_criterion_09_symmetry_and_soundness():
 
 def _is_tree_quiver(q):
     simple_pairs = {frozenset((a.source, a.target)) for a in q.arrows}
-    return (q.is_connected() and not q.has_multiple_arrows()
+    return (q.is_connected() and q.first_parallel_pair() is None
             and not q.has_loop()
             and len(q.arrows) == len(simple_pairs) == len(q.vertices) - 1)
 

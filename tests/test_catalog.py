@@ -94,6 +94,20 @@ class TestCatalogGet:
             catalog._oriented_quiver(n, unread(), "+")
         assert str(info.value) == f"orientation '+' needs length {n - 1}"
 
+    def test_n_line_cap(self, monkeypatch):
+        cap = catalog.N_VERTEX_CAP
+        assert len(catalog_get(f"N({cap})").quiver.vertices) == cap
+
+        def unbuilt(n, eps):
+            raise AssertionError("the line was built")
+
+        # refused before the line is built
+        monkeypatch.setattr(catalog, "_line_quiver", unbuilt)
+        with pytest.raises(SizeLimitError) as info:
+            catalog_get("N(10001)")
+        assert str(info.value) == \
+            f"catalog id 'N(10001)': N(n) has at most {cap} vertices"
+
     def test_d4(self):
         p = catalog_get("D(4,+++)")
         prof = structural_profile(p)

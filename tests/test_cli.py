@@ -1,11 +1,13 @@
 """Command line surface: subcommands, formats, exit codes."""
 
+import hashlib
 import json
 import pathlib
 import time
 
 import pytest
 
+from quivertau.catalog import N_VERTEX_CAP
 from quivertau.cli import main
 from quivertau.presentation import parse_presentation
 
@@ -148,6 +150,44 @@ class TestOtherCommands:
     def test_graph_type(self, capsys):
         code, out, _ = run(capsys, "graph-type", "catalog:D(4,+++)")
         assert code == 0 and "D4" in out
+
+    @pytest.mark.parametrize("argv,expected", [
+        (("separated", "catalog:L43square"),
+         "vertex (1,0)\nvertex (2,0)\nvertex (3,0)\nvertex (4,0)\n"
+         "vertex (1,1)\nvertex (2,1)\nvertex (3,1)\nvertex (4,1)\n"
+         "arrow α^sp : (1,0) -> (2,1)\narrow γ^sp : (1,0) -> (3,1)\n"
+         "arrow β^sp : (2,0) -> (4,1)\narrow δ^sp : (3,0) -> (4,1)\n"
+         "components: A3, A3, A1, A1\n"),
+        (("separated", "catalog:L43square", "--format", "json"),
+         '{"arrows": [["α^sp", "(1,0)", "(2,1)"], ["γ^sp", "(1,0)", '
+         '"(3,1)"], ["β^sp", "(2,0)", "(4,1)"], ["δ^sp", "(3,0)", '
+         '"(4,1)"]], "components": ["A3", "A3", "A1", "A1"], "vertices": '
+         '["(1,0)", "(2,0)", "(3,0)", "(4,0)", "(1,1)", "(2,1)", "(3,1)", '
+         '"(4,1)"]}\n'),
+        (("separated", "catalog:B5_3"),
+         "vertex (1,0)\nvertex (2,0)\nvertex (3,0)\nvertex (4,0)\n"
+         "vertex (5,0)\nvertex (1,1)\nvertex (2,1)\nvertex (3,1)\n"
+         "vertex (4,1)\nvertex (5,1)\n"
+         "arrow α^sp : (1,0) -> (2,1)\narrow β^sp : (3,0) -> (2,1)\n"
+         "arrow γ^sp : (4,0) -> (3,1)\narrow δ^sp : (5,0) -> (1,1)\n"
+         "components: A3, A1, A2, A2, A1, A1\n"),
+        (("separated", "catalog:B5_3", "--format", "json"),
+         '{"arrows": [["α^sp", "(1,0)", "(2,1)"], ["β^sp", "(3,0)", '
+         '"(2,1)"], ["γ^sp", "(4,0)", "(3,1)"], ["δ^sp", "(5,0)", '
+         '"(1,1)"]], "components": ["A3", "A1", "A2", "A2", "A1", "A1"], '
+         '"vertices": ["(1,0)", "(2,0)", "(3,0)", "(4,0)", "(5,0)", '
+         '"(1,1)", "(2,1)", "(3,1)", "(4,1)", "(5,1)"]}\n'),
+        (("graph-type", "catalog:L43square"), "1+2+3+4: A~3\n"),
+        (("graph-type", "catalog:L43square", "--format", "json"),
+         '{"components": [{"type": "A~3", "vertices": ["1", "2", "3", '
+         '"4"]}]}\n'),
+        (("graph-type", "catalog:B5_3"), "1+2+3+4+5: A5\n"),
+        (("graph-type", "catalog:B5_3", "--format", "json"),
+         '{"components": [{"type": "A5", "vertices": ["1", "2", "3", "4", '
+         '"5"]}]}\n'),
+    ])
+    def test_separated_and_graph_type_output(self, capsys, argv, expected):
+        assert run(capsys, *argv) == (0, expected, "")
 
     def test_dim(self, capsys):
         code, out, _ = run(capsys, "dim", B1)
@@ -325,6 +365,16 @@ class TestOtherCommands:
         assert code == 2 and out == ""
         assert err == f"qt: input error: {message}\n"
 
+    def test_n_line_past_the_cap_exit_2(self, capsys):
+        # refused before the line is built, so a long line costs nothing
+        cat_id = "N(100000000)"
+        start = time.perf_counter()
+        code, out, err = run(capsys, "catalog", "show", cat_id)
+        assert time.perf_counter() - start < 1
+        assert code == 2 and out == ""
+        assert err == (f"qt: input error: catalog id {cat_id!r}: N(n) has at "
+                       f"most {N_VERTEX_CAP} vertices\n")
+
     def test_undecodable_file_exit_2(self, capsys, tmp_path):
         path = tmp_path / "bad.quiver"
         path.write_bytes(b"vertex 1\xff\n")
@@ -390,6 +440,63 @@ class TestOtherCommands:
             _, out, _ = run(capsys, "table")
             outputs.add(out)
         assert len(outputs) == 2
+
+
+class TestPinnedOutput:
+    """Output digests pinned on fixed inputs, run from a directory that
+    holds the input files."""
+
+    FILES = {
+        # a non-homogeneous binomial: a.b = 2 c.d.e
+        "nh.quiver": "vertex 1\nvertex 2\nvertex 3\nvertex 4\nvertex 5\n"
+                     "arrow a : 1 -> 2\narrow b : 2 -> 4\narrow c : 1 -> 3\n"
+                     "arrow d : 3 -> 5\narrow e : 5 -> 4\n"
+                     "relation 1*a.b - 2*c.d.e\n",
+        # a tree source whose quotient witness maps a subtree
+        "star.quiver": "vertex 1\nvertex 2\nvertex 3\nvertex 4\n"
+                       "vertex 5\narrow a : 1 -> 2\narrow b : 2 -> 3\n"
+                       "arrow c : 4 -> 2\narrow d : 3 -> 5\nzero a.b\n",
+        "k3.quiver": "vertex 1\nvertex 2\narrow a : 1 -> 2\n"
+                     "arrow b : 1 -> 2\narrow c : 1 -> 2\n",
+        "k2.quiver": "vertex 1\nvertex 2\narrow x : 1 -> 2\n"
+                     "arrow y : 1 -> 2\n",
+    }
+
+    @pytest.fixture
+    def inputs(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        for name, text in self.FILES.items():
+            (tmp_path / name).write_text(text, encoding="utf-8")
+        code, out, _ = run(capsys, "tensor", "nh.quiver", "catalog:A(3,++)")
+        assert code == 0
+        (tmp_path / "nh3.quiver").write_text(out, encoding="utf-8")
+
+    @pytest.mark.parametrize("argv,digest", [
+        pytest.param(("dim", "nh3.quiver"), "8014d3d4a43346aa308badb76c6f"
+                     "36376a72fe9299cb128b5eb4748694123cc1",
+                     id="nonhomogeneous-binomial-product-dims"),
+        pytest.param(("classify", "star.quiver", "catalog:A(3,+-)",
+                      "--format", "json"), "9919a9aa5a1f7cd00c3b3b87bda2"
+                     "0e925c77b1d03884f1b092823860a5825167",
+                     id="tree-source-quotient-witness"),
+        pytest.param(("quotient-search", "catalog:L43square", "--target",
+                      "catalog:B1", "--format", "json"), "c92bb8e28112ff90"
+                     "62e2476ff94b3f75a866ab1ace082c99c52f9cfe432c3c76",
+                     id="square-quotient-witness"),
+        pytest.param(("quotient-search", "k3.quiver", "--target",
+                      "k2.quiver", "--format", "json"), "ee4a1d7320297e76"
+                     "612d44a8c593f385e9d873850c0dcd1731e6a8001b26dfbb",
+                     id="kronecker-quotient-witness"),
+    ])
+    def test_stdout_digest(self, capsys, inputs, argv, digest):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+    def test_a4_line_against_n3_gets_its_frame(self, capsys):
+        code, out, _ = run(capsys, "classify", "catalog:A(4,--+)", N3,
+                           "--format", "json")
+        assert code == 0 and "a4n3:-++" in out
 
 
 class TestCombinedRelations:

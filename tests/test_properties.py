@@ -64,7 +64,13 @@ from quivertau.presentation import (
     zero_pair_test,
     zero_relation_paths,
 )
-from quivertau.sepgraph import classify_graph, underlying_graph
+from quivertau.sepgraph import (
+    GraphType,
+    GraphTypeReport,
+    UGraph,
+    classify_graph,
+    underlying_graph,
+)
 from quivertau.strings import (
     SpecialBiserialReport,
     StringWord,
@@ -1014,7 +1020,7 @@ def test_shape_readers_match_references(q):
         assert all((v, w) in edges
                    for v, w in zip(cycle, cycle[1:] + cycle[:1]))
     expected = _reference_parallel_witness(q)
-    assert q.has_multiple_arrows() == (expected is not None)
+    assert (q.first_parallel_pair() is not None) == (expected is not None)
     if expected is not None and len(q.vertices) >= 2:
         # R2 comes before any rule that needs an acyclic factor, so with
         # the input gate lifted it reads any quiver
@@ -1069,6 +1075,167 @@ def test_components_match_union_find(graph):
     assert [set(c) for c in found] == [set(c) for c in expected]
     assert [c[0] for c in found] == [c[0] for c in expected]
     assert sorted(v for c in found for v in c) == sorted(vertices)
+
+
+def _reference_component_type(vertices, edges):
+    """Reference: the recognizer that kept its own leg triples and built a
+    multiplicity map, a degree map and an adjacency map per component."""
+    n = len(vertices)
+    if any(u == v for u, v in edges):
+        return GraphType("other", 0)
+    simple = {}
+    for u, v in edges:
+        key = (u, v) if u <= v else (v, u)
+        simple[key] = simple.get(key, 0) + 1
+    if any(m >= 2 for m in simple.values()):
+        if n == 2 and len(edges) == 2 and len(simple) == 1 \
+                and next(iter(simple.values())) == 2:
+            return GraphType("A~", 1)
+        return GraphType("other", 0)
+    deg = {v: 0 for v in vertices}
+    for u, v in simple:
+        deg[u] += 1
+        deg[v] += 1
+    e = len(simple)
+    if e == n and all(d == 2 for d in deg.values()):
+        return GraphType("A~", n - 1)
+    if e != n - 1:
+        return GraphType("other", 0)
+    # tree
+    branch = sorted(v for v in vertices if deg[v] >= 3)
+    if not branch:
+        return GraphType("A", n)
+    adj = {v: [] for v in vertices}
+    for u, v in simple:
+        adj[u].append(v)
+        adj[v].append(u)
+
+    def leg_lengths(center):
+        """Leg lengths of the only branch vertex; each leg ends at a leaf."""
+        lengths = []
+        for start in adj[center]:
+            length = 1
+            prev, at = center, start
+            while deg[at] == 2:
+                nxt = [w for w in adj[at] if w != prev][0]
+                prev, at = at, nxt
+                length += 1
+            lengths.append(length)
+        return sorted(lengths)
+
+    if len(branch) == 1:
+        center = branch[0]
+        d = deg[center]
+        if d == 4:
+            legs = leg_lengths(center)
+            if legs == [1, 1, 1, 1]:
+                return GraphType("D~", 4)
+            return GraphType("other", 0)
+        if d > 4:
+            return GraphType("other", 0)
+        legs = leg_lengths(center)
+        a, b, c = legs
+        if a == 1 and b == 1:
+            return GraphType("D", n)
+        if (a, b, c) == (1, 2, 2):
+            return GraphType("E", 6)
+        if (a, b, c) == (1, 2, 3):
+            return GraphType("E", 7)
+        if (a, b, c) == (1, 2, 4):
+            return GraphType("E", 8)
+        if (a, b, c) == (2, 2, 2):
+            return GraphType("E~", 6)
+        if (a, b, c) == (1, 3, 3):
+            return GraphType("E~", 7)
+        if (a, b, c) == (1, 2, 5):
+            return GraphType("E~", 8)
+        return GraphType("other", 0)
+    if len(branch) == 2 and all(deg[v] == 3 for v in branch):
+        leaves = [v for v in vertices if deg[v] == 1]
+        if len(leaves) == 4 and all(
+                any(w in branch for w in adj[leaf]) for leaf in leaves):
+            b1, b2 = branch
+            if sum(1 for leaf in leaves if b1 in adj[leaf]) == 2 \
+                    and sum(1 for leaf in leaves if b2 in adj[leaf]) == 2:
+                return GraphType("D~", n - 1)
+        return GraphType("other", 0)
+    return GraphType("other", 0)
+
+
+def _reference_classify_graph(graph):
+    """Reference: one filter of the whole edge list per component, over
+    the reference union-find's components."""
+    report = []
+    for comp in _reference_components(graph.vertices, graph.edges):
+        members = set(comp)
+        verts = tuple(sorted(comp))
+        edges = [(a, b) for a, b in graph.edges if a in members]
+        report.append((verts, _reference_component_type(verts, edges)))
+    return GraphTypeReport(tuple(report))
+
+
+# Leg lengths that name a type (stars of D~4, E6-E8 and E~6-E~8) and
+# near misses that name none.
+_STAR_LEGS = ((1, 1, 1, 1), (1, 2, 2), (1, 2, 3), (1, 2, 4), (2, 2, 2),
+              (1, 3, 3), (1, 2, 5), (1, 1, 1, 2), (2, 2, 3), (1, 3, 4),
+              (1, 2, 6), (1, 1, 1, 1, 1))
+
+
+@st.composite
+def branched_trees(draw):
+    """Edges of a tree on 0, 1, ...: one branch vertex with 3 or more
+    legs, or two branch vertices joined by a path, each with 2 or 3 legs.
+    They give D_n, D~n, E and E~ stars, stars with 4 and 5 or more legs,
+    and trees of no type."""
+    edges = []
+
+    def grow(at, length):
+        for _ in range(length):
+            edges.append((at, len(edges) + 1))
+            at = len(edges)
+        return at
+
+    if draw(st.booleans()):
+        for leg in draw(st.sampled_from(_STAR_LEGS) | st.lists(
+                st.integers(1, 6), min_size=3, max_size=6)):
+            grow(0, leg)
+    else:
+        other = grow(0, draw(st.integers(1, 4)))
+        for center in (0, other):
+            for leg in draw(st.sampled_from(
+                    ((1, 1), (1, 1), (1, 2), (2, 2), (1, 1, 1), (1, 1, 2)))):
+                grow(center, leg)
+    return edges
+
+
+@st.composite
+def typed_graphs(draw):
+    """A branched or random tree under drawn names and edge directions,
+    beside a multigraph (with isolated vertices, loops and repeated
+    edges), and in one draw of four with up to two edges added anywhere."""
+    if draw(st.integers(0, 3)):
+        tree = draw(branched_trees())
+    else:
+        tree = [(draw(st.integers(0, i - 1)), i)
+                for i in range(1, draw(st.integers(1, 12)))]
+    names = [f"t{i}" for i in draw(st.permutations(range(len(tree) + 1)))]
+    edges = [(names[u], names[v]) if draw(st.booleans())
+             else (names[v], names[u]) for u, v in tree]
+    other_vertices, other_edges = draw(multigraphs())
+    vertices = names + list(other_vertices)
+    ends = st.sampled_from(vertices)
+    edges += list(other_edges)
+    if not draw(st.integers(0, 3)):
+        edges += draw(st.lists(st.tuples(ends, ends), max_size=2))
+    return (tuple(draw(st.permutations(vertices))),
+            tuple(draw(st.permutations(edges))))
+
+
+@settings(max_examples=600, deadline=None, derandomize=True, database=None)
+@given(typed_graphs())
+def test_classify_graph_matches_reference(graph):
+    ugraph = UGraph(*graph)
+    assert classify_graph(ugraph) == _reference_classify_graph(ugraph)
 
 
 def _reference_is_rad_square_zero(pres):
@@ -1162,7 +1329,7 @@ def test_zero_composition_readers_match_references(pres, data):
             _reference_profile_flags(p)
         assert special_biserial_check(p) == \
             _reference_special_biserial_check(p)
-        if prof.is_schurian or p.quiver.has_multiple_arrows():
+        if prof.is_schurian or p.quiver.first_parallel_pair() is not None:
             continue
         # R3, the first rule to read the ideal, with the input gate lifted
         with mock.patch.object(classify, "_gate", lambda pres, who: None):

@@ -125,6 +125,27 @@ class TestClassifyGraph:
             assert sorted(classify_graph(ug(edges)).tags()) == base
 
 
+    def test_edges_read_a_fixed_number_of_times(self):
+        # the separated quiver of a line has n + 1 components, so a pass
+        # over the edges per component would read them n + 2 times
+        class CountingEdges(tuple):
+            reads = 0
+
+            def __iter__(self):
+                CountingEdges.reads += 1
+                return super().__iter__()
+
+        reads = []
+        for n in (50, 100):
+            graph = underlying_graph(separated_quiver(
+                catalog_get(f"A({n},{'+' * (n - 1)})").quiver))
+            counted = UGraph(graph.vertices, CountingEdges(graph.edges))
+            CountingEdges.reads = 0
+            assert classify_graph(counted) == classify_graph(graph)
+            reads.append(CountingEdges.reads)
+        assert reads[0] == reads[1]
+
+
 class TestSeparatedQuiver:
     def test_line(self):
         sep = separated_quiver(line(3).quiver)
