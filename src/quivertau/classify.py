@@ -414,19 +414,23 @@ _OBSTRUCTION_FRAMES = {
 }
 
 
-def _obstruction_witness(pres, obstruction_ids):
+def _obstruction_witness(pres, obstruction_ids, op=None):
     """First stored obstruction that is a quotient of pres or its opposite,
-    as (catalog id, frame payload), or (None, None).  A search past its
-    size limit finds none; the one rule that decides by the result runs it
-    only after a search on the same factor stayed within the limit."""
-    op = opposite(pres)
+    as (catalog id, frame payload), or (None, None).  ``op`` is the
+    opposite if the caller has built it; else it is built when first
+    searched.  A search past its size limit finds none; the one rule that
+    decides by the result runs it only after a search on the same factor
+    stayed within the limit."""
     for cat_id in obstruction_ids:
-        for candidate, where in ((pres, ""), (op, "op")):
-            qw = _witness_quotient(candidate, cat_id)
-            if qw is not None:
-                return cat_id, _frame_payload(
-                    _OBSTRUCTION_FRAMES[cat_id], bridge=where,
-                    quotients=((qw, cat_id, where or "non-line"),))
+        qw, where = _witness_quotient(pres, cat_id), ""
+        if qw is None:
+            if op is None:
+                op = opposite(pres)
+            qw, where = _witness_quotient(op, cat_id), "op"
+        if qw is not None:
+            return cat_id, _frame_payload(
+                _OBSTRUCTION_FRAMES[cat_id], bridge=where,
+                quotients=((qw, cat_id, where or "non-line"),))
     return None, None
 
 
@@ -534,15 +538,18 @@ def _rsz_vs_non_nakayama(n, other, other_prof, trace):
             "non-line factor with 5 or more vertices is infinite",
             witness=witness,
             trace=(*trace, "rad-square-zero-line4-vs-big"))
-    b1 = _TARGETS["B1"]
-    if has_quotient(other, b1) is None and \
-            has_quotient(opposite(other), b1) is None:
-        return vd.verdict(
-            vd.INFINITE, "rad-square-zero-line3-vs-big",
-            "with 5 or more vertices the factor must admit the one-sink "
-            "4-line with a zero composition as a quotient to stay finite",
-            trace=(*trace, "rad-square-zero-line3-vs-big: no such quotient"))
-    cat_id, witness = _obstruction_witness(other, _OBSTRUCTIONS_N3)
+    b1, op = _TARGETS["B1"], None
+    if has_quotient(other, b1) is None:
+        op = opposite(other)
+        if has_quotient(op, b1) is None:
+            return vd.verdict(
+                vd.INFINITE, "rad-square-zero-line3-vs-big",
+                "with 5 or more vertices the factor must admit the "
+                "one-sink 4-line with a zero composition as a quotient to "
+                "stay finite",
+                trace=(*trace,
+                       "rad-square-zero-line3-vs-big: no such quotient"))
+    cat_id, witness = _obstruction_witness(other, _OBSTRUCTIONS_N3, op)
     if cat_id:
         return vd.verdict(
             vd.INFINITE, "rad-square-zero-line3-obstruction",

@@ -39,7 +39,7 @@ class SparseSpace:
                 continue
             coef = vec[pivot]
             for k, c in row.items():
-                new = vec.get(k, Fraction(0)) - coef * c
+                new = vec.get(k, 0) - coef * c
                 if new:
                     vec[k] = new
                 else:
@@ -59,7 +59,7 @@ class SparseSpace:
             if pivot in other:
                 coef = other[pivot]
                 for k, c in row.items():
-                    new = other.get(k, Fraction(0)) - coef * c
+                    new = other.get(k, 0) - coef * c
                     if new:
                         other[k] = new
                     else:

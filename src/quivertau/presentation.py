@@ -89,38 +89,71 @@ class Arrow:
     target: str
 
 
+class _Filled:
+    """A cached attribute that the method named ``fill`` sets, together
+    with the others that method fills, in one pass: the first read of any
+    of them runs it, and its values then sit on the instance."""
+
+    def __init__(self, fill):
+        self.fill = fill
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        getattr(obj, self.fill)()
+        return getattr(obj, self.name)
+
+
+def _undeclared(arrow, declared):
+    v = arrow.source if arrow.source not in declared else arrow.target
+    return UnknownVertexError(
+        f"arrow {arrow.name}: endpoint {v} is not a declared vertex")
+
+
 @dataclass(frozen=True)
 class Quiver:
     """Finite directed multigraph. Vertex ids and arrow names are unique.
 
     Its lookups are built on first use and cached on the quiver:
-    ``by_name`` maps arrow names to arrows, ``out`` and ``inc`` map every
-    vertex to its outgoing and incoming arrows in declaration order,
-    ``mult`` counts the arrows from each source to each target, and
-    ``embedding_plan`` is the search plan with which ``embeddings`` maps
-    this quiver into others.  ``is_acyclic`` (no loop, and a tree or no
-    ``find_oriented_cycle``), ``is_connected`` (at most one of the
-    ``components``) and the orientation word that ``line_orientation``
-    reads are answered once too; ``out``, ``inc`` and ``is_connected``
+    ``by_name`` maps arrow names to arrows, ``inc`` maps every vertex to
+    its incoming arrows in declaration order, ``mult`` counts the arrows
+    from each source to each target, and ``embedding_plan`` is the search
+    plan with which ``embeddings`` maps this quiver into others.  One walk
+    over the arrows (``_walk``) fills ``out``, every vertex's outgoing
+    arrows in declaration order, and answers ``is_connected`` (at most one
+    of the ``components``), ``is_tree``, ``has_loop`` and the orientation
+    word that ``line_orientation`` reads.  ``is_acyclic`` is no loop, and
+    a tree or no ``find_oriented_cycle``; only a quiver that is neither a
+    tree nor has a loop needs that search, once.  The walk and ``inc``
     raise ``UnknownVertexError`` at the first arrow with an undeclared
-    end.  The cached values hold arrows, tuples and strings, never the
-    quiver, so they make no reference cycle.
+    end; ``has_loop`` then answers by a scan of its own, and ``is_tree``
+    reads no walk unless there are n - 1 arrows.  The cached values hold
+    arrows, tuples and strings, never the quiver, so they make no
+    reference cycle.
     """
 
     vertices: tuple[str, ...]
     arrows: tuple[Arrow, ...]
+
+    out = _Filled("_walk")
+    _connected = _Filled("_walk")
+    _line_word = _Filled("_walk")
 
     @cached_property
     def by_name(self):
         return {a.name: a for a in self.arrows}
 
     @cached_property
-    def out(self):
-        return self._group_by(lambda a: a.source)
-
-    @cached_property
     def inc(self):
-        return self._group_by(lambda a: a.target)
+        groups = {v: [] for v in self.vertices}
+        for a in self.arrows:
+            if a.source not in groups or a.target not in groups:
+                raise _undeclared(a, groups)
+            groups[a.target].append(a)
+        return {v: tuple(arrows) for v, arrows in groups.items()}
 
     @cached_property
     def mult(self):
@@ -131,45 +164,57 @@ class Quiver:
         return _embedding_plan(self.vertices, self.mult)
 
     @cached_property
+    def _loop(self):
+        try:
+            self._walk()
+        except UnknownVertexError:  # the walk stops there; a loop may not
+            return any(a.source == a.target for a in self.arrows)
+        return self.__dict__["_loop"]
+
+    @cached_property
     def _acyclic(self):
-        return not self.has_loop() and \
+        return not self._loop and \
             (self.is_tree() or find_oriented_cycle(self) is None)
 
-    @cached_property
-    def _connected(self):
-        self.out  # raises for the first arrow with an undeclared end
-        return len(components(self.vertices, ((a.source, a.target)
-                                              for a in self.arrows))) <= 1
-
-    @cached_property
-    def _line_word(self):
-        n = len(self.vertices)
-        if not self.is_tree():
-            return None
-        steps = {v: [] for v in self.vertices}  # not kept: caches keep quivers
+    def _walk(self):
+        """The one walk over the arrows.  It groups them by source and
+        lists each vertex's neighbours (not kept: caches keep quivers),
+        from which ``components`` reads connectivity and a tree with no
+        vertex of more than two neighbours reads its orientation word."""
+        vertices = self.vertices
+        out = {v: [] for v in vertices}
+        near = {v: [] for v in vertices}
+        loop = False
         for a in self.arrows:
-            steps[a.source].append((a.target, "+"))
-            steps[a.target].append((a.source, "-"))
-        if any(len(s) > 2 for s in steps.values()):
-            return None
-        word = []
-        prev, at = None, next(v for v in self.vertices if len(steps[v]) < 2)
-        for _ in range(n - 1):
-            step = steps[at]  # one step at the first end, two further on
-            w, letter = step[1] if step[0][0] == prev else step[0]
-            word.append(letter)
-            prev, at = at, w
-        return "".join(word)
-
-    def _group_by(self, end):
-        groups = {v: [] for v in self.vertices}
-        for a in self.arrows:
-            if a.source not in groups or a.target not in groups:
-                v = a.source if a.source not in groups else a.target
-                raise UnknownVertexError(
-                    f"arrow {a.name}: endpoint {v} is not a declared vertex")
-            groups[end(a)].append(a)
-        return {v: tuple(arrows) for v, arrows in groups.items()}
+            s, t = a.source, a.target
+            if s not in out or t not in out:
+                raise _undeclared(a, out)
+            out[s].append(a)
+            near[s].append(t)
+            near[t].append(s)
+            if s == t:
+                loop = True
+        connected = len(components(vertices, near)) <= 1
+        tree = connected and len(self.arrows) == len(vertices) - 1
+        word = None
+        if tree and max(map(len, near.values())) <= 2:
+            # an end exists unless repeated vertex ids close the line
+            at = next((v for v in vertices if len(near[v]) < 2), None)
+            if at is not None:
+                word, prev = [], None
+                for _ in range(len(vertices) - 1):
+                    ns, up = near[at], out[at]  # one neighbour at an end
+                    w = ns[1] if ns[0] == prev else ns[0]
+                    # at has at most two edges; up holds those out of it
+                    word.append("+" if len(up) == 2 or up and
+                                up[0].target == w else "-")
+                    prev, at = at, w
+                word = "".join(word)
+        self.__dict__.update(out=dict(zip(out, map(tuple, out.values()))),
+                             _connected=connected, _loop=loop,
+                             _line_word=word)
+        if loop or tree:  # acyclicity needs no cycle search
+            self.__dict__["_acyclic"] = not loop
 
     def is_acyclic(self):
         return self._acyclic
@@ -192,30 +237,26 @@ class Quiver:
         return None
 
     def has_loop(self):
-        return any(a.source == a.target for a in self.arrows)
+        return self._loop
 
 
-def components(vertices, edges):
+def components(vertices, neighbours):
     """Connected components of the undirected multigraph on ``vertices``
-    with ``edges`` (vertex pairs; loops and repeats allowed), as vertex
-    lists in the order of their first vertices.  Each list starts at its
-    first vertex and goes on in breadth-first order."""
-    adj = {v: [] for v in vertices}
-    for u, w in edges:
-        adj[u].append(w)
-        adj[w].append(u)
+    whose edges are given as neighbour lists: ``neighbours[v]`` lists the
+    other end of every edge at v (loops and repeats allowed).  They come
+    as vertex lists in the order of their first vertices; each list starts
+    at its first vertex and goes on in breadth-first order."""
     seen, found = set(), []
     for v in vertices:
-        if v in seen:
-            continue
-        seen.add(v)
-        comp = [v]
-        for x in comp:  # comp grows while it is walked
-            for y in adj[x]:
-                if y not in seen:
-                    seen.add(y)
-                    comp.append(y)
-        found.append(comp)
+        if v not in seen:
+            seen.add(v)
+            comp = [v]
+            for x in comp:  # comp grows while it is walked
+                for y in neighbours[x]:
+                    if y not in seen:
+                        seen.add(y)
+                        comp.append(y)
+            found.append(comp)
     return found
 
 
@@ -282,13 +323,80 @@ class Relation:
 
 @dataclass(frozen=True)
 class Presentation:
+    """A quiver with relations.  What the relations say is read on first
+    use and kept on the presentation; see ``_relation_facts``."""
+
     quiver: Quiver
     relations: tuple[Relation, ...]
+
+    _relations_read = None  # set beside the fields by _relation_facts
 
     @cached_property
     def ideal(self):
         """The relation ideal as a PathIdeal, built on first use."""
         return ideal_membership_spaces(self)
+
+
+def _relation_facts(pres, checked=False):
+    """(violations, combined) of ``pres``'s relations: their ``Violation``
+    records (None unless ``checked``) and each relation's
+    ``Relation.combined()``, read once and kept on the presentation.
+    Validation asks with ``checked``, which reads the terms as written in
+    the same pass; a presentation that is never validated only combines
+    its relations."""
+    facts = pres._relations_read
+    if facts is not None and (facts[0] is not None or not checked):
+        return facts
+    if checked:
+        violations, combined = _read_relation_terms(pres)
+    else:
+        violations, combined = None, tuple(map(Relation.combined,
+                                               pres.relations))
+    facts = violations, combined
+    # set beside the fields: a dict for one value would double its size
+    object.__setattr__(pres, "_relations_read", facts)
+    return facts
+
+
+def _read_relation_terms(pres):
+    """One pass over the relations: each one's combined terms, and the
+    violations of its terms as written.  A term has a nonzero coefficient
+    and at least two arrows, all of the quiver and composable, and the
+    terms share their ends; each arrow is looked up once, in
+    ``by_name``."""
+    by_name = pres.quiver.by_name
+    known = by_name.__contains__
+    violations, combined = [], []
+    for idx, rel in enumerate(pres.relations):
+        combined.append(rel.combined())
+        found, ends = [], set()
+        for coeff, path in rel.terms:
+            if not coeff:
+                found.append(("ZeroCoefficient", str(path)))
+            if len(path) < 2:
+                found.append(("ShortRelationTerm", str(path)))
+                continue
+            if not all(map(known, path)):
+                found.append(("UnknownArrow", str(path)))
+                continue
+            last = None
+            for name in path:
+                a = by_name[name]
+                if last is not None and a.source != last.target:
+                    found.append(("NonComposablePath", str(path)))
+                    break
+                last = a
+            else:
+                ends.add((by_name[path[0]].source, last.target))
+        if not rel.terms:
+            found.append(("EmptyRelation", "no terms"))
+        elif len(ends) > 1:
+            found.append(("NonParallelRelation",
+                          "terms have different endpoints"))
+        if found:
+            violations += [Violation(code, f"relation {idx}", detail)
+                           for code, detail in found]
+    return tuple(violations), tuple(combined)
 
 
 @dataclass(frozen=True)
@@ -531,43 +639,21 @@ def validate_presentation(pres):
         out.append(Violation("EmptyQuiver", "quiver", "no vertices"))
     if len(set(q.vertices)) != len(q.vertices):
         out.append(Violation("DuplicateVertex", "quiver", "vertex ids repeat"))
-    names = [a.name for a in q.arrows]
-    if len(set(names)) != len(names):
+    if len(q.by_name) != len(q.arrows):
         out.append(Violation("DuplicateArrow", "quiver", "arrow names repeat"))
-    vset = set(q.vertices)
-    declared = True
-    for a in q.arrows:
-        if a.source not in vset or a.target not in vset:
-            declared = False
-            out.append(Violation("UnknownVertex", a.name,
-                                 "arrow endpoint not declared"))
-    if declared and not q.is_connected():  # connectivity reads endpoints
-        out.append(Violation("Disconnected", "quiver",
-                             "underlying graph is not connected"))
-    by_name = q.by_name
-    for idx, rel in enumerate(pres.relations):
-        where = f"relation {idx}"
-        if not rel.terms:
-            out.append(Violation("EmptyRelation", where, "no terms"))
-            continue
-        srcs, tgts = set(), set()
-        for coeff, path in rel.terms:
-            if coeff == 0:
-                out.append(Violation("ZeroCoefficient", where, str(path)))
-            if len(path) < 2:
-                out.append(Violation("ShortRelationTerm", where, str(path)))
-                continue
-            if any(n not in by_name for n in path):
-                out.append(Violation("UnknownArrow", where, str(path)))
-                continue
-            if not path_is_composable(q, path):
-                out.append(Violation("NonComposablePath", where, str(path)))
-                continue
-            srcs.add(path_source(q, path))
-            tgts.add(path_target(q, path))
-        if len(srcs) > 1 or len(tgts) > 1:
-            out.append(Violation("NonParallelRelation", where,
-                                 "terms have different endpoints"))
+    try:
+        connected = q.is_connected()
+    except UnknownVertexError:
+        vset = set(q.vertices)
+        out += [Violation("UnknownVertex", a.name,
+                          "arrow endpoint not declared")
+                for a in q.arrows
+                if a.source not in vset or a.target not in vset]
+    else:
+        if not connected:
+            out.append(Violation("Disconnected", "quiver",
+                                 "underlying graph is not connected"))
+    out += _relation_facts(pres, checked=True)[0]
     return out
 
 
@@ -1005,8 +1091,7 @@ def path_is_zero(pres, path):
 def zero_relation_paths(pres):
     """The paths p of the relations that combine to a nonzero multiple of
     p (``Relation.combined``); each of them lies in the ideal."""
-    return frozenset(terms[0][1] for terms in map(Relation.combined,
-                                                   pres.relations)
+    return frozenset(terms[0][1] for terms in _relation_facts(pres)[1]
                      if len(terms) == 1)
 
 
@@ -1032,11 +1117,12 @@ def zero_pair_test(pres):
     tree that is the whole answer: two vertices are joined by at most one
     path, so those paths generate the ideal, and a.b lies in it iff a.b
     or one of its arrows (named only by unvalidated input) is one of
-    them.  A tree's relations are checked here, as the ideal build would.
-    On any other quiver the rest is read from ``pres.ideal``, or is
-    nonzero on a cyclic quiver (no ideal)."""
+    them.  A tree's relations are checked here, as the ideal build would;
+    terms that pass validation are one path of a tree, so only relations
+    with violations need the check.  On any other quiver the rest is read
+    from ``pres.ideal``, or is nonzero on a cyclic quiver (no ideal)."""
     tree = pres.quiver.is_tree()
-    if tree:
+    if tree and _relation_facts(pres, checked=True)[0]:
         _check_tree_relations(pres)
     zero = zero_relation_paths(pres)
     if tree:
@@ -1054,8 +1140,11 @@ def is_rad_square_zero(pres):
     R^2.  A zero relation lies in I: reading it off the relations is exact.
     """
     zero, out = zero_pair_test(pres), pres.quiver.out
-    return all(zero(a.name, b.name)
-               for a in pres.quiver.arrows for b in out[a.target])
+    for a in pres.quiver.arrows:
+        for b in out[a.target]:
+            if not zero(a.name, b.name):
+                return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -1274,9 +1363,9 @@ def line_orientation(quiver):
     two of its arrows.  The word is read from its first end in vertex
     order, one letter per arrow: ``+`` where the arrow points away from
     that end, ``-`` where it points back.  A single vertex gives ``''``.
-    The walk runs once per quiver; its word is cached on the quiver.
+    The quiver's one walk reads the word; see ``Quiver``.
     """
-    return quiver._line_word
+    return quiver._line_word if quiver.is_tree() else None
 
 
 def structural_profile(pres):
@@ -1295,7 +1384,7 @@ def structural_profile(pres):
         simple_count=len(q.vertices),
         is_acyclic=acyclic,
         is_local=len(q.vertices) == 1,
-        is_hereditary=not any(map(Relation.combined, pres.relations)),
+        is_hereditary=not any(_relation_facts(pres)[1]),
         is_linear_nakayama=line is not None and len(set(line)) <= 1,
         is_radical_square_zero=rsz,
         is_schurian=schurian,
@@ -1323,7 +1412,7 @@ def homology_rank(pres):
         return vec
 
     cells = SparseSpace()
-    for terms in map(Relation.combined, pres.relations):
+    for terms in _relation_facts(pres)[1]:
         if len(terms) < 2:
             continue
         base = edge_vector(terms[0][1])

@@ -150,7 +150,11 @@ def classify_graph(graph):
     """Connected-component classification of an undirected multigraph, in
     the order of ``components``; each component's vertices are sorted and
     its edges keep their order in the graph."""
-    comps = components(graph.vertices, graph.edges)
+    near = {v: [] for v in graph.vertices}
+    for u, w in graph.edges:
+        near[u].append(w)
+        near[w].append(u)
+    comps = components(graph.vertices, near)
     where = {v: i for i, comp in enumerate(comps) for v in comp}
     edges = [[] for _ in comps]
     for edge in graph.edges:
@@ -285,6 +289,18 @@ def _patterns_of_size(size):
     return tuple(out)
 
 
+@lru_cache(maxsize=64)
+def _sided_patterns(size):
+    """The patterns of ``_patterns_of_size(size)``, each with the side of
+    each of its vertices: 0 where its arrows start, else 1."""
+    found = []
+    for pattern in _patterns_of_size(size):
+        starts = {a.source for a in pattern.arrows}
+        found.append((pattern, [0 if p in starts else 1
+                                for p in pattern.vertices]))
+    return tuple(found)
+
+
 def minimal_bad_single_subquiver(quiver):
     """Minimal non-Dynkin single subquiver of the separated quiver, or None:
     the single subquiver of the lexicographically minimal pattern image of
@@ -304,13 +320,14 @@ def minimal_bad_single_subquiver(quiver):
     vertices = quiver.vertices
     # the separated node (v, side) is 2 * position of v + side
     pos = {v: i for i, v in enumerate(vertices)}
-    largest = max(map(len, components(
-        range(2 * len(vertices)),
-        ((2 * pos[v], 2 * pos[w] + 1) for v, w in quiver.mult))), default=0)
+    near = [[] for _ in range(2 * len(vertices))]
+    for v, w in quiver.mult:
+        near[2 * pos[v]].append(2 * pos[w] + 1)
+        near[2 * pos[w] + 1].append(2 * pos[v])
+    largest = max(map(len, components(range(len(near)), near)), default=0)
     for size in range(2, min(len(vertices), largest) + 1):
         best = None
-        for pattern in _patterns_of_size(size):
-            sides = [0 if pattern.out[p] else 1 for p in pattern.vertices]
+        for pattern, sides in _sided_patterns(size):
             for image in embeddings(quiver, pattern):
                 key = tuple(sorted(zip((vertices[i] for i in image), sides)))
                 if best is None or key < best:

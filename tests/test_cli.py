@@ -527,6 +527,38 @@ class TestCombinedRelations:
         assert code == 0
         assert json.loads(out)["rule"] == "hereditary-dynkin"
 
+    FILES = {
+        "sum2.quiver": A3 + "relation 1*a.b + 1*a.b\n",
+        "sum0.quiver": A3 + "relation 1*a.b - 1*a.b\n",
+        "sqc.quiver": SQUARE + "relation 1*a.b + 1*c.d - 1*c.d\n",
+        "c3s.quiver": A3 + "arrow c : 3 -> 1\nrelation 1*a.b + 1*a.b\n"
+                           "zero b.c\nzero c.a\n",
+        "a4v.quiver": "vertex 1\nvertex 2\nvertex 3\nvertex 4\n"
+                      "arrow a : 1 -> 2\narrow b : 2 -> 3\narrow c : 3 -> 4\n"
+                      "relation 1*a.b - 1*a.b\n",
+    }
+
+    @pytest.mark.parametrize("argv,code,stdout", [
+        pytest.param(("single", "sum2.quiver", "--format", "json"), 0,
+                     '"rule": "rad-square-zero-separated"', id="sum2"),
+        pytest.param(("single", "sum0.quiver", "--format", "json"), 0,
+                     '"rule": "hereditary-dynkin"', id="sum0"),
+        pytest.param(("single", "sqc.quiver"), 2, None, id="sqc"),
+        pytest.param(("adachi", "c3s.quiver", "--expect", "finite"), 0, "",
+                     id="c3s"),
+        pytest.param(("classify", "catalog:A(2,+)", "a4v.quiver",
+                      "--expect", "finite"), 0, "", id="a2-a4v"),
+    ])
+    def test_repeated_terms_are_summed(self, capsys, tmp_path, monkeypatch,
+                                       argv, code, stdout):
+        # stdout: a text the output holds, or None for no output at all
+        monkeypatch.chdir(tmp_path)
+        for name, text in self.FILES.items():
+            (tmp_path / name).write_text(text, encoding="utf-8")
+        got, out, _ = run(capsys, *argv)
+        assert got == code
+        assert (out == "") if stdout is None else (stdout in out)
+
     @pytest.mark.parametrize("relation", ["1*a.b - 1*a.b", "1*a.b + 1*a.b"])
     def test_strings_searches_bands(self, capsys, tmp_path, relation):
         path = self.write(tmp_path, self.A3 + f"relation {relation}\n")

@@ -1,6 +1,7 @@
 """Presentation layer: parsing, validation, dimensions, structure."""
 
 import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -13,7 +14,7 @@ from conftest import (
     seeded,
 )
 
-from quivertau import linalg, presentation
+from quivertau import classify, linalg, presentation
 
 from quivertau.classify import classify_single, classify_tensor, line_class
 from quivertau.presentation import (
@@ -639,22 +640,26 @@ class TestProfile:
 
     @staticmethod
     def _searches(pres, monkeypatch):
-        """The quiver's searches while its readers run twice: the cached
-        connectivity answer, and the oriented-cycle search behind the
-        cached acyclicity answer."""
+        """The quiver's searches while its readers run twice: the one walk
+        over its arrows, the component walk it reads for connectivity, and
+        the oriented-cycle search behind the cached acyclicity answer."""
         searches = []
-        connected = Quiver.__dict__["_connected"]
-        search = connected.func
+        walk = Quiver._walk
 
-        def counted_components(quiver):
+        def counted_walk(quiver):
+            searches.append("walk")
+            return walk(quiver)
+
+        def counted_components(*args, search=presentation.components):
             searches.append("components")
-            return search(quiver)
+            return search(*args)
 
         def counted_cycles(quiver, search=presentation.find_oriented_cycle):
             searches.append("cycles")
             return search(quiver)
 
-        monkeypatch.setattr(connected, "func", counted_components)
+        monkeypatch.setattr(Quiver, "_walk", counted_walk)
+        monkeypatch.setattr(presentation, "components", counted_components)
         monkeypatch.setattr(presentation, "find_oriented_cycle",
                             counted_cycles)
         pres = Presentation(Quiver(pres.quiver.vertices, pres.quiver.arrows),
@@ -665,11 +670,12 @@ class TestProfile:
             require_valid(pres)
             homology_rank(pres)
             assert pres.quiver.is_acyclic() and pres.quiver.is_connected()
+            assert not pres.quiver.has_loop()
         return sorted(searches)
 
     def test_acyclic_and_connected_answered_once(self, b1, monkeypatch):
         # a tree is acyclic without a cycle search
-        assert self._searches(b1, monkeypatch) == ["components"]
+        assert self._searches(b1, monkeypatch) == ["components", "walk"]
 
     def test_cycle_search_answered_once_off_a_tree(self, monkeypatch):
         square = parse_presentation(
@@ -678,19 +684,62 @@ class TestProfile:
             "arrow c : 1 -> 3\narrow d : 3 -> 4\n"
             "relation 1*a.b - 1*c.d\n")
         assert self._searches(square, monkeypatch) == \
-            ["components", "cycles"]
+            ["components", "cycles", "walk"]
+
+    def test_gate_and_profile_read_a_tree_once(self, monkeypatch):
+        # the gate and the profile read the arrows in at most three passes
+        # (the lookup by name, the one walk, the composable pairs) and the
+        # relations in one, whatever the size of the tree
+        reads = Counter()
+
+        class Counted(tuple):
+            def __iter__(self):
+                reads[self.what] += 1
+                return super().__iter__()
+
+        def counted(what, items):
+            items = Counted(items)
+            items.what = what
+            return items
+
+        combine = Relation.combined
+
+        def counted_combine(rel):
+            reads["combined"] += 1
+            return combine(rel)
+
+        monkeypatch.setattr(Relation, "combined", counted_combine)
+
+        def reads_of(n):
+            # a binary tree on n + 1 vertices with two zero relations
+            vertices = tuple(f"v{i}" for i in range(n + 1))
+            arrows = counted("arrows", (
+                Arrow(f"a{i}", f"v{(i - 1) // 2}", f"v{i}")
+                for i in range(1, n + 1)))
+            relations = counted("relations", (mono("a1.a3") + mono("a2.a5")))
+            pres = Presentation(Quiver(vertices, arrows), relations)
+            reads.clear()
+            classify._gate(pres, "test")
+            prof = structural_profile(pres)
+            assert (prof.is_radical_square_zero, prof.is_hereditary) == \
+                (False, False)
+            return dict(reads)
+
+        small = reads_of(6)
+        assert reads_of(12) == small
+        assert small["arrows"] <= 3 and small["relations"] <= 2
+        assert small["combined"] <= 2  # once per relation
 
     def test_line_walked_once(self, b1, monkeypatch):
-        # the profile and classify.line_class read one cached word
+        # the profile and classify.line_class read the word of one walk
         walks = []
-        word = Quiver.__dict__["_line_word"]
-        walk = word.func
+        walk = Quiver._walk
 
         def counted_walk(quiver):
             walks.append(quiver)
             return walk(quiver)
 
-        monkeypatch.setattr(word, "func", counted_walk)
+        monkeypatch.setattr(Quiver, "_walk", counted_walk)
         q = Quiver(b1.quiver.vertices, b1.quiver.arrows)
         for _ in range(2):
             assert structural_profile(Presentation(q, b1.relations)) \

@@ -11,6 +11,7 @@ import importlib.util
 import itertools
 from collections import Counter
 from fractions import Fraction
+from functools import cached_property
 from pathlib import Path
 from unittest import mock
 
@@ -43,10 +44,14 @@ from quivertau.classify import classify_tensor, line_class, orientation_class
 from quivertau.presentation import (
     Arrow,
     CyclicQuiverError,
+    DisconnectedError,
     Presentation,
+    Profile,
     Quiver,
     QuivertauError,
     Relation,
+    UnknownVertexError,
+    Violation,
     all_paths,
     components,
     dimension_table,
@@ -54,13 +59,19 @@ from quivertau.presentation import (
     homology_rank,
     ideal_membership_spaces,
     is_rad_square_zero,
+    line_orientation,
     opposite,
     parse_presentation,
+    path_is_composable,
     path_key,
+    path_source,
+    path_target,
     quotient,
+    require_valid,
     serialize_presentation,
     structural_profile,
     twin_classes,
+    validate_presentation,
     zero_pair_test,
     zero_relation_paths,
 )
@@ -1070,7 +1081,11 @@ def multigraphs(draw):
 @given(multigraphs())
 def test_components_match_union_find(graph):
     vertices, edges = graph
-    found = components(vertices, edges)
+    near = {v: [] for v in vertices}
+    for u, w in edges:
+        near[u].append(w)
+        near[w].append(u)
+    found = components(vertices, near)
     expected = _reference_components(vertices, edges)
     assert [set(c) for c in found] == [set(c) for c in expected]
     assert [c[0] for c in found] == [c[0] for c in expected]
@@ -1464,3 +1479,343 @@ def test_zero_compositions_on_cyclic_quivers(pres):
     with pytest.raises(CyclicQuiverError,
                        match="^path enumeration needs an acyclic quiver$"):
         special_biserial_check(pres)
+
+
+# The readers of a factor before its quiver had one walk and its relations
+# one pass, kept verbatim (methods of ``_ParentQuiver``, functions with a
+# ``_parent_`` prefix) as the oracle of the walk and the pass.  The ideal,
+# the paths and the path helpers they read are the library's own.
+
+
+def _parent_components(vertices, edges):
+    adj = {v: [] for v in vertices}
+    for u, w in edges:
+        adj[u].append(w)
+        adj[w].append(u)
+    seen, found = set(), []
+    for v in vertices:
+        if v in seen:
+            continue
+        seen.add(v)
+        comp = [v]
+        for x in comp:  # comp grows while it is walked
+            for y in adj[x]:
+                if y not in seen:
+                    seen.add(y)
+                    comp.append(y)
+        found.append(comp)
+    return found
+
+
+class _ParentQuiver(Quiver):
+    @cached_property
+    def out(self):
+        return self._group_by(lambda a: a.source)
+
+    @cached_property
+    def _acyclic(self):
+        return not self.has_loop() and \
+            (self.is_tree() or find_oriented_cycle(self) is None)
+
+    @cached_property
+    def _connected(self):
+        self.out  # raises for the first arrow with an undeclared end
+        return len(_parent_components(
+            self.vertices, ((a.source, a.target) for a in self.arrows))) <= 1
+
+    @cached_property
+    def _line_word(self):
+        n = len(self.vertices)
+        if not self.is_tree():
+            return None
+        steps = {v: [] for v in self.vertices}  # not kept: caches keep quivers
+        for a in self.arrows:
+            steps[a.source].append((a.target, "+"))
+            steps[a.target].append((a.source, "-"))
+        if any(len(s) > 2 for s in steps.values()):
+            return None
+        word = []
+        prev, at = None, next(v for v in self.vertices if len(steps[v]) < 2)
+        for _ in range(n - 1):
+            step = steps[at]  # one step at the first end, two further on
+            w, letter = step[1] if step[0][0] == prev else step[0]
+            word.append(letter)
+            prev, at = at, w
+        return "".join(word)
+
+    def _group_by(self, end):
+        groups = {v: [] for v in self.vertices}
+        for a in self.arrows:
+            if a.source not in groups or a.target not in groups:
+                v = a.source if a.source not in groups else a.target
+                raise UnknownVertexError(
+                    f"arrow {a.name}: endpoint {v} is not a declared vertex")
+            groups[end(a)].append(a)
+        return {v: tuple(arrows) for v, arrows in groups.items()}
+
+    def is_acyclic(self):
+        return self._acyclic
+
+    def is_connected(self):
+        return self._connected
+
+    def is_tree(self):
+        """Connected with n - 1 arrows, so without loops or cycles."""
+        return len(self.arrows) == len(self.vertices) - 1 and self._connected
+
+    def has_loop(self):
+        return any(a.source == a.target for a in self.arrows)
+
+
+def _parent_validate_presentation(pres):
+    """Structural checks; returns a list of Violation records."""
+    out = []
+    q = pres.quiver
+    if not q.vertices:
+        out.append(Violation("EmptyQuiver", "quiver", "no vertices"))
+    if len(set(q.vertices)) != len(q.vertices):
+        out.append(Violation("DuplicateVertex", "quiver", "vertex ids repeat"))
+    names = [a.name for a in q.arrows]
+    if len(set(names)) != len(names):
+        out.append(Violation("DuplicateArrow", "quiver", "arrow names repeat"))
+    vset = set(q.vertices)
+    declared = True
+    for a in q.arrows:
+        if a.source not in vset or a.target not in vset:
+            declared = False
+            out.append(Violation("UnknownVertex", a.name,
+                                 "arrow endpoint not declared"))
+    if declared and not q.is_connected():  # connectivity reads endpoints
+        out.append(Violation("Disconnected", "quiver",
+                             "underlying graph is not connected"))
+    by_name = q.by_name
+    for idx, rel in enumerate(pres.relations):
+        where = f"relation {idx}"
+        if not rel.terms:
+            out.append(Violation("EmptyRelation", where, "no terms"))
+            continue
+        srcs, tgts = set(), set()
+        for coeff, path in rel.terms:
+            if coeff == 0:
+                out.append(Violation("ZeroCoefficient", where, str(path)))
+            if len(path) < 2:
+                out.append(Violation("ShortRelationTerm", where, str(path)))
+                continue
+            if any(n not in by_name for n in path):
+                out.append(Violation("UnknownArrow", where, str(path)))
+                continue
+            if not path_is_composable(q, path):
+                out.append(Violation("NonComposablePath", where, str(path)))
+                continue
+            srcs.add(path_source(q, path))
+            tgts.add(path_target(q, path))
+        if len(srcs) > 1 or len(tgts) > 1:
+            out.append(Violation("NonParallelRelation", where,
+                                 "terms have different endpoints"))
+    return out
+
+
+def _parent_require_valid(pres):
+    violations = _parent_validate_presentation(pres)
+    if violations:
+        if {v.code for v in violations} == {"Disconnected"}:
+            error = DisconnectedError
+        else:
+            error = QuivertauError
+        exc = error("; ".join(f"{v.code} ({v.where}): {v.detail}"
+                              for v in violations))
+        exc.violations = violations
+        raise exc
+
+
+def _parent_zero_relation_paths(pres):
+    return frozenset(terms[0][1] for terms in map(Relation.combined,
+                                                   pres.relations)
+                     if len(terms) == 1)
+
+
+def _parent_check_tree_relations(pres):
+    q = pres.quiver
+    for idx, rel in enumerate(pres.relations):
+        if not rel.terms:
+            continue
+        path = rel.terms[0][1]
+        path_source(q, path), path_target(q, path)  # as the ideal build
+        if not path_is_composable(q, path) or \
+                any(p != path for _, p in rel.terms):
+            raise QuivertauError(
+                f"relation {idx}: terms are not parallel paths")
+
+
+def _parent_zero_pair_test(pres):
+    tree = pres.quiver.is_tree()
+    if tree:
+        _parent_check_tree_relations(pres)
+    zero = _parent_zero_relation_paths(pres)
+    if tree:
+        return lambda a, b: not zero.isdisjoint(((a, b), (a,), (b,)))
+    acyclic = pres.quiver.is_acyclic()
+    return lambda a, b: (a, b) in zero or (
+        acyclic and pres.ideal.contains({(a, b): 1}))
+
+
+def _parent_is_rad_square_zero(pres):
+    zero, out = _parent_zero_pair_test(pres), pres.quiver.out
+    return all(zero(a.name, b.name)
+               for a in pres.quiver.arrows for b in out[a.target])
+
+
+def _parent_line_orientation(quiver):
+    return quiver._line_word
+
+
+def _parent_structural_profile(pres):
+    q = pres.quiver
+    acyclic = q.is_acyclic()
+    line = _parent_line_orientation(q)
+    rsz = schurian = None
+    if acyclic:
+        rsz = _parent_is_rad_square_zero(pres)
+        schurian = q.is_tree() or all(len(pres.ideal.basis(pair)) <= 1
+                                      for pair in all_paths(q))
+    return Profile(
+        simple_count=len(q.vertices),
+        is_acyclic=acyclic,
+        is_local=len(q.vertices) == 1,
+        is_hereditary=not any(map(Relation.combined, pres.relations)),
+        is_linear_nakayama=line is not None and len(set(line)) <= 1,
+        is_radical_square_zero=rsz,
+        is_schurian=schurian,
+    )
+
+
+# reader name -> (the library reader, the parent's reader); each takes a
+# presentation, and the quiver readers read its quiver
+_READERS = {
+    "validate_presentation": (validate_presentation,
+                              _parent_validate_presentation),
+    "require_valid": (require_valid, _parent_require_valid),
+    "structural_profile": (structural_profile, _parent_structural_profile),
+    "zero_pair_test": (zero_pair_test, _parent_zero_pair_test),
+    "is_rad_square_zero": (is_rad_square_zero, _parent_is_rad_square_zero),
+    "line_orientation": (lambda p: line_orientation(p.quiver),
+                         lambda p: _parent_line_orientation(p.quiver)),
+    "homology_rank": (homology_rank, homology_rank),
+    "out": (lambda p: p.quiver.out, lambda p: p.quiver.out),
+    "is_connected": (lambda p: p.quiver.is_connected(),
+                     lambda p: p.quiver.is_connected()),
+    "is_tree": (lambda p: p.quiver.is_tree(), lambda p: p.quiver.is_tree()),
+    "is_acyclic": (lambda p: p.quiver.is_acyclic(),
+                   lambda p: p.quiver.is_acyclic()),
+    "has_loop": (lambda p: p.quiver.has_loop(),
+                 lambda p: p.quiver.has_loop()),
+}
+
+
+def _outcome(reader, pres):
+    """What a reader gives: its value (a zero-pair test as its answers on
+    the composable arrow pairs), or the type, message and violations of
+    what it raises."""
+    try:
+        value = reader(pres)
+    except Exception as exc:  # noqa: BLE001  compared as an outcome
+        return ("raises", type(exc), str(exc),
+                getattr(exc, "violations", ()))
+    if callable(value):
+        by_name = pres.quiver.by_name
+        pairs = [(x, y) for x, a in by_name.items()
+                 for y, b in by_name.items() if a.target == b.source]
+        return ("answers", [_outcome(lambda _: value(x, y), pres)
+                            for x, y in pairs])
+    return ("returns", value)
+
+
+def _term_path(draw, arrows):
+    """A relation term's path: mostly a walk of two or three arrows,
+    sometimes names that are unknown, too short, or do not compose."""
+    names = [a.name for a in arrows] or ["zz"]
+    starts = [a for a in arrows if any(b.source == a.target for b in arrows)]
+    kind = draw(st.sampled_from(("walk",) * 12 + ("short", "unknown", "any")))
+    if kind == "short" or not starts:
+        return draw(st.sampled_from(((), (names[0],))))
+    if kind == "unknown":
+        return (names[0], "zz")
+    if kind == "any":
+        return tuple(draw(st.lists(st.sampled_from(names), min_size=2,
+                                   max_size=3)))
+    path = [draw(st.sampled_from(starts))]
+    for _ in range(draw(st.integers(1, 2))):
+        nxt = [a for a in arrows if a.source == path[-1].target]
+        if not nxt:
+            break
+        path.append(draw(st.sampled_from(nxt)))
+    return tuple(a.name for a in path)
+
+
+@st.composite
+def read_inputs(draw):
+    """Presentations on up to 7 vertices: mostly trees (lines among them)
+    with zero and commutativity relations, beside loops, cycles, parallel
+    arrows, disconnected and empty quivers, and invalid inputs: undeclared
+    ends, repeated names, and relations that are empty, cancel, or hold
+    unknown, short, zero-coefficient, non-composable or non-parallel
+    terms."""
+    n = draw(st.integers(0, 7))
+    vertices = list(draw(st.permutations(NAMES))[:n])
+    ends = []
+    if n and draw(st.integers(0, 3)):  # a tree; a line if each step extends
+        line_shaped = draw(st.booleans())
+        for i in range(1, n):
+            j = i - 1 if line_shaped else draw(st.integers(0, i - 1))
+            pair = (vertices[j], vertices[i])
+            ends.append(pair if draw(st.booleans()) else pair[::-1])
+    if n and (not ends or draw(st.integers(0, 3)) == 0):
+        pairs = st.tuples(st.sampled_from(vertices), st.sampled_from(vertices))
+        ends += draw(st.lists(pairs, min_size=1, max_size=2 if ends else n))
+    if ends and draw(st.integers(0, 9)) == 0:  # an undeclared end
+        k = draw(st.integers(0, len(ends) - 1))
+        ends[k] = (ends[k][0], "zz") if draw(st.booleans()) else \
+            ("zz", ends[k][1])
+    names = [f"a{i}" for i in range(len(ends))]
+    if len(names) > 1 and draw(st.integers(0, 9)) == 0:
+        names[-1] = names[0]
+    if n and draw(st.integers(0, 9)) == 0:
+        vertices.append(vertices[0])
+    arrows = tuple(Arrow(name, s, t) for name, (s, t) in zip(names, ends))
+    relations = []
+    coeffs = st.sampled_from((Fraction(1),) * 6 +
+                             (Fraction(-1), Fraction(2), Fraction(1, 2),
+                              Fraction(0)))
+    composable = any(a.target == b.source for a in arrows for b in arrows)
+    for _ in range(draw(st.integers(0, 3 if composable else 1))):
+        terms = [(draw(coeffs), _term_path(draw, arrows))
+                 for _ in range(draw(st.sampled_from((1, 1, 1, 2, 2, 0, 3))))]
+        if terms and draw(st.integers(0, 4)) == 0:  # a term that cancels
+            terms.append((-terms[0][0], terms[0][1]))
+        relations.append(Relation(tuple(terms)))
+    return tuple(vertices), arrows, tuple(relations)
+
+
+@settings(max_examples=1000, deadline=None, derandomize=True, database=None)
+@given(read_inputs())
+def test_one_walk_and_one_pass_read_as_the_parent_did(data):
+    vertices, arrows, relations = data
+    # each reader on a fresh presentation, then all of them on one, in
+    # reverse order, so that no reader leans on another's cache
+    shared = Presentation(Quiver(vertices, arrows), relations)
+    shared_parent = Presentation(_ParentQuiver(vertices, arrows), relations)
+    for name, (reader, parent) in reversed(_READERS.items()):
+        for pres, parent_pres in (
+                (Presentation(Quiver(vertices, arrows), relations),
+                 Presentation(_ParentQuiver(vertices, arrows), relations)),
+                (shared, shared_parent)):
+            got = _outcome(reader, pres)
+            expected = _outcome(parent, parent_pres)
+            if expected[:2] == ("raises", StopIteration):
+                # repeated vertex ids that close a line leave the parent's
+                # walk no end to start from; now such a quiver has no word
+                assert name in ("line_orientation", "structural_profile")
+                if name == "line_orientation":
+                    assert got == ("returns", None)
+                continue
+            assert got == expected, name
