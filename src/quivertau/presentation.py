@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import chain, combinations, count, groupby
+from math import gcd, lcm
 
 from .linalg import SparseSpace
 
@@ -763,8 +764,7 @@ def all_paths(quiver):
 
 
 def _exact(x):
-    """x as an int when it is one, else as a Fraction."""
-    x = Fraction(x)
+    """x (an int or a Fraction) as an int when it is one."""
     return x.numerator if x.denominator == 1 else x
 
 
@@ -774,6 +774,15 @@ def _quo(num, den):
         return num // den
     x = Fraction(num, den)
     return x.numerator if x.denominator == 1 else x
+
+
+def _primitive(terms):
+    """Combined terms (coefficient, path) scaled to coprime int
+    coefficients: a nonzero multiple of the relation, so the same ideal."""
+    den = lcm(*(c.denominator for c, _ in terms))
+    ints = [c.numerator * (den // c.denominator) for c, _ in terms]
+    g = gcd(*ints)
+    return [(n // g, path) for n, (_, path) in zip(ints, terms)]
 
 
 class PathIdeal:
@@ -974,7 +983,10 @@ def ideal_membership_spaces(pres):
     increasing length across all of them, skipping a left that is at its
     turn a non-root or zero; relations with three or more terms are padded
     last, by nonzero roots only on both sides.  The ``PathIdeal``
-    docstring shows that both skips are exact.
+    docstring shows that both skips are exact.  Each relation with three
+    or more terms is first scaled to coprime int coefficients, so its
+    normal forms reach the fraction-free ``SparseSpace`` as ints unless a
+    binomial ratio is not an int.
 
     Raises QuivertauError when a relation's terms are not parallel paths
     of the quiver (``validate_presentation`` reports such relations)."""
@@ -1009,7 +1021,7 @@ def ideal_membership_spaces(pres):
             (c1, m1), (c2, m2) = terms
             short.append((a, b, m1, m2, _quo(_exact(-c2), _exact(c1))))
         elif terms:
-            longer.append((a, b, terms))
+            longer.append((a, b, _primitive(terms)))
     parent, zero = ideal._parent, ideal._zero
     levels = {}  # a -> the paths into a (and the empty path), by length
     rights = {}  # b -> the paths from b, after the empty path
@@ -1070,10 +1082,15 @@ def dimension_table(pres):
     if not q.is_acyclic():
         raise CyclicQuiverError("dimension table needs an acyclic quiver")
     ideal = pres.ideal
+    # only pairs with a path, and the diagonal, can have a basis
+    ends = {v: [v] for v in q.vertices}
+    for i, j in ideal._paths:
+        ends[i].append(j)
+    place = {v: n for n, v in enumerate(q.vertices)}.__getitem__
     pairs = []
     total = 0
     for i in q.vertices:
-        for j in q.vertices:
+        for j in sorted(ends[i], key=place):
             basis = ideal.basis((i, j))
             if i == j:
                 basis = ((),) + basis  # the idempotent e_i
@@ -1408,7 +1425,7 @@ def homology_rank(pres):
     def edge_vector(path):
         vec = {}
         for name in path:
-            vec[name] = vec.get(name, Fraction(0)) + 1
+            vec[name] = vec.get(name, 0) + 1
         return vec
 
     cells = SparseSpace()
@@ -1419,7 +1436,7 @@ def homology_rank(pres):
         for _, path in terms[1:]:
             vec = dict(base)
             for name, c in edge_vector(path).items():
-                new = vec.get(name, Fraction(0)) - c
+                new = vec.get(name, 0) - c
                 if new:
                     vec[name] = new
                 else:

@@ -10,7 +10,6 @@ from operator import itemgetter
 
 import pytest
 
-from quivertau.linalg import SparseSpace
 from quivertau.presentation import (
     Arrow,
     Presentation,
@@ -118,8 +117,68 @@ def tensor_pair_dims(pa, pb):
 # the relation ideal by full elimination, the union-find's oracle
 
 
-class PathSpace(SparseSpace):
-    """SparseSpace over paths, stored under ``path_key(p)`` so that the
+class FractionSpace:
+    """Row space in reduced echelon form with deterministic pivot order.
+
+    Elimination always pivots on the largest key of a row, so the smallest
+    keys survive as representatives of the quotient.
+
+    The reference for ``quivertau.linalg.SparseSpace``: the same
+    elimination over Fractions, each row scaled to pivot coefficient 1.
+    """
+
+    def __init__(self):
+        self.rows = {}  # pivot key -> reduced row (dict key->Fraction)
+
+    def _reduce(self, vec):
+        """Reduce vec against the current rows; returns a new dict."""
+        vec = dict(vec)
+        for pivot in sorted(vec, reverse=True):
+            if pivot not in vec:
+                continue
+            row = self.rows.get(pivot)
+            if row is None:
+                continue
+            coef = vec[pivot]
+            for k, c in row.items():
+                new = vec.get(k, 0) - coef * c
+                if new:
+                    vec[k] = new
+                else:
+                    vec.pop(k, None)
+        return vec
+
+    def add(self, vec):
+        """Insert vec into the space; returns True if the rank grew."""
+        vec = self._reduce(vec)
+        if not vec:
+            return False
+        pivot = max(vec)
+        inv = Fraction(1) / vec[pivot]
+        row = {k: c * inv for k, c in vec.items()}
+        # keep existing rows reduced against the new pivot
+        for p, other in list(self.rows.items()):
+            if pivot in other:
+                coef = other[pivot]
+                for k, c in row.items():
+                    new = other.get(k, 0) - coef * c
+                    if new:
+                        other[k] = new
+                    else:
+                        other.pop(k, None)
+        self.rows[pivot] = row
+        return True
+
+    def contains(self, vec):
+        return not self._reduce(vec)
+
+    @property
+    def rank(self):
+        return len(self.rows)
+
+
+class PathSpace(FractionSpace):
+    """FractionSpace over paths, stored under ``path_key(p)`` so that the
     keys' own order is ``path_key`` order."""
 
     def add(self, vec):
@@ -130,7 +189,7 @@ class PathSpace(SparseSpace):
 
 
 def elimination_ideal_spaces(pres):
-    """Reference: every padded relation through SparseSpace elimination.
+    """Reference: every padded relation through FractionSpace elimination.
 
     Returns the per-pair spaces and the padded vectors per pair."""
     q = pres.quiver

@@ -209,6 +209,29 @@ class TestOtherCommands:
             assert code == 0 and out.startswith("status: finite\n")
             assert err == ""
 
+    @pytest.fixture
+    def broom_file(self, tmp_path):
+        """The 18-vertex tree a1, ..., a16 along 1 -> ... -> 17 with
+        b: 3 -> 18 and zero a1.a2: a non-line factor past the quotient
+        search's 16-vertex limit."""
+        path = tmp_path / "broom.quiver"
+        path.write_text(
+            "".join(f"vertex {i}\n" for i in range(1, 19))
+            + "".join(f"arrow a{i} : {i} -> {i + 1}\n" for i in range(1, 17))
+            + "arrow b : 3 -> 18\nzero a1.a2\n", encoding="utf-8")
+        return str(path)
+
+    def test_size_limits_bind_only_deciding_searches(self, capsys,
+                                                     broom_file):
+        code, _, _ = run(capsys, "envelope", "catalog:N(21)",
+                         "--expect", "finite")
+        assert code == 0
+        code, _, _ = run(capsys, "classify", broom_file, "catalog:A(3,++)",
+                         "--expect", "infinite")
+        assert code == 0
+        code, out, _ = run(capsys, "classify", N3, broom_file)
+        assert code == 2 and out == ""
+
     def test_quotient_search_limit(self, capsys):
         source = "catalog:N(17)"
         code, out, err = run(capsys, "quotient-search", source,

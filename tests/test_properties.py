@@ -1,5 +1,6 @@
 """Property tests on random quivers with at most 9 vertices,
-the union-find ideal against full Gaussian elimination, quotient search
+the union-find ideal against full Gaussian elimination, the integer
+``SparseSpace`` against the Fraction elimination, quotient search
 against the search that rebuilds every candidate, the band search's
 string predicate against the one that scans every zero path and its
 walk against the one that also refused proper powers, the line
@@ -9,6 +10,7 @@ replaced (on every tree with at most 5 vertices, against the ideal)."""
 
 import importlib.util
 import itertools
+import math
 from collections import Counter
 from fractions import Fraction
 from functools import cached_property
@@ -20,6 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    FractionSpace,
     elimination_bases,
     elimination_ideal_spaces,
     embedding_images,
@@ -41,6 +44,7 @@ from quivertau.catalog import (
     witness_frame,
 )
 from quivertau.classify import classify_tensor, line_class, orientation_class
+from quivertau.linalg import SparseSpace
 from quivertau.presentation import (
     Arrow,
     CyclicQuiverError,
@@ -339,6 +343,97 @@ def test_ideal_matches_full_elimination_on_grid_products(seed):
         for f in factors[1:]:
             product = tensor_product(product, f)
         _assert_bases_match(product)
+
+
+# ---------------------------------------------------------------------------
+# the integer SparseSpace against the Fraction reference
+
+
+# pairwise coprime, most of them large, so that clearing them on entry
+# and reducing by p*vec - c*row makes big ints
+DENOMINATORS = st.sampled_from([1, 2, 3, 35, 10**9 + 7, 998244353,
+                                2**61 - 1, 11**17])
+RATIONALS = st.builds(Fraction, st.integers(-10**6, 10**6).filter(bool),
+                      DENOMINATORS)
+PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43)
+
+
+@st.composite
+def sparse_vectors(draw, keys=15):
+    support = draw(st.lists(st.integers(0, keys), max_size=6, unique=True))
+    return {k: draw(RATIONALS) for k in support}
+
+
+@st.composite
+def chains(draw):
+    """10 to 14 vectors whose largest keys fall one by one, each with a
+    distinct prime there over dense random entries below: every one adds
+    a row, and each new pivot is eliminated from every row before it."""
+    n = draw(st.integers(10, len(PRIMES)))
+    primes = draw(st.permutations(PRIMES))
+    top = n + 4
+    out = []
+    for i in range(n):
+        vec = {top - i: Fraction(primes[i], draw(DENOMINATORS))}
+        for k in range(top - i):
+            if draw(st.booleans()):
+                vec[k] = draw(RATIONALS)
+        out.append(vec)
+    return out
+
+
+def _cancelling(a, b):
+    """a - (a[k] / b[k]) * b at the largest key k that a and b share: a
+    sum that cancels at k (a itself when they share none)."""
+    shared = a.keys() & b.keys()
+    if not shared:
+        return a
+    c = a[max(shared)] / b[max(shared)]
+    out = {k: a.get(k, 0) - c * b.get(k, 0) for k in a.keys() | b.keys()}
+    return {k: v for k, v in out.items() if v}
+
+
+def _assert_spaces_agree(space, reference):
+    assert space.rank == reference.rank
+    assert space.rows.keys() == reference.rows.keys()
+    for pivot, row in space.rows.items():
+        ref = reference.rows[pivot]
+        assert row.keys() == ref.keys()
+        assert all(type(c) is int for c in row.values())
+        # the primitive multiple of ref (pivot coefficient 1) with a
+        # positive pivot coefficient
+        p = row[pivot]
+        assert p > 0 and math.gcd(*row.values()) == 1
+        assert all(c == p * ref[k] for k, c in row.items())
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(chains(), st.data())
+def test_sparse_space_matches_fraction_reference(chain, data):
+    space, reference = SparseSpace(), FractionSpace()
+    added = []
+    ops = data.draw(st.sampled_from([[], chain]))
+    ops += data.draw(st.lists(st.one_of(
+        sparse_vectors(), st.just("combination"), st.just("repeat"),
+        st.just("cancel"), st.just({})), max_size=12))
+    for op in ops:
+        if op == "combination":  # in the span: no rank growth
+            vec = _combination(data.draw, added[-4:])
+        elif op == "repeat":
+            vec = data.draw(st.sampled_from(added)) if added else {}
+        elif op == "cancel":
+            vec = _cancelling(data.draw(sparse_vectors()),
+                              added[-1] if added else {})
+        else:
+            vec = op
+        grew = reference.add(dict(vec))
+        assert space.add(dict(vec)) == grew
+        if grew:
+            added.append(vec)
+        _assert_spaces_agree(space, reference)
+        for probe in (data.draw(sparse_vectors()),
+                      _combination(data.draw, added[-3:])):
+            assert space.contains(probe) == reference.contains(probe)
 
 
 # ---------------------------------------------------------------------------

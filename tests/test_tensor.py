@@ -19,6 +19,7 @@ from conftest import (
 from quivertau.catalog import catalog_get, is_iso
 from quivertau.linalg import SparseSpace
 from quivertau.presentation import (
+    LIKELY_SIMPLY_CONNECTED,
     Arrow,
     PathIdeal,
     Presentation,
@@ -27,6 +28,7 @@ from quivertau.presentation import (
     Relation,
     all_paths,
     dimension_table,
+    homology_rank,
     opposite,
     parse_presentation,
     structural_profile,
@@ -303,3 +305,34 @@ class TestPaddingWork:
         adds = self._calls(monkeypatch, SparseSpace, "add")
         product.ideal
         assert len(adds) == 200  # 368 when padding by every path
+
+    def test_table_reads_only_pairs_with_paths(self, monkeypatch):
+        # a 3x3 grid has 27 pairs with paths and 9 diagonal ones, of 81
+        product = tensor_all(line(3), line(3))
+        bases = self._calls(monkeypatch, PathIdeal, "basis")
+        table = dimension_table(product)
+        assert len(bases) == len(all_paths(product.quiver)) + 9 == 36
+        assert table.total == 36
+
+
+class TestIntegerElimination:
+    def test_rows_hold_ints(self, monkeypatch):
+        spaces = []
+        init = SparseSpace.__init__
+
+        def recording(space):
+            init(space)
+            spaces.append(space)
+
+        monkeypatch.setattr(SparseSpace, "__init__", recording)
+        tensor_all(three_term(), line(3)).ideal  # its relation has a 1/3
+        square = parse_presentation(
+            "vertex 1\nvertex 2\nvertex 3\nvertex 4\narrow a : 1 -> 2\n"
+            "arrow b : 2 -> 4\narrow c : 1 -> 3\narrow d : 3 -> 4\n"
+            "relation 1*a.b - 1*c.d\n")
+        assert homology_rank(square) == (0, LIKELY_SIMPLY_CONNECTED)
+        values = [c for space in spaces for row in space.rows.values()
+                  for c in row.values()]
+        # one space per pair ((1, x), (5, y)) with x <= y, and the cells
+        assert len(spaces) == 7 and values
+        assert all(type(c) is int for c in values)
