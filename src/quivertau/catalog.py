@@ -32,6 +32,7 @@ from .presentation import (
     QuivertauError,
     Relation,
     SizeLimitError,
+    _relation_facts,
     dimension_table,
     embeddings,
     quotient,
@@ -338,8 +339,10 @@ def has_quotient(pres, target, size_limit=16):
     embeddings' streams of ``_kill_choices`` are merged, and for one
     killed tuple their streams of ``_twin_orders``, so the first witness
     costs only the candidates before it.  The surviving arrows and
-    relation terms are read once per killed tuple; no candidate builds a
-    quiver or a presentation.
+    relation terms are read once per killed tuple, the terms as the kept
+    combined ones (``_relation_facts``) without their dead paths, which
+    is exact as a path dies whole.  No candidate builds a quiver, a
+    presentation or a relation.
 
     A tree source has no witness onto a target with k > 0 vertices and at
     least k arrows, such as a connected target that is no tree: a forest
@@ -382,9 +385,9 @@ def has_quotient(pres, target, size_limit=16):
             killed_as = tuple(arrows[i].name for i in killed)
             live = [a for i, a in enumerate(arrows) if i not in killed]
             dead = outside.union(killed_as)
-            surviving = [terms for rel in pres.relations if (
-                terms := Relation(tuple(t for t in rel.terms
-                                        if dead.isdisjoint(t[1]))).combined())]
+            surviving = [live_terms for terms in _relation_facts(pres)[1]
+                         if (live_terms := [t for t in terms
+                                            if dead.isdisjoint(t[1])])]
             for vkey in heapq.merge(*(_twin_orders(keys[e], class_of)
                                       for e in es)):
                 vmap = {q.vertices[p]: tq.vertices[k]

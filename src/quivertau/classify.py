@@ -32,8 +32,9 @@ from .sepgraph import (
 )
 
 
-# Every catalog target a rule searches for, built once so that each keeps
-# its ideal across requests: catalog_get rebuilds parameterized ids.
+# Every catalog target a rule searches for, and (below) the opposites of
+# those it also searches for in a factor's opposite, each built once so
+# that it keeps its ideal across requests and no request builds one.
 _TARGETS = {cat_id: catalog_get(cat_id) for cat_id in (
     "A(3,++)", "A(3,+-)", "A(3,-+)", "N(3)", "LNak4", "B1",
     "L42", "L43square", "B5_1", "B5_2", "B5_3", "A(4,-+-)")}
@@ -100,12 +101,12 @@ def _a3a3_frame(ca, cb):
             return _A3_FRAME_KEYS[key], bridge
 
 
-def _witness_quotient(pres, cat_id):
-    """``has_quotient`` onto a catalog target, for a witness only: None
-    past the search's size limit, as the verdict it decorates holds
-    whatever the search finds."""
+def _witness_quotient(pres, target):
+    """``has_quotient`` onto a target, for a witness only: None past the
+    search's size limit, as the verdict it decorates holds whatever the
+    search finds."""
     try:
-        return has_quotient(pres, _TARGETS[cat_id])
+        return has_quotient(pres, target)
     except SizeLimitError:
         return None
 
@@ -115,7 +116,7 @@ def _a3_quotient(pres):
     as (quotient witness, ω), or (None, None).  A(3,--) is A(3,++)
     relabeled, so its search would find nothing the ++ search missed."""
     for omega in ("++", "+-", "-+"):
-        qw = _witness_quotient(pres, f"A(3,{omega})")
+        qw = _witness_quotient(pres, _TARGETS[f"A(3,{omega})"])
         if qw is not None:
             return qw, omega
     return None, None
@@ -383,7 +384,7 @@ def _four_line_branch(hered, other, other_prof, trace):
     ch = line_class(hered.quiver)
     frame_id = _A4_FRAME_KEYS.get(ch)
     if frame_id is not None:
-        qw = _witness_quotient(other, "N(3)")
+        qw = _witness_quotient(other, _TARGETS["N(3)"])
         if qw is not None:
             witness = _frame_payload(
                 frame_id, quotients=((qw, "N(3)", "non-hereditary"),))
@@ -412,21 +413,29 @@ _OBSTRUCTION_FRAMES = {
     "B5_3": "n3-B5_3",
     "A(4,-+-)": "a4n3:+-+",
 }
+_OPPOSITE_TARGETS = {cat_id: opposite(_TARGETS[cat_id])
+                     for cat_id in ("B1", *_OBSTRUCTION_FRAMES)}
 
 
-def _obstruction_witness(pres, obstruction_ids, op=None):
-    """First stored obstruction that is a quotient of pres or its opposite,
-    as (catalog id, frame payload), or (None, None).  ``op`` is the
-    opposite if the caller has built it; else it is built when first
-    searched.  A search past its size limit finds none; the one rule that
-    decides by the result runs it only after a search on the same factor
-    stayed within the limit."""
+def _obstruction_witness(pres, obstruction_ids):
+    """First stored obstruction T that is a quotient of pres or of its
+    opposite, as (catalog id, frame payload), or (None, None): pres is
+    searched for T, then for T^op.  A search past its size limit finds
+    none; the one rule that decides by the result runs it only after a
+    search on the same factor stayed within the limit.
+
+    ``opposite`` keeps every name, and reversing every arrow of both
+    quivers swaps successors and predecessors alike: ``embeddings`` visits
+    the same maps in the same order, and twin classes, kill choices and
+    ideal membership do not change.  So a witness onto T^op is, name for
+    name, the one pres^op has onto T.  Only ``_arrow_maps`` could differ,
+    as it sorts pools of parallel arrows by (source, target), and rule R2
+    (multiple-arrows) decides every factor with parallel arrows first."""
     for cat_id in obstruction_ids:
-        qw, where = _witness_quotient(pres, cat_id), ""
+        qw, where = _witness_quotient(pres, _TARGETS[cat_id]), ""
         if qw is None:
-            if op is None:
-                op = opposite(pres)
-            qw, where = _witness_quotient(op, cat_id), "op"
+            qw, where = _witness_quotient(
+                pres, _OPPOSITE_TARGETS[cat_id]), "op"
         if qw is not None:
             return cat_id, _frame_payload(
                 _OBSTRUCTION_FRAMES[cat_id], bridge=where,
@@ -538,18 +547,15 @@ def _rsz_vs_non_nakayama(n, other, other_prof, trace):
             "non-line factor with 5 or more vertices is infinite",
             witness=witness,
             trace=(*trace, "rad-square-zero-line4-vs-big"))
-    b1, op = _TARGETS["B1"], None
-    if has_quotient(other, b1) is None:
-        op = opposite(other)
-        if has_quotient(op, b1) is None:
-            return vd.verdict(
-                vd.INFINITE, "rad-square-zero-line3-vs-big",
-                "with 5 or more vertices the factor must admit the "
-                "one-sink 4-line with a zero composition as a quotient to "
-                "stay finite",
-                trace=(*trace,
-                       "rad-square-zero-line3-vs-big: no such quotient"))
-    cat_id, witness = _obstruction_witness(other, _OBSTRUCTIONS_N3, op)
+    if has_quotient(other, _TARGETS["B1"]) is None and \
+            has_quotient(other, _OPPOSITE_TARGETS["B1"]) is None:
+        return vd.verdict(
+            vd.INFINITE, "rad-square-zero-line3-vs-big",
+            "with 5 or more vertices the factor must admit the "
+            "one-sink 4-line with a zero composition as a quotient to "
+            "stay finite",
+            trace=(*trace, "rad-square-zero-line3-vs-big: no such quotient"))
+    cat_id, witness = _obstruction_witness(other, _OBSTRUCTIONS_N3)
     if cat_id:
         return vd.verdict(
             vd.INFINITE, "rad-square-zero-line3-obstruction",

@@ -239,14 +239,15 @@ def is_single_subquiver(quiver, ssq):
 
 
 # Euclidean patterns for the direct search, as quivers whose arrows run
-# from the 0-colored to the 1-colored vertices.
+# from the 0-colored to the 1-colored vertices, each with its coloring.
 
 
 def _pattern(edges, flip):
     """Pattern quiver of a connected bipartite graph on the vertices 0, 1,
-    ..., given as edges (u, v) with u reached before v from vertex 0.
-    Vertex 0 takes color ``flip``, and every edge becomes an arrow from
-    its 0-colored end to its 1-colored end."""
+    ..., given as edges (u, v) with u reached before v from vertex 0, and
+    its vertices' colors.  Vertex 0 takes color ``flip``, and every edge
+    becomes an arrow from its 0-colored end to its 1-colored end, so a
+    vertex's color is its side in the separated quiver."""
     color = {0: flip}
     for u, v in edges:
         color.setdefault(v, 1 - color[u])
@@ -254,7 +255,7 @@ def _pattern(edges, flip):
     for k, (u, v) in enumerate(edges):
         s, t = (u, v) if color[u] == 0 else (v, u)
         arrows.append(Arrow(f"e{k}", str(s), str(t)))
-    return Quiver(tuple(str(p) for p in color), tuple(arrows))
+    return Quiver(tuple(map(str, color)), tuple(arrows)), tuple(color.values())
 
 
 def _star(legs):
@@ -270,11 +271,11 @@ def _star(legs):
 
 @lru_cache(maxsize=64)
 def _patterns_of_size(size):
-    """Euclidean patterns on exactly ``size`` vertices, in both colorings;
-    the two colorings of an even cycle, the Kronecker quiver at size 2
-    included, give isomorphic quivers, so it comes once.  Each size is
-    built once (the memo holds only patterns, keyed by size), so each
-    pattern's embedding plan is built once too."""
+    """Euclidean patterns on exactly ``size`` vertices, in both colorings,
+    as (pattern, each vertex's side); the two colorings of an even cycle,
+    the Kronecker quiver at size 2 included, give isomorphic quivers, so
+    it comes once.  Each size is built once (the memo holds only patterns,
+    keyed by size), so each pattern's embedding plan is built once too."""
     trees = []
     if size >= 6:  # D~(size-1): a path with two leaves at each end
         last = size - 5
@@ -287,18 +288,6 @@ def _patterns_of_size(size):
     if size % 2 == 0:
         out.append(_pattern([(i, (i + 1) % size) for i in range(size)], 0))
     return tuple(out)
-
-
-@lru_cache(maxsize=64)
-def _sided_patterns(size):
-    """The patterns of ``_patterns_of_size(size)``, each with the side of
-    each of its vertices: 0 where its arrows start, else 1."""
-    found = []
-    for pattern in _patterns_of_size(size):
-        starts = {a.source for a in pattern.arrows}
-        found.append((pattern, [0 if p in starts else 1
-                                for p in pattern.vertices]))
-    return tuple(found)
 
 
 def minimal_bad_single_subquiver(quiver):
@@ -327,7 +316,7 @@ def minimal_bad_single_subquiver(quiver):
     largest = max(map(len, components(range(len(near)), near)), default=0)
     for size in range(2, min(len(vertices), largest) + 1):
         best = None
-        for pattern, sides in _sided_patterns(size):
+        for pattern, sides in _patterns_of_size(size):
             for image in embeddings(quiver, pattern):
                 key = tuple(sorted(zip((vertices[i] for i in image), sides)))
                 if best is None or key < best:

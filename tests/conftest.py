@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import inspect
 import itertools
 import random
@@ -364,6 +365,26 @@ def embedding_images(q, tq):
     quotient search tries, in its order."""
     return sorted({tuple(sorted(image)) for image in embeddings(q, tq)},
                   reverse=True)
+
+
+@contextlib.contextmanager
+def counted_calls(function):
+    """A one-item list counting the calls of ``function`` made inside the
+    block.  Calls are matched by code object, so a call through any name
+    the function is imported under counts."""
+    count = [0]
+    code = function.__code__
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code is code:
+            count[0] += 1
+
+    old = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        yield count
+    finally:
+        sys.setprofile(old)
 
 
 @pytest.fixture

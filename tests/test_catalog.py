@@ -8,7 +8,13 @@ import time
 
 import pytest
 
-from conftest import embedding_images, line, mono, presentations_equal
+from conftest import (
+    counted_calls,
+    embedding_images,
+    line,
+    mono,
+    presentations_equal,
+)
 
 from quivertau import catalog
 from quivertau.catalog import (
@@ -34,6 +40,7 @@ from quivertau.presentation import (
     Arrow,
     Presentation,
     Quiver,
+    Relation,
     SizeLimitError,
     dimension_table,
     opposite,
@@ -237,6 +244,20 @@ class TestHasQuotient:
             "arrow α : 1 -> 2\narrow γ : 1 -> 3\n"
             "arrow β : 2 -> 4\narrow δ : 3 -> 4\n")
         assert has_quotient(catalog_get("L43square"), hered) is None
+
+
+    def test_kill_choices_build_no_relation(self):
+        # the triangle's surplus arrow c is killed, and the relation that
+        # repeats a.b is read as its kept combined term 2 a.b
+        triangle = parse_presentation(
+            "vertex 1\nvertex 2\nvertex 3\narrow a : 1 -> 2\n"
+            "arrow b : 2 -> 3\narrow c : 1 -> 3\nrelation 1*a.b + 1*a.b\n")
+        n3 = catalog_get("N(3)")
+        with counted_calls(Relation.__init__) as built:
+            w = has_quotient(triangle, n3)
+        assert w.killed_arrows == ("c",)
+        assert w.arrow_map == (("a", "a1"), ("b", "a2"))
+        assert built == [0]
 
 
 class TestTreeSource:

@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import (
+    counted_calls,
     cycle_presentation,
     line,
     mono,
@@ -784,6 +785,33 @@ def test_b1_rule_reads_the_line_class():
         assert reached[-1] == (is_iso(pres, b1) is not None
                                or is_iso(opposite(pres), b1) is not None)
     assert len(reached) == 37 and 0 < sum(reached) < 37
+
+
+# B1 is a quotient of its opposite only
+FORK_TAIL = parse_presentation(
+    "vertex 1\nvertex 2\nvertex 3\nvertex 4\nvertex 5\n"
+    "arrow a : 1 -> 2\narrow b : 2 -> 3\narrow c : 2 -> 4\n"
+    "arrow d : 4 -> 5\nzero a.b\n")
+
+
+def test_searches_in_the_opposite_build_no_opposite():
+    # every pair reaches the searches in a factor's opposite; the last
+    # makes all of them and finds nothing
+    pairs = [
+        ((C("N(3)"), C("B5_2")), "n3-B5_2", None),
+        ((C("N(3)"), FORK_TAIL), "n3-L42", "op"),
+        ((C("N(4)"), C("B5_1")), "n4-B5_1", None),
+        ((C("N(3)"), C("L42")), "n3-L42", None),
+        ((C("N(3)"), opposite(C("L42"))), "n3-L42", "op"),
+        ((C("N(3)"), C("B5_1")), None, None),
+    ]
+    with counted_calls(presentation.opposite) as built:
+        found = []
+        for factors, _, _ in pairs:
+            witness = classify_tensor(*factors).certificate.witness or {}
+            found.append((witness.get("frame"), witness.get("bridge")))
+    assert found == [(frame, bridge) for _, frame, bridge in pairs]
+    assert built == [0]
 
 
 def test_b1_classes_are_those_the_rule_reads():

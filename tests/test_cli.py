@@ -1,12 +1,20 @@
 """Command line surface: subcommands, formats, exit codes."""
 
+import contextlib
 import hashlib
+import io
 import json
+import os
 import pathlib
+import tempfile
 import time
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from quivertau import catalog, presentation
 from quivertau.catalog import N_VERTEX_CAP
 from quivertau.cli import main
 from quivertau.presentation import parse_presentation
@@ -589,6 +597,63 @@ class TestCombinedRelations:
         assert (code, out) == (0, "special biserial: True\nband: none\n")
 
 
+CYCLE3 = ("vertex 1\nvertex 2\nvertex 3\n"
+          "arrow a : 1 -> 2\narrow b : 2 -> 3\narrow c : 3 -> 1\n")
+
+
+class TestConsoleScriptLines:
+    """Console-script checks run through ``main``, with the inputs and
+    exit codes of the ``qt`` lines they replace."""
+
+    FILES = {
+        "c3.quiver": CYCLE3,
+        "c3z.quiver": CYCLE3 + "zero a.b\nzero b.c\nzero c.a\n",
+        # B1's opposite under other names
+        "b1op.quiver": "vertex a\nvertex b\nvertex c\nvertex d\n"
+                       "arrow p : b -> a\narrow q : b -> c\n"
+                       "arrow r : c -> d\nzero q.r\n",
+        "kronecker.quiver": "vertex 1\nvertex 2\n"
+                            "arrow a : 1 -> 2\narrow b : 1 -> 2\n",
+    }
+
+    @pytest.fixture
+    def files(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        for name, text in self.FILES.items():
+            (tmp_path / name).write_text(text, encoding="utf-8")
+
+    @pytest.mark.parametrize("argv,code,stdout", [
+        # stdout: a text the output holds, or None for no output at all
+        (("adachi", N4), 0, "status: finite"),
+        (("strings", N4), 0, "special biserial: True"),
+        (("single", N4, "--expect", "finite"), 0, "status: finite"),
+        (("self-tensor", "c3.quiver", "--expect", "infinite"), 0,
+         "rule: self-tensor-cycle"),
+        (("classify", "catalog:A(3,+-)", "catalog:A(3,-+)",
+          "--expect", "infinite"), 0, "rule: hereditary-pair"),
+        (("adachi", "c3z.quiver", "--expect", "finite"), 0,
+         "status: finite"),
+        (("strings", "c3z.quiver"), 2, None),
+        (("classify", N4, "b1op.quiver", "--expect", "finite"), 0,
+         "rule: rad-square-zero-line-vs-b1"),
+        (("classify", N3, "catalog:L42", "--expect", "infinite"), 0,
+         "rule: rad-square-zero-line-vs-4"),
+        (("strings", "kronecker.quiver"), 0, "band: a-.b"),
+    ])
+    def test_exit_code(self, capsys, files, argv, code, stdout):
+        got, out, _ = run(capsys, *argv)
+        assert got == code
+        assert (out == "") if stdout is None else (stdout in out)
+
+    def test_tensor_file_reads_back(self, capsys, tmp_path):
+        code, out, _ = run(capsys, "tensor", N4, "catalog:A(3,++)")
+        assert code == 0
+        path = tmp_path / "t.quiver"
+        path.write_text(out, encoding="utf-8")
+        code, out, _ = run(capsys, "dim", str(path))
+        assert code == 0 and out.startswith("total: ")
+
+
 def _readme_quiver_file():
     """The fenced block under the README's "Quiver file format" heading."""
     readme = pathlib.Path(__file__).parent.parent / "README.md"
@@ -606,3 +671,144 @@ def test_readme_quiver_file_example(capsys, tmp_path):
     code, out, _ = run(capsys, "single", str(path), "--expect", "finite")
     assert code == 0
     assert "rule: rad-square-zero-separated" in out
+
+
+# ---------------------------------------------------------------------------
+# generated inputs through main: never exit 4
+
+
+def _line_text(n):
+    """The line 1 -> ... -> n with zero a1.a2, as a quiver file."""
+    return ("".join(f"vertex {i}\n" for i in range(1, n + 1))
+            + "".join(f"arrow a{i} : {i} -> {i + 1}\n" for i in range(1, n))
+            + "zero a1.a2\n")
+
+
+# files in the shapes of the benchmark's requests: zero trees, a non-line
+# tree, an oriented cycle, a square that fails the gate, a random quiver
+# with parallel arrows and cycles for the radical-square-zero criterion,
+# and lines on either side of the quotient search's 16-vertex limit
+SEED_FILES = (
+    "vertex AZL\nvertex GJT\narrow sgmq : GJT -> AZL\n",
+    "vertex s1\nvertex s2\nvertex s3\nvertex s4\nvertex s5\n"
+    "arrow a : s1 -> s2\narrow b : s2 -> s3\narrow c : s4 -> s2\n"
+    "arrow d : s3 -> s5\nzero a.b\nzero b.d\n",
+    "vertex EGM\nvertex FGF\nvertex RJE\nvertex TDB\n"
+    "arrow cene : EGM -> FGF\narrow cssz : FGF -> RJE\n"
+    "arrow cuar : RJE -> TDB\narrow cymo : TDB -> EGM\n",
+    "vertex q1\nvertex q2\nvertex q3\nvertex q4\n"
+    "arrow a : q1 -> q2\narrow b : q2 -> q4\narrow c : q1 -> q3\n"
+    "arrow d : q3 -> q4\nrelation 1*a.b - 2/3*c.d\n",
+    "vertex FAU\nvertex SNH\nvertex TEJ\nvertex UYB\n"
+    "arrow rdhn : TEJ -> SNH\narrow regp : FAU -> UYB\n"
+    "arrow rkav : FAU -> SNH\narrow rkrd : UYB -> TEJ\n"
+    "arrow rlqw : UYB -> SNH\narrow rnij : UYB -> TEJ\n"
+    "arrow rskr : SNH -> FAU\narrow rxjs : TEJ -> FAU\n",
+    _line_text(15),
+    _line_text(16),
+    _line_text(17),
+)
+JUNK = ("\x00", "é", "β", "9" * 30, "1/0", "vertex", "arrow", "zero",
+        "relation", ":", "->", "*", "-", "+", ".")
+IDS = ("N(3)", "N(4)", "A(2,+)", "A(3,+-)", "A(4,+-+)", "B1", "L42",
+       "B5_2", "LNak4", "D(4,+++)", "N(0)", "A(3,+)", "N(n)", "Z", "9" * 30)
+# The N(n) cap and the path budget bind far from what a few seconds of
+# examples can build: at 10,000 vertices, and at about 16M letters (~130
+# MB of paths).  Both checks read their module's constant, so the
+# property lowers them: the seed lines of 15 (560 letters) and 17
+# vertices (816) then fall on either side of the budget.  CAP_IDS lie on
+# either side of the lowered cap and of the quotient search's limit.
+SMALL_N_CAP, SMALL_PATH_BUDGET = 40, 700
+CAP_IDS = ("N(16)", "N(17)", f"N({SMALL_N_CAP})", f"N({SMALL_N_CAP + 1})")
+# each subcommand's arguments, with None where an algebra goes
+COMMANDS = (("classify", None, None), ("single", None), ("envelope", None),
+            ("self-tensor", None), ("triple", None, None, None),
+            ("tensor", None, None), ("adachi", None), ("separated", None),
+            ("graph-type", None), ("dim", None), ("strings", None),
+            ("quotient-search", None, "--target", None))
+
+
+@st.composite
+def mutated_files(draw):
+    """A seed file with up to four lines deleted, duplicated, swapped,
+    given a junk token, or added as a new arrow or relation."""
+    lines = draw(st.sampled_from(SEED_FILES)).splitlines()
+    arrows = [line.split()[1] for line in lines if line.startswith("arrow")]
+    vertices = [line.split()[1] for line in lines
+                if line.startswith("vertex")]
+    for _ in range(draw(st.integers(0, 4))):
+        op = draw(st.sampled_from(("delete", "duplicate", "swap", "junk",
+                                   "arrow", "relation")))
+        i = draw(st.integers(0, len(lines) - 1)) if lines else None
+        if op == "delete" and lines:
+            del lines[i]
+        elif op == "duplicate" and lines:
+            lines.insert(i, lines[i])
+        elif op == "swap" and lines:
+            j = draw(st.integers(0, len(lines) - 1))
+            lines[i], lines[j] = lines[j], lines[i]
+        elif op == "junk" and lines:
+            words = lines[i].split(" ")
+            k = draw(st.integers(0, len(words)))
+            lines[i] = " ".join(words[:k] + [draw(st.sampled_from(JUNK))]
+                                + words[k:])
+        elif op == "arrow":
+            ends = st.sampled_from(vertices + list(JUNK[:4]))
+            lines.append(f"arrow n{len(lines)} : {draw(ends)} -> "
+                         f"{draw(ends)}")
+        elif op == "relation" and arrows:
+            path = ".".join(draw(st.lists(st.sampled_from(arrows),
+                                          min_size=1, max_size=3)))
+            coeff = draw(st.sampled_from(("1", "-2", "1/3", "0", "1/0")))
+            lines.append(draw(st.sampled_from(
+                (f"zero {path}", f"relation {coeff}*{path}",
+                 f"relation 1*{path} - {coeff}*{path}"))))
+    return "".join(line + "\n" for line in lines)
+
+
+def _main_bytes(argv):
+    """(exit code, stdout, stderr) of one ``main`` call; a usage error's
+    SystemExit gives its code."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("command", COMMANDS, ids=[c[0] for c in COMMANDS])
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(texts=st.lists(mutated_files(), min_size=1, max_size=3),
+       data=st.data())
+def test_generated_inputs_exit_0_1_or_2(command, texts, data):
+    # an algebra is the index of a file in texts or a catalog reference,
+    # one next to a bound as often as any other
+    algebra = st.one_of(
+        st.integers(0, len(texts) - 1),
+        *(st.sampled_from(ids).map(lambda i: "catalog:" + i)
+          for ids in (IDS, CAP_IDS)))
+    argv = [data.draw(algebra) if arg is None else arg for arg in command]
+    if data.draw(st.booleans()):
+        argv += ["--format", "json"]
+    with tempfile.TemporaryDirectory() as work, \
+            mock.patch.object(catalog, "N_VERTEX_CAP", SMALL_N_CAP), \
+            mock.patch.object(presentation, "PATH_LETTER_BUDGET",
+                              SMALL_PATH_BUDGET):
+        for k, text in enumerate(texts):
+            with open(os.path.join(work, f"in{k}.quiver"), "w",
+                      encoding="utf-8") as handle:
+                handle.write(text)
+        argv = [os.path.join(work, f"in{arg}.quiver")
+                if isinstance(arg, int) else arg for arg in argv]
+        code, out, err = _main_bytes(argv)
+        assert code in (0, 1, 2), (argv, err)
+        if code == 2:
+            assert out == ""
+            assert err.startswith("qt: input error: ")
+            assert err.count("\n") == 1 and err.endswith("\n")
+        if code == 0:
+            assert _main_bytes(argv) == (code, out, err)
+            if "json" in argv:
+                json.loads(out)

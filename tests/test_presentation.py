@@ -836,6 +836,13 @@ def test_undeclared_endpoint_is_a_typed_error(call, arrow):
     assert [v.code for v in validate_presentation(pres)] == ["UnknownVertex"]
 
 
+def test_inc_names_the_arrow_with_an_undeclared_end():
+    with pytest.raises(UnknownVertexError,
+                       match="^arrow a: endpoint 2 is not a declared "
+                             "vertex$"):
+        Quiver(("1",), (Arrow("a", "1", "2"),)).inc
+
+
 def test_path_is_composable_needs_every_arrow():
     q = line(3).quiver
     assert path_is_composable(q, ("a1", "a2"))

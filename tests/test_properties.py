@@ -27,6 +27,7 @@ from conftest import (
     elimination_ideal_spaces,
     embedding_images,
     line,
+    presentations_equal,
     quiver_from_cells,
     quivers_up_to_iso,
     tensor_pair_dims,
@@ -54,6 +55,7 @@ from quivertau.presentation import (
     Quiver,
     QuivertauError,
     Relation,
+    SizeLimitError,
     UnknownVertexError,
     Violation,
     all_paths,
@@ -744,6 +746,30 @@ def test_tree_quotient_search_matches_reference(pres):
                 # only a disconnected target leaves an arrow to kill
                 assert not found.killed_arrows or \
                     not target.quiver.is_connected()
+
+
+def _search_outcome(source, target, size_limit):
+    """``has_quotient``'s witness or None, or SizeLimitError if it
+    raised that."""
+    try:
+        return has_quotient(source, target, size_limit)
+    except SizeLimitError:
+        return SizeLimitError
+
+
+@QUOTIENT
+@given(st.one_of(quotient_sources(), tree_sources()).filter(
+    lambda pres: pres.quiver.first_parallel_pair() is None),
+       st.integers(4, 9))
+def test_opposite_target_search_is_the_opposite_source_search(pres,
+                                                              size_limit):
+    # classify searches pres for T^op where it once searched pres^op for T
+    op = opposite(pres)
+    for cat_id, target_op in classify._OPPOSITE_TARGETS.items():
+        target = classify._TARGETS[cat_id]
+        assert presentations_equal(target_op, opposite(target))
+        assert _search_outcome(pres, target_op, size_limit) == \
+            _search_outcome(op, target, size_limit)
 
 
 def _injection_images(q, tq):

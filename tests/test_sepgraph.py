@@ -274,7 +274,7 @@ def _embedded_choices(quiver, pattern):
 def _pattern_images(quiver, k):
     """Every choice that a Euclidean pattern on k vertices embeds onto."""
     out = set()
-    for pattern in sepgraph._patterns_of_size(k):
+    for pattern, _ in sepgraph._patterns_of_size(k):
         out |= _embedded_choices(quiver, pattern)
     return out
 
@@ -346,7 +346,7 @@ def _reversed(pattern):
 # arrows as vertices (the Kronecker quiver and even cycles) come once, so
 # their reversals are added
 PATTERNS = [variant for size in range(2, 8)
-            for pattern in sepgraph._patterns_of_size(size)
+            for pattern, _ in sepgraph._patterns_of_size(size)
             for variant in ((pattern, _reversed(pattern))
                             if len(pattern.arrows) == size else (pattern,))]
 
@@ -412,7 +412,8 @@ class TestPatternEmbedding:
         # oracle rechecks up to 8 vertices; 9 would cost a second)
         labels = set()
         for size in range(2, 10):
-            for pattern in sepgraph._patterns_of_size(size):
+            for pattern, sides in sepgraph._patterns_of_size(size):
+                assert list(sides) == _sides(pattern)
                 witness = sepgraph.minimal_bad_single_subquiver(pattern)
                 assert len(witness.vertices) == size
                 if size <= 8:
