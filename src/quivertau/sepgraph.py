@@ -21,6 +21,12 @@ bad choice of size at most k, so E spans all of C, and C is the image of
 the pattern of E's shape and coloring.  So the images at the first size
 are exactly the bad choices of minimal size.  The test suite re-checks
 this against a brute sweep over every choice.
+
+A bad choice lies inside one component of the separated quiver, and a
+subgraph of a Dynkin graph is a union of Dynkin graphs, so only the
+non-Dynkin components are searched past size 2; when there are none, a
+finite answer needs no pattern search past the Kronecker quiver.  Typing
+waits until size 2 has failed, as inputs with parallel arrows end there.
 """
 
 from __future__ import annotations
@@ -146,24 +152,29 @@ def _component_type(vertices, edges):
     return _OTHER
 
 
+def _split_components(vertices, edges):
+    """The connected components of the graph, in the order of
+    ``components``, each with its edges; one pass files every edge under
+    its component, so this is linear in the edges."""
+    near = {v: [] for v in vertices}
+    for u, w in edges:
+        near[u].append(w)
+        near[w].append(u)
+    comps = components(vertices, near)
+    where = {v: i for i, comp in enumerate(comps) for v in comp}
+    comp_edges = [[] for _ in comps]
+    for edge in edges:
+        comp_edges[where[edge[0]]].append(edge)
+    return list(zip(comps, comp_edges))
+
+
 def classify_graph(graph):
     """Connected-component classification of an undirected multigraph, in
     the order of ``components``; each component's vertices are sorted and
     its edges keep their order in the graph."""
-    near = {v: [] for v in graph.vertices}
-    for u, w in graph.edges:
-        near[u].append(w)
-        near[w].append(u)
-    comps = components(graph.vertices, near)
-    where = {v: i for i, comp in enumerate(comps) for v in comp}
-    edges = [[] for _ in comps]
-    for edge in graph.edges:
-        edges[where[edge[0]]].append(edge)
-    report = []
-    for comp, comp_edges in zip(comps, edges):
-        verts = tuple(sorted(comp))
-        report.append((verts, _component_type(verts, comp_edges)))
-    return GraphTypeReport(tuple(report))
+    return GraphTypeReport(tuple(
+        (tuple(sorted(comp)), _component_type(comp, edges))
+        for comp, edges in _split_components(graph.vertices, graph.edges)))
 
 
 # ---------------------------------------------------------------------------
@@ -290,40 +301,51 @@ def _patterns_of_size(size):
     return tuple(out)
 
 
+def _least_image(quiver, size):
+    """The lexicographically minimal {vertex: side} image, as sorted pairs,
+    of the Euclidean patterns on ``size`` vertices, or None."""
+    best = None
+    for pattern, sides in _patterns_of_size(size):
+        for image in embeddings(quiver, pattern):
+            key = tuple(sorted(zip((quiver.vertices[i] for i in image),
+                                   sides)))
+            if best is None or key < best:
+                best = key
+    return best
+
+
 def minimal_bad_single_subquiver(quiver):
     """Minimal non-Dynkin single subquiver of the separated quiver, or None:
     the single subquiver of the lexicographically minimal pattern image of
     the smallest size at which a Euclidean pattern embeds (see the module
     docstring).
 
-    Sizes stop at the node count of the largest connected component of the
-    separated quiver, where a vertex without arrows counts as a component
-    of one node.  That loses nothing: a pattern is connected, so its image
-    is a connected set of separated nodes, and these are distinct because
-    the embedding is injective on original vertices; the image therefore
-    lies inside one component and has as many nodes as the pattern has
-    vertices.
+    Past size 2, sizes stop at the node count of the largest non-Dynkin
+    component of the separated quiver with at least 4 nodes, the fewest
+    that a pattern past size 2 has.  A pattern's image is connected, and
+    its nodes are distinct as the embedding is injective on original
+    vertices, so it lies inside one component and its graph is a subgraph
+    of it; a subgraph of a Dynkin graph is a union of Dynkin graphs.  The
+    components are typed only once size 2 (parallel arrows) has failed,
+    so inputs decided there pay nothing for it.
     """
     if quiver.has_loop():
         raise UnsupportedLoopError("loop arrows are outside the criterion")
-    vertices = quiver.vertices
-    # the separated node (v, side) is 2 * position of v + side
-    pos = {v: i for i, v in enumerate(vertices)}
-    near = [[] for _ in range(2 * len(vertices))]
-    for v, w in quiver.mult:
-        near[2 * pos[v]].append(2 * pos[w] + 1)
-        near[2 * pos[w] + 1].append(2 * pos[v])
-    largest = max(map(len, components(range(len(near)), near)), default=0)
-    for size in range(2, min(len(vertices), largest) + 1):
-        best = None
-        for pattern, sides in _patterns_of_size(size):
-            for image in embeddings(quiver, pattern):
-                key = tuple(sorted(zip((vertices[i] for i in image), sides)))
-                if best is None or key < best:
-                    best = key
-        if best is not None:
-            return induced_single_subquiver(quiver, dict(best))
-    return None
+    best = _least_image(quiver, 2)
+    if best is None:
+        # the separated node (v, side) is 2 * position of v + side
+        pos = {v: i for i, v in enumerate(quiver.vertices)}
+        parts = _split_components(range(2 * len(pos)), [
+            (2 * pos[v], 2 * pos[w] + 1) for v, w in quiver.mult])
+        largest = max((len(comp) for comp, edges in parts if len(comp) > 3
+                       and not _component_type(comp, edges).is_dynkin()),
+                      default=0)
+        for size in range(3, min(len(pos), largest) + 1):
+            best = _least_image(quiver, size)
+            if best is not None:
+                break
+    return None if best is None else \
+        induced_single_subquiver(quiver, dict(best))
 
 
 # The verdict trace names the search that found the witness.

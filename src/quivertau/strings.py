@@ -9,6 +9,7 @@ the string set, certifies finiteness.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from graphlib import CycleError, TopologicalSorter
 
 from .catalog import BadParameterError
 from .presentation import (
@@ -73,12 +74,6 @@ def special_biserial_check(pres):
     return SpecialBiserialReport(not violations, tuple(violations))
 
 
-def _letter_endpoints(by_name, letter):
-    name, direct = letter
-    a = by_name[name]
-    return (a.source, a.target) if direct else (a.target, a.source)
-
-
 def _word_ok(zero_paths, zero_lengths, letters):
     """Is the walk of letters a string: reduced, and with every direct or
     inverse run avoiding the zero paths?  Composability is not checked.
@@ -116,6 +111,13 @@ def band_search(pres, length_bound=None):
     its least rotation or inverse rotation by string order.  It need not
     be the least band of the algebra: another band, met later, may sort
     earlier, so declaring the vertices in another order can change it.
+
+    The walk runs only if there are strings of every length, which a band
+    u gives: as u holds both letter kinds, no run of a power of u spans
+    more than two copies of u, so with u·u every power of u is a string.
+    The walk checks the last ``window`` letters of each string it grows,
+    so such strings make a cycle in the finite graph that
+    ``_strings_unbounded`` reads, and without one there is no band.
     """
     if length_bound is not None and length_bound < 1:
         raise BadParameterError(
@@ -127,6 +129,8 @@ def band_search(pres, length_bound=None):
         raise NotStringAlgebraError("non-monomial relation present")
     if length_bound is None:
         length_bound = max(2, 2 * len(pres.quiver.arrows) ** 2)
+    if not _strings_unbounded(pres):
+        return None
     found = _first_band(pres, length_bound)
     if found is None:
         return None
@@ -139,14 +143,11 @@ def band_search(pres, length_bound=None):
     return best
 
 
-def _first_band(pres, length_bound):
-    """First band met by a depth-first walk from each vertex in turn,
-    trying letters by name, direct before inverse.  Every word is a walk,
-    and the first closed one with both letter kinds that is a string in
-    every rotation is primitive: the root u of a power u^k closes earlier
-    on the walk, and u·u passed the windowed checks, so u comes first."""
+def _walk_parts(pres):
+    """What the walk reads: a test that a word is a string, the number of
+    last letters each step checks, the letters that may leave each
+    vertex, by name and direct before inverse, and each letter's end."""
     q = pres.quiver
-    by_name = q.by_name
     zero_paths = zero_relation_paths(pres)
     zero_lengths = sorted({len(zp) for zp in zero_paths})
     # a string stays a string after one more letter unless its last
@@ -156,7 +157,39 @@ def _first_band(pres, length_bound):
                        + [(a.name, False) for a in q.inc[v]],
                        key=lambda l: (l[0], not l[1]))
              for v in q.vertices}
-    for start in q.vertices:
+    end = {(a.name, direct): a.target if direct else a.source
+           for a in q.arrows for direct in (True, False)}
+    return (lambda word: _word_ok(zero_paths, zero_lengths, word),
+            window, moves, end)
+
+
+def _strings_unbounded(pres):
+    """Is there a cycle in the graph whose states are the strings of
+    ``window - 1`` letters, with an edge for each letter that keeps the
+    last ``window`` letters a string?  Every letter counts as a state: one
+    that is no string on its own has no edge."""
+    ok, window, moves, end = _walk_parts(pres)
+    states = [(l,) for ls in moves.values() for l in ls]
+    for _ in range(window - 2):
+        states = [s + (l,) for s in states for l in moves[end[s[-1]]]
+                  if ok(s + (l,))]
+    try:
+        TopologicalSorter({s: [s[1:] + (l,) for l in moves[end[s[-1]]]
+                               if ok(s + (l,))]
+                           for s in states}).prepare()
+    except CycleError:
+        return True
+    return False
+
+
+def _first_band(pres, length_bound):
+    """First band met by a depth-first walk from each vertex in turn,
+    trying letters by name, direct before inverse.  Every word is a walk,
+    and the first closed one with both letter kinds that is a string in
+    every rotation is primitive: the root u of a power u^k closes earlier
+    on the walk, and u·u passed the windowed checks, so u comes first."""
+    ok, window, moves, end = _walk_parts(pres)
+    for start in pres.quiver.vertices:
         # frames[i] iterates the letters that may follow word[:i]
         word, frames = [], [iter(moves[start])]
         while frames:
@@ -167,12 +200,12 @@ def _first_band(pres, length_bound):
                     word.pop()
                 continue
             word.append(letter)
-            if not _word_ok(zero_paths, zero_lengths, word[-window:]):
+            if not ok(word[-window:]):
                 word.pop()
                 continue
-            at = _letter_endpoints(by_name, letter)[1]
+            at = end[letter]
             if at == start and len({d for _, d in word}) == 2 \
-                    and _word_ok(zero_paths, zero_lengths, word + word):
+                    and ok(word + word):
                 return tuple(word)
             if len(word) >= length_bound:
                 word.pop()

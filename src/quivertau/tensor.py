@@ -94,6 +94,10 @@ def enveloping(pres):
     return tensor_product(pres, opposite(pres))
 
 
+# one coefficient for every zero relation: Fractions are immutable
+_ONE = Fraction(1)
+
+
 def rad_square_quotient(pres):
     """Same quiver, with every composable arrow pair declared zero.
 
@@ -101,6 +105,6 @@ def rad_square_quotient(pres):
     paths as monomial relations.
     """
     q = pres.quiver
-    relations = tuple(Relation(((Fraction(1), (a.name, b.name)),))
+    relations = tuple(Relation(((_ONE, (a.name, b.name)),))
                       for a in q.arrows for b in q.out[a.target])
     return Presentation(q, relations)

@@ -14,10 +14,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quivertau import catalog, presentation
+from conftest import counted_calls
+from quivertau import catalog, presentation, strings
 from quivertau.catalog import N_VERTEX_CAP
 from quivertau.cli import main
-from quivertau.presentation import parse_presentation
+from quivertau.presentation import parse_presentation, serialize_presentation
+from quivertau.tensor import rad_square_quotient, tensor_product
 
 B1 = "catalog:B1"
 N3 = "catalog:N(3)"
@@ -270,6 +272,21 @@ class TestOtherCommands:
     def test_strings(self, capsys):
         code, out, _ = run(capsys, "strings", "catalog:N(5)")
         assert code == 0 and "band: none" in out
+
+    def test_linear_grid_decided_from_its_shape(self, capsys, tmp_path):
+        # A(12)⊗A(12) with rad² = 0, written out: finite with one pattern
+        # mapped (the Kronecker quiver), and no band with no string walked
+        line = catalog.catalog_get(f"A(12,{'+' * 11})")
+        path = tmp_path / "grid.quiver"
+        path.write_text(serialize_presentation(
+            rad_square_quotient(tensor_product(line, line))))
+        with counted_calls(presentation.embeddings) as mapped:
+            code, out, _ = run(capsys, "adachi", str(path))
+        assert code == 0 and "status: finite" in out
+        with counted_calls(strings._first_band) as walked:
+            code, out, _ = run(capsys, "strings", str(path))
+        assert code == 0 and "band: none" in out
+        assert (mapped[0], walked[0]) == (1, 0)
 
     def test_strings_bad_band_bound_exit_2(self, capsys):
         code, out, err = run(capsys, "strings", N4, "--band-bound", "-5")

@@ -18,7 +18,7 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -27,6 +27,7 @@ from conftest import (
     elimination_ideal_spaces,
     embedding_images,
     line,
+    naive_minimal_bad_single_subquiver,
     presentations_equal,
     quiver_from_cells,
     quivers_up_to_iso,
@@ -86,11 +87,15 @@ from quivertau.sepgraph import (
     GraphTypeReport,
     UGraph,
     classify_graph,
+    minimal_bad_single_subquiver,
+    separated_quiver,
     underlying_graph,
 )
 from quivertau.strings import (
     SpecialBiserialReport,
     StringWord,
+    _first_band,
+    _strings_unbounded,
     _word_ok,
     band_search,
     special_biserial_check,
@@ -981,19 +986,20 @@ def _reference_band(pres, length_bound):
 
 
 @st.composite
-def string_algebras(draw):
+def string_algebras(draw, chain=0):
     """Monomial special biserial presentations: an acyclic quiver with at
     most two arrows into and two out of each vertex, parallel arrows
     allowed; of the compositions on either side of an arrow all but at
-    most one are zero, and a few more paths of length 2 or 3 are zero."""
-    n = draw(st.integers(2, 7))
+    most one are zero, and a few more paths of length 2 or 3 are zero.
+    The first ``chain`` arrows make a path of that length."""
+    n = draw(st.integers(max(2, chain + 1), 7))
     order = draw(st.permutations(range(n)))  # declared in another order
     vertices = tuple(NAMES[i] for i in order)
     outdeg, indeg = Counter(), Counter()
     arrows = []
-    for s, t in draw(st.lists(st.tuples(st.integers(0, n - 1),
-                                        st.integers(0, n - 1)),
-                              max_size=2 * n)):
+    for s, t in [(i, i + 1) for i in range(chain)] + draw(
+            st.lists(st.tuples(st.integers(0, n - 1),
+                               st.integers(0, n - 1)), max_size=2 * n)):
         s, t = min(s, t), max(s, t)  # forward in NAMES order: acyclic
         if s == t or outdeg[s] == 2 or indeg[t] == 2:
             continue
@@ -1023,6 +1029,62 @@ def test_band_search_matches_the_walk_with_power_test(pres, length_bound):
     band = band_search(pres, length_bound)
     assert str(band) == str(_reference_band(pres, length_bound))
     assert band is None or not _is_proper_power(band.letters)
+
+
+@PROPERTY
+@given(string_algebras(chain=3), st.integers(1, 12), st.data())
+def test_no_cycle_among_string_states_means_no_band(pres, length_bound,
+                                                     data):
+    # a zero path of length 3 makes the walk check windows of 3 letters
+    longer = [p for ps in all_paths(pres.quiver).values() for p in ps
+              if len(p) == 3]
+    pres = Presentation(pres.quiver, pres.relations + (Relation(
+        ((Fraction(1), data.draw(st.sampled_from(longer))),)),))
+    if not _strings_unbounded(pres):
+        assert _first_band(pres, 4 * len(pres.quiver.arrows) ** 2) is None
+        assert band_search(pres) is None
+    else:
+        assert str(band_search(pres, length_bound)) == \
+            str(_reference_band(pres, length_bound))
+
+
+def _has_non_dynkin_component(q):
+    report = classify_graph(underlying_graph(separated_quiver(q)))
+    return not report.all_dynkin()
+
+
+@st.composite
+def dynkin_beside_bad(draw):
+    """A quiver without loops or parallel arrows (so no witness has size
+    2) with a non-Dynkin separated component, drawn on at most 5
+    vertices, beside a line whose separated components are all of type A
+    (a zigzag line is one A_m), joined to it by one arrow or not, with
+    every vertex declared in a random order."""
+    n = draw(st.integers(4, 5))
+    bad = draw(st.permutations(NAMES))[:n]
+    pairs = st.tuples(st.sampled_from(bad), st.sampled_from(bad))
+    arrows = [Arrow(f"a{k}", s, t) for k, (s, t) in enumerate(
+        draw(st.lists(pairs.filter(lambda p: p[0] != p[1]), min_size=4,
+                      max_size=2 * n, unique=True)))]
+    assume(_has_non_dynkin_component(Quiver(tuple(bad), tuple(arrows))))
+    m = draw(st.integers(1, 5))
+    ends = [f"w{i}" for i in range(m)]
+    for i in range(m - 1):
+        s, t = ends[i], ends[i + 1]
+        arrows.append(Arrow(f"z{i}", *((s, t) if draw(st.booleans())
+                                       else (t, s))))
+    if draw(st.booleans()):
+        arrows.append(Arrow("j", draw(st.sampled_from(ends)),
+                            draw(st.sampled_from(bad))))
+    vertices = tuple(draw(st.permutations(list(bad) + ends)))
+    return Quiver(vertices, tuple(arrows))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(dynkin_beside_bad())
+def test_witness_search_beside_dynkin_components_matches_brute_sweep(q):
+    assert minimal_bad_single_subquiver(q) == \
+        naive_minimal_bad_single_subquiver(q)
 
 
 # ---------------------------------------------------------------------------

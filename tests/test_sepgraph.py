@@ -9,6 +9,7 @@ import pytest
 from conftest import (
     all_choices,
     assignment_bad,
+    counted_calls,
     cycle_presentation,
     line,
     naive_minimal_bad_single_subquiver,
@@ -16,7 +17,7 @@ from conftest import (
     seeded,
 )
 
-from quivertau import sepgraph
+from quivertau import sepgraph, strings
 from quivertau.catalog import catalog_get
 from quivertau.presentation import (
     Arrow,
@@ -332,6 +333,63 @@ class TestConnectedEnumeration:
         assert len(w.vertices) == 5
         assert is_single_subquiver(pres.quiver, w)
         assert not classify_graph(w.underlying()).all_dynkin()
+
+
+def _rsz_grid(line_id):
+    line = catalog_get(line_id)
+    return rad_square_quotient(tensor_product(line, line))
+
+
+class TestDecidedFromTheShape:
+    @pytest.mark.parametrize("n", [5, 10])
+    def test_linear_grid_searches_only_size_two(self, n):
+        # every separated component of A(n)⊗A(n) with rad² = 0 is Dynkin,
+        # so only the Kronecker pattern is mapped and no string is walked,
+        # at n as at 2n
+        grid = _rsz_grid(f"A({n},{'+' * (n - 1)})")
+        with counted_calls(embeddings) as mapped:
+            assert adachi_decide(grid).status == "finite"
+        with counted_calls(strings._first_band) as walked:
+            assert strings.band_search(grid) is None
+        assert (mapped[0], walked[0]) == (1, 0)
+
+    @pytest.mark.parametrize("line", ["A(3,+-)", "A(4,+-+)"])
+    def test_alternating_grids_reach_the_search(self, line):
+        # every size from 2 to the witness's 5 is searched
+        with counted_calls(sepgraph._least_image) as sizes:
+            v = adachi_decide(_rsz_grid(line))
+        assert sizes[0] == 4
+        assert v.certificate.witness["vertices"] == [
+            ["(1,2)", 0], ["(2,1)", 0], ["(2,2)", 1], ["(2,3)", 0],
+            ["(3,2)", 0]]
+        assert v.certificate.witness["component_types"] == ["D~4"]
+
+    def test_kronecker_reaches_both_searches(self):
+        q = Quiver(("1", "2"), (Arrow("a", "1", "2"), Arrow("b", "1", "2")))
+        pres = rad_square_quotient(Presentation(q, ()))
+        with counted_calls(embeddings) as mapped:
+            v = adachi_decide(pres)
+        with counted_calls(strings._first_band) as walked:
+            band = strings.band_search(pres)
+        # a generator counts once more each time it resumes after a yield
+        assert mapped[0] >= 1 and walked[0] == 1
+        assert v.certificate.witness["vertices"] == [["1", 0], ["2", 1]]
+        assert str(band) == "a-.b"
+
+    def test_dynkin_component_larger_than_the_bad_one(self):
+        # an alternating square (A~3, four nodes) beside a zigzag line whose
+        # separated component is A7: the search stops at size 4
+        zigzag = [Arrow(f"z{i}", f"w{i + (i % 2)}", f"w{i + 1 - (i % 2)}")
+                  for i in range(6)]
+        q = Quiver(tuple("abcd") + tuple(f"w{i}" for i in range(7)),
+                   (Arrow("p", "a", "b"), Arrow("q", "c", "b"),
+                    Arrow("r", "c", "d"), Arrow("s", "a", "d"), *zigzag))
+        report = classify_graph(underlying_graph(separated_quiver(q)))
+        assert "A7" in report.tags()
+        assert sepgraph.minimal_bad_single_subquiver(q) == \
+            naive_minimal_bad_single_subquiver(q)
+        assert sepgraph.minimal_bad_single_subquiver(
+            Quiver(q.vertices, tuple(zigzag))) is None
 
 
 def _reversed(pattern):
